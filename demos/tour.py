@@ -15,7 +15,6 @@ from gmlattice import (
     determinant,
     discriminant_group,
     dm_isomorphism_check,
-    find_hyperbolic_plane,
     glue,
     hilb2_witness,
     is_isometric_small,
@@ -63,13 +62,12 @@ print("w =", w, " w.w =", L.norm(w), " lambda1.w =", L.pairing((1, 0, 0), w))
 banner("Hyperbolic planes inside labelling lattices")
 for d in (10, 12):
     Ld = labelling_lattice(d)
-    pair = find_hyperbolic_plane(Ld, 30)
-    if pair:
-        v, u = pair
+    rep = k3_witness(NeronSeveriModel(Ld, (1, 0, 0), (0, 1, 0)))
+    if rep.found():
+        v, u = rep.u_basis
         print(f"d={d}: found U = <{v}, {u}> (checks {Ld.norm(v)}, {Ld.norm(u)}, {Ld.pairing(v, u)})")
     else:
-        rep = k3_witness(NeronSeveriModel(Ld, (1, 0, 0), (0, 1, 0)), bound=30)
-        print(f"d={d}: {rep.status} (isotropy needs d/2 to be a sum of two squares)")
+        print(f"d={d}: {rep.status} (U needs d/2 = X^2 + Y^2 with gcd(X, Y) = 1)")
 
 banner("Gluing <2> and <-2> into the hyperbolic plane")
 half = Fraction(1, 2)

@@ -13,6 +13,7 @@ __all__ = [
     "is_square",
     "sum_of_two_squares",
     "two_square_decomposition",
+    "two_square_decompositions",
     "xgcd",
 ]
 
@@ -100,19 +101,22 @@ def sum_of_two_squares(n: int) -> bool:
     return all(e % 2 == 0 for p, e in factorize(n).items() if p % 4 == 3)
 
 
-def two_square_decomposition(n: int) -> tuple[int, int] | None:
-    """A pair (x, y) with x <= y and x**2 + y**2 = n, or None.
+def two_square_decompositions(n: int):
+    """Yield every pair (x, y) with 0 <= x <= y and x**2 + y**2 = n, by
+    increasing x.
 
     Direct scan over x <= isqrt(n/2); n here is never larger than a few
     times 10**6 so this stays instant.
     """
     if n < 0:
-        return None
-    x = 0
-    while 2 * x * x <= n:
+        return
+    for x in range(isqrt(n // 2) + 1):
         r = n - x * x
         y = isqrt(r)
         if y * y == r:
-            return (x, y)
-        x += 1
-    return None
+            yield (x, y)
+
+
+def two_square_decomposition(n: int) -> tuple[int, int] | None:
+    """A pair (x, y) with x <= y and x**2 + y**2 = n, or None."""
+    return next(two_square_decompositions(n), None)

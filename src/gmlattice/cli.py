@@ -67,20 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("d", type=int, help="discriminant")
     c.add_argument("--json", action="store_true", help="machine-readable output")
     c.add_argument("--strict", action="store_true", help="exit 2 when d is inadmissible")
-    c.add_argument("--bound", type=int, default=20, help="coordinate bound for witness searches")
 
     s = sub.add_parser("scan", help="classify every admissible d up to a limit")
     s.add_argument("max_d", type=int)
     s.add_argument("--filter", choices=["star2", "twisted", "star3"], default=None)
     s.add_argument("--json", action="store_true", help="JSON-lines instead of CSV")
     s.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    s.add_argument("--bound", type=int, default=20)
 
     w = sub.add_parser("witness", help="print one witness with a verification transcript")
     w.add_argument("kind", choices=["k3", "twisted", "hilb2", "counterexample"])
     w.add_argument("d", type=int, nargs="?", help="discriminant (not used by counterexample)")
     w.add_argument("--n", type=int, default=None, help="family parameter for counterexample")
-    w.add_argument("--bound", type=int, default=20)
+    w.add_argument("--bound", type=int, default=20, help="scan bound for counterexample")
     w.add_argument("--json", action="store_true")
 
     l = sub.add_parser("lattice", help="exact operations on a Gram-matrix file")
@@ -130,7 +128,7 @@ def _render_classify(rep) -> str:
         lines.append(f"hilb2 witness: w = {tuple(wh['w'])} in gram {wh['gram']}")
     wk = rep.witnesses.get("k3")
     if wk:
-        lines.append(f"k3 hyperbolic-plane search (bound {wk['bound']}): {wk['status']}")
+        lines.append(f"k3 hyperbolic plane: {wk['status']}")
         if wk["status"] == "found":
             lines.append(
                 f"  U basis {tuple(tuple(v) for v in wk['u_basis'])}, "
@@ -140,7 +138,7 @@ def _render_classify(rep) -> str:
 
 
 def cmd_classify(args) -> int:
-    rep = classify(args.d, bound=args.bound)
+    rep = classify(args.d)
     if args.json:
         print(json.dumps(rep.to_dict()))
     else:
@@ -169,7 +167,7 @@ def cmd_scan(args) -> int:
     for d in range(2, args.max_d + 1):
         if d % 8 not in (0, 2, 4):
             continue
-        rep = classify(d, bound=args.bound)
+        rep = classify(d)
         if _scan_keep(rep, args.filter):
             rows.append(rep)
     if args.json:
@@ -249,8 +247,7 @@ def _witness_k3(args) -> int:
     d = args.d
     L = labelling_lattice(d)
     model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-    rep = k3_witness(model, bound=args.bound)
-    print(f"search bound: {args.bound}")
+    rep = k3_witness(model)
     if rep.status == "found":
         v, w = rep.u_basis
         if args.json:
@@ -273,10 +270,10 @@ def _witness_k3(args) -> int:
         )
         print(f"complement generator g = {rep.complement_gen} with g.g = {rep.gen_norm}")
         return EXIT_OK
-    if rep.status == "proven-absent":
-        print(f"no witness: d = {d} has no nonzero isotropic vector (condition failed)")
-    else:
-        print(f"no witness within bound {args.bound} (bound exhausted)")
+    print(
+        f"no witness: d = {d} has no hyperbolic plane because the K3 condition "
+        "fails (condition failed)"
+    )
     return EXIT_NO_WITNESS
 
 

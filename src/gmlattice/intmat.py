@@ -240,9 +240,30 @@ def invariant_factors(M: Matrix) -> list[int]:
 
 
 def rank(M: Matrix) -> int:
-    if not M or not M[0]:
-        return 0
-    return len(invariant_factors(M))
+    """Rank over Q: the number of pivots of fraction-free (Bareiss)
+    elimination.  Every entry after a step is a minor of M, so the division
+    by the previous pivot is exact."""
+    a = [list(row) for row in M]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        for i in range(r + 1, m):
+            row, f = a[i], a[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * a[r][j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def hermite_row_basis(rows) -> Matrix:

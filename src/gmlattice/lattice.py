@@ -239,7 +239,6 @@ class Sublattice:
 
     def gram(self) -> GramLattice:
         """Induced Gram matrix B G B^T."""
-        g = self.ambient.gram
         rows = tuple(
             tuple(self.ambient.pairing(v, w) for w in self.basis) for v in self.basis
         )

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import index
 
-from .arith import factorize, sum_of_two_squares, two_square_decomposition
+from .arith import (
+    factorize,
+    sum_of_two_squares,
+    two_square_decomposition,
+    two_square_decompositions,
+    xgcd,
+)
 from .errors import (
     DomainError,
     HypothesisError,
@@ -34,7 +40,6 @@ from .lattice import (
     GramLattice,
     Sublattice,
     determinant,
-    find_hyperbolic_plane,
     orthogonal_complement,
     saturate,
     twist,
@@ -101,7 +106,7 @@ def cond_star2_twisted(d: int) -> bool:
     even power; equivalently d is a sum of two squares."""
     if d <= 0:
         raise DomainError("condition defined for positive d")
-    return all(e % 2 == 0 for p, e in factorize(d).items() if p % 4 == 3)
+    return sum_of_two_squares(d)
 
 
 def cond_star3(d: int) -> PellSolution | None:
@@ -433,18 +438,20 @@ def lemma_checks(qa: QFormAnalysis, prime_cap: int = 10**6) -> LemmaReport:
 class K3WitnessReport:
     """Outcome of the hyperbolic-plane criterion on a rank 3 or 4 model.
 
-    Rank 3: status "found" carries the plane (v, w) and the complement
-    generator g with g.g = -det; "proven-absent" means the labelling-shaped
-    lattice has no nonzero isotropic vector at all (exact two-squares
-    obstruction), "not-found-within-bound" is only a bounded statement.
+    Rank 3: the decision is exact and ``bound`` is None.  Status "found"
+    carries the plane (v, w) and the complement generator g with
+    g.g = -det; "proven-absent" means the lattice contains no hyperbolic
+    plane, which happens exactly when the K3 condition fails for its
+    determinant.
     Rank 4: status "found" carries coprime (x, y), in the sign-normalized
     kappa basis, whose saturated labelling discriminant satisfies the K3
-    condition, plus the form analysis.
+    condition, plus the form analysis; "not-found-within-bound" is only a
+    statement about the box |x|, |y| <= bound.
     """
 
     kind: str
     status: str
-    bound: int
+    bound: int | None = None
     u_basis: tuple | None = None
     complement_gen: tuple | None = None
     gen_norm: int | None = None
@@ -459,51 +466,85 @@ class K3WitnessReport:
         return self.status == "found"
 
 
-def _labelling_isotropy_decision(G: GramLattice) -> bool | None:
-    """Exact isotropy decision for labelling-shaped rank-3 Grams.
+def _primitive_two_squares(n: int, a: int, b: int) -> tuple[int, int] | None:
+    """(X, Y) with X^2 + Y^2 = n, gcd(X, Y) = 1, X = a and Y = b (mod 2)."""
+    for s, t in two_square_decompositions(n):
+        if gcd(s, t) != 1:
+            continue
+        for X, Y in ((s, t), (t, s)):
+            if (X - a) % 2 == 0 and (Y - b) % 2 == 0:
+                return X, Y
+    return None
 
-    Completing squares in -2 x^2 - 2 y^2 + c z^2 + 2a xz + 2b yz = 0 gives
-    (2x - az)^2 + (2y - bz)^2 = (d/2) z^2 with d the determinant, and the
-    parity constraints are always satisfiable, so a nonzero isotropic
-    vector exists iff d/2 is a sum of two squares.  None when the Gram is
-    not of that shape.
-    """
-    shape = _labelling_shape(G)
-    if shape is None:
-        return None
-    d = determinant(G)
-    if d == 0:
-        return True  # degenerate: the radical contains isotropic vectors
-    return sum_of_two_squares(abs(d) // 2) if d > 0 else False
+
+def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
+    (_, _, a), (_, _, b), (_, _, c) = L.gram
+    found = _primitive_two_squares(a * a + b * b + 2 * c, a, b)
+    if found is None:
+        return K3WitnessReport(kind="rank3", status="proven-absent")
+    X, Y = found
+    v = ((X + a) // 2, (Y + b) // 2, 1)
+    _, p, q = xgcd(X, Y)
+    u = (-p, -q, 0)  # G v = (-X, -Y, t) and X p + Y q = 1, so v.u = 1
+    half = L.norm(u) // 2
+    w = tuple(x - half * y for x, y in zip(u, v))
+    assert L.norm(v) == 0 and L.norm(w) == 0 and L.pairing(v, w) == 1
+    comp = orthogonal_complement(L, Sublattice(L, (v, w)))
+    g = comp.basis[0]
+    gen_norm = L.norm(g)
+    assert gen_norm == -determinant(L), "L = U + <g> forces g.g = -det L"
+    return K3WitnessReport(
+        kind="rank3",
+        status="found",
+        u_basis=(v, w),
+        complement_gen=g,
+        gen_norm=gen_norm,
+    )
 
 
 def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
-    """Hyperbolic-plane search certifying the K3 association on the model.
+    """Hyperbolic-plane criterion certifying the K3 association on the model.
 
-    Rank 3: find a copy of U; its rank-one orthogonal complement has a
-    generator of square -d.  Rank 4 (basis lambda1, lambda2, kappa1,
-    kappa2 with unimodular hyperbolic kappa-block): analyze the
-    labelling-discriminant form and return coprime (x, y) whose saturated
-    labelling satisfies the K3 condition.
+    Rank 3 (basis lambda1, lambda2, tau, so the Gram is
+    ((-2,0,a),(0,-2,b),(a,b,c)) with d = det = 2(a^2 + b^2 + 2c)): an exact
+    construction, no search.  Completing squares, v = (x, y, z) is
+    isotropic iff X^2 + Y^2 = (d/2) z^2 with X = 2x - az, Y = 2y - bz, and
+    G v = (-X, -Y, t) with z t = xX + yY (from v.Gv = 0).  A plane U
+    through v needs v.w = 1 for some w, i.e. G v of content 1.
+
+    * Found: take z = 1 and a decomposition X^2 + Y^2 = d/2 with
+      gcd(X, Y) = 1 and X = a, Y = b (mod 2); then v = ((X+a)/2, (Y+b)/2, 1)
+      is integral and isotropic, xgcd gives u = (-p, -q, 0) with
+      Xp + Yq = 1 = v.u, and w = u - (u.u/2) v completes the plane (u.u is
+      even because L is even).  L = U + <g>, so the complement generator
+      has g.g = -d, rechecked through ``orthogonal_complement``.
+    * Absent, prime p = 3 (mod 4) dividing d/2: p | X^2 + Y^2 forces p | X
+      and p | Y, so content 1 gives p not dividing t; then p | z t gives
+      p | z, hence p | 2x and p | 2y, and p divides G v, a contradiction.
+    * Absent, 8 | d: a^2 + b^2 = d/2 - 2c = 0 (mod 4) forces a, b even, so
+      every entry of G is even and no pairing v.w is odd.
+    * Absent, d <= 0: U is unimodular, so L = U + <g> with g.g = -d >= 0
+      would have one negative direction, but lambda1, lambda2 span a
+      negative definite plane.
+
+    Since d = 2 or 4 (mod 8) puts no prime 3 (mod 4) in d/2 exactly when
+    the K3 condition holds, and then d/2 (not divisible by 4) has a
+    primitive decomposition, whose parities always match a and b in one
+    order, "found" holds iff d > 0 and cond_star2(d): the status is
+    "found" or "proven-absent", never bounded.
+
+    Rank 4 (basis lambda1, lambda2, kappa1, kappa2 with unimodular
+    hyperbolic kappa-block): analyze the labelling-discriminant form and
+    return coprime (x, y) with |x|, |y| <= bound whose saturated labelling
+    satisfies the K3 condition.
     """
     L = N.effective_lattice()
     if L.rank == 3:
-        pair = find_hyperbolic_plane(L, bound)
-        if pair is not None:
-            v, w = pair
-            comp = orthogonal_complement(L, Sublattice(L, (v, w)))
-            g = comp.basis[0]
-            return K3WitnessReport(
-                kind="rank3",
-                status="found",
-                bound=bound,
-                u_basis=(v, w),
-                complement_gen=g,
-                gen_norm=L.norm(g),
+        if N.lambda1 != (1, 0, 0) or N.lambda2 != (0, 1, 0):
+            raise LatticeError(
+                "rank-3 model must be presented in the basis (lambda1, lambda2, tau)"
             )
-        decision = _labelling_isotropy_decision(L)
-        status = "proven-absent" if decision is False else "not-found-within-bound"
-        return K3WitnessReport(kind="rank3", status=status, bound=bound)
+        return _rank3_k3_witness(L)
     if L.rank != 4:
         raise UnsupportedRankError("K3 witness search supports rank 3 and 4 models")
 
@@ -815,15 +856,16 @@ class DivisorReport:
 
 
 def _k3_report_to_json(rep: K3WitnessReport) -> dict:
-    out = {"status": rep.status, "bound": rep.bound}
-    if rep.kind == "rank3":
-        out["u_basis"] = [list(v) for v in rep.u_basis] if rep.u_basis else None
-        out["complement_gen"] = list(rep.complement_gen) if rep.complement_gen else None
-        out["gen_norm"] = rep.gen_norm
-    return out
+    """The rank-3 report as classify publishes it."""
+    return {
+        "status": rep.status,
+        "u_basis": [list(v) for v in rep.u_basis] if rep.u_basis else None,
+        "complement_gen": list(rep.complement_gen) if rep.complement_gen else None,
+        "gen_norm": rep.gen_norm,
+    }
 
 
-def classify(d: int, bound: int = 20, with_witnesses: bool = True) -> DivisorReport:
+def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     """Assemble the full report: admissibility, the three conditions, the
     Debarre-Macri flag, and constructive witnesses for every positive answer.
 
@@ -859,7 +901,7 @@ def classify(d: int, bound: int = 20, with_witnesses: bool = True) -> DivisorRep
         if ok and d % 8 in (2, 4):
             L = labelling_lattice(d)
             model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-            witnesses["k3"] = _k3_report_to_json(k3_witness(model, bound=bound))
+            witnesses["k3"] = _k3_report_to_json(k3_witness(model))
     return DivisorReport(
         d=d,
         admissible=ok,

@@ -118,7 +118,7 @@ def test_witness_k3(capsys):
     assert "g.g = -10" in out
     code, out, _ = run(capsys, "witness", "k3", "12", "--bound", "30")
     assert code == 3
-    assert "no nonzero isotropic vector" in out
+    assert "no hyperbolic plane because the K3 condition fails" in out
 
 
 def test_witness_counterexample(capsys):

@@ -175,3 +175,18 @@ def test_rank_and_identity():
     assert intmat.rank(intmat.identity(4)) == 4
     assert intmat.rank(((0, 0), (0, 0))) == 0
     assert intmat.rank(((1, 2), (2, 4))) == 1
+
+
+def test_rank_matches_smith_invariant_factors():
+    rng = Random(11)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            k = rng.randint(1, min(m, n))  # a product of rank at most k
+            M = intmat.mat_mul(random_matrix(rng, m, k), random_matrix(rng, k, n))
+        else:
+            M = tuple(
+                tuple(rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n))
+                for _ in range(m)
+            )
+        assert intmat.rank(M) == len(intmat.invariant_factors(M)), M

@@ -387,6 +387,15 @@ def test_hyperbolic_absent_for_d12():
     assert find_hyperbolic_plane(L, 30) is None
 
 
+def test_hyperbolic_d3578_needs_a_larger_box():
+    # labelling lattice of d = 3578 = 2 * 1789: the plane lies outside the
+    # radius-20 box but inside radius 60
+    L = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 894)))
+    assert determinant(L) == 3578
+    assert find_hyperbolic_plane(L, 20) is None
+    check_hyperbolic_pair(L, find_hyperbolic_plane(L, 60))
+
+
 def test_hyperbolic_requires_even():
     with pytest.raises(LatticeError):
         find_hyperbolic_plane(standard_lattice("I(2,0)"), 2)

@@ -23,6 +23,7 @@ from gmlattice import (
     counterexample_general,
     determinant,
     dm_isomorphism_check,
+    find_hyperbolic_plane,
     hilb2_criterion,
     hilb2_witness,
     k3_witness,
@@ -400,18 +401,47 @@ def test_counterexample_general_random_scan():
 
 
 def test_k3_status_consistency_sweep():
-    # a found hyperbolic plane always certifies the K3 condition, and the
-    # exact absence certificate never fires when d is a sum of two squares
-    for d in range(2, 801):
+    # the rank-3 witness is exact: found iff the K3 condition holds, and a
+    # plane the box search finds is never missed by the exact construction
+    for d in range(2, 4001):
         if d % 8 not in (2, 4):
             continue
         model = NeronSeveriModel(labelling_lattice(d), (1, 0, 0), (0, 1, 0))
-        rep = k3_witness(model, bound=20)
-        if rep.status == "found":
-            assert cond_star2(d), d
+        rep = k3_witness(model)
+        assert rep.status == ("found" if cond_star2(d) else "proven-absent"), d
+        if rep.found():
             assert rep.gen_norm == -d, d
-        if rep.status == "proven-absent":
-            assert not cond_star2_twisted(d), d
+        if d <= 800 and find_hyperbolic_plane(model.lattice, 20) is not None:
+            assert rep.found(), d
+
+
+def test_k3_witness_random_labelling_grams_vs_box_search():
+    # labelling-shaped Grams off the normal form, including 8 | d and d <= 0
+    rng = Random(2718)
+    seen = set()
+    for _ in range(150):
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        c = 2 * rng.randint(-8, 8)
+        L = GramLattice(((-2, 0, a), (0, -2, b), (a, b, c)))
+        d = determinant(L)
+        rep = k3_witness(NeronSeveriModel(L, (1, 0, 0), (0, 1, 0)))
+        expect = d > 0 and cond_star2(d)
+        assert rep.status == ("found" if expect else "proven-absent"), (a, b, c)
+        if rep.found():
+            v, w = rep.u_basis
+            assert (L.norm(v), L.norm(w), L.pairing(v, w)) == (0, 0, 1)
+            assert rep.gen_norm == -d == L.norm(rep.complement_gen)
+        if find_hyperbolic_plane(L, 6) is not None:
+            assert rep.found(), (a, b, c)
+        seen.add("pos" if d > 0 and d % 8 else ("8|d" if d > 0 else "d<=0"))
+    assert seen == {"pos", "8|d", "d<=0"}
+
+
+def test_k3_witness_rank3_requires_labelling_basis():
+    L = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
+    model = NeronSeveriModel(L, (0, 1, 0), (1, 0, 0))
+    with pytest.raises(LatticeError):
+        k3_witness(model)
 
 
 def test_exact_isotropy_certificate_vs_enumeration():
@@ -439,14 +469,13 @@ def test_exact_isotropy_certificate_vs_enumeration():
         done += 1
 
 
-def test_k3_bounded_miss_recovers_at_larger_bound():
-    # the K3 condition holds for 3578 = 2 * 1789 but the plane needs a
-    # larger box than the default: honest miss, then found at bound 60
-    assert cond_star2(3578)
-    model = NeronSeveriModel(labelling_lattice(3578), (1, 0, 0), (0, 1, 0))
-    assert k3_witness(model, bound=20).status == "not-found-within-bound"
-    rep = k3_witness(model, bound=60)
-    assert rep.status == "found" and rep.gen_norm == -3578
+def test_k3_former_bounded_misses_are_found():
+    # the box search of radius 20 missed these K3 discriminants; the exact
+    # construction finds each plane by default
+    for d in (3578, 3716, 3986):
+        assert cond_star2(d)
+        k3 = classify(d).witnesses["k3"]
+        assert k3["status"] == "found" and k3["gen_norm"] == -d, d
 
 
 def test_hilb2_witness_huge_fundamental_solution():
