@@ -49,7 +49,14 @@ from .discriminant import (
     glue_extension_check,
     smith_normal_form,
 )
-from .pell import PellSolution, cf_sqrt, negative_pell, pell_general, pell_unit
+from .pell import (
+    PellSolution,
+    cf_sqrt,
+    negative_pell,
+    pell_general,
+    pell_solvable,
+    pell_unit,
+)
 from .forms import BinaryForm, find_prime_1mod4, reduce_form, represents
 from .oracle import (
     CounterexampleFamilyReport,

@@ -8,6 +8,7 @@ division and deterministic Miller-Rabin entirely adequate.
 from math import isqrt
 
 __all__ = [
+    "factored_sum_of_two_squares",
     "factorize",
     "is_prime",
     "is_square",
@@ -98,7 +99,13 @@ def sum_of_two_squares(n: int) -> bool:
         return False
     if n == 0:
         return True
-    return all(e % 2 == 0 for p, e in factorize(n).items() if p % 4 == 3)
+    return factored_sum_of_two_squares(factorize(n))
+
+
+def factored_sum_of_two_squares(factors: dict[int, int]) -> bool:
+    """sum_of_two_squares for n > 0 given as its factorization
+    {prime: exponent}."""
+    return all(e % 2 == 0 for p, e in factors.items() if p % 4 == 3)
 
 
 def two_square_decompositions(n: int):

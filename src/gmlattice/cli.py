@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 input error, 2 inadmissible discriminant under
 --strict, 3 witness not found (with the reason: condition failed vs search
 bound exhausted).  All searches print the bound they used; every witness is
 printed together with a transcript that recomputes its defining identities.
+Integers are printed exactly, in decimal, however many digits they have
+(the Pell solution of classify 2000000018 has about 31000).
 """
 
 import argparse
@@ -14,7 +16,7 @@ import json
 import sys
 
 from .discriminant import discriminant_group, smith_normal_form
-from .errors import DomainError, LatticeError
+from .errors import DomainError
 from .lattice import (
     Sublattice,
     determinant,
@@ -471,11 +473,20 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_INPUT
+    # Pell solutions can run past Python's int-to-str digit limit; print
+    # them exactly.  The limit is lifted only after parsing, so a huge
+    # argument is still refused as invalid input.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _DISPATCH[args.command](args)
-    except LatticeError as exc:
+    except (ValueError, ArithmeticError) as exc:  # LatticeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -22,6 +22,7 @@ from math import gcd
 from operator import index
 
 from .arith import (
+    factored_sum_of_two_squares,
     factorize,
     sum_of_two_squares,
     two_square_decomposition,
@@ -44,7 +45,7 @@ from .lattice import (
     saturate,
     twist,
 )
-from .pell import PellSolution, negative_pell, pell_general
+from .pell import PellSolution, negative_pell, pell_solvable
 
 __all__ = [
     "CounterexampleFamilyReport",
@@ -91,14 +92,16 @@ def admissible(d: int) -> tuple[bool, str]:
     return False, "inadmissible"
 
 
+def _star2(d: int, factors: dict[int, int]) -> bool:
+    return d % 8 != 0 and all(p % 4 != 3 for p in factors)
+
+
 def cond_star2(d: int) -> bool:
     """Associated K3 surface: 8 does not divide d and all odd prime factors
     of d are 1 (mod 4)."""
     if d <= 0:
         raise DomainError("condition defined for positive d")
-    if d % 8 == 0:
-        return False
-    return all(p % 4 != 3 for p in factorize(d))
+    return _star2(d, factorize(d))
 
 
 def cond_star2_twisted(d: int) -> bool:
@@ -133,6 +136,12 @@ def twisted_witness(d: int, max_scale: int = 4):
         return None
     if not cond_star2_twisted(d):
         return None
+    return _twisted_witness(d, max_scale)
+
+
+def _twisted_witness(d: int, max_scale: int = 4):
+    """twisted_witness for d > 0 already known to satisfy the twisted
+    condition."""
     for i in range(1, max_scale + 1):
         t = i * i * d
         if t % 2:
@@ -227,16 +236,20 @@ def hilb2_witness(d: int):
     sol = cond_star3(d)
     if sol is None:
         return None
+    return _hilb2_witness(d, sol)
+
+
+def _hilb2_witness(d: int, sol: PellSolution):
+    """hilb2_witness for admissible d from its solution sol = cond_star3(d)."""
     n, a = sol.n, sol.a
     assert d % 8 != 0, "a^2 d = 2n^2 + 2 is impossible for 8 | d"
+    L = labelling_lattice(d)
     if d % 8 == 2:
         assert n % 2 == 0, "d = 2 (mod 8) forces n even"
-        L = labelling_lattice(d)
         w = ((a - 1) // 2, n // 2, a)
     else:
         assert n % 2 == 1, "d = 4 (mod 8) forces n odd"
         assert a % 4 == 1, "a is a product of primes 1 (mod 4)"
-        L = labelling_lattice(d)
         w = ((a - 1) // 2, (a - n) // 2, a)
     assert L.norm(w) == 0
     assert L.pairing((1, 0, 0), w) == 1
@@ -787,14 +800,21 @@ def counterexample_general(
 
 def dm_isomorphism_check(d: int) -> bool | None:
     """None when P_{d/2}(-1) is unsolvable; otherwise True iff
-    P_{2d}(5): n^2 - 2d a^2 = 5 has no solution."""
+    P_{2d}(5): n^2 - 2d a^2 = 5 has no solution.
+
+    Both are decided from the (P_k, Q_k) recurrence of the square roots,
+    with no convergent and no fundamental unit (``pell_solvable``).
+    """
     if d <= 0:
         raise DomainError("check defined for positive d")
     if d % 2:
         raise DomainError("check defined for even d")
-    if negative_pell(d // 2) is None:
-        return None
-    return len(pell_general(2 * d, 5)) == 0
+    return _dm_isomorphic(d, pell_solvable(d // 2, -1))
+
+
+def _dm_isomorphic(d: int, star3: bool) -> bool | None:
+    """dm_isomorphism_check for even d > 0 given whether P_{d/2}(-1) holds."""
+    return not pell_solvable(2 * d, 5) if star3 else None
 
 
 # ---------------------------------------------------------------------------
@@ -884,19 +904,21 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             dm_isomorphic=None,
             witnesses={"twisted": None, "hilb2": None, "k3": None},
         )
-    s2 = cond_star2(d)
-    s2t = cond_star2_twisted(d)
+    # factor d and solve P_{d/2}(-1) once; every flag and witness reuses them
+    factors = factorize(d)
+    s2 = _star2(d, factors)
+    s2t = factored_sum_of_two_squares(factors)
     s3 = cond_star3(d) if d % 2 == 0 else None
-    dm = dm_isomorphism_check(d) if d % 2 == 0 else None
+    dm = _dm_isomorphic(d, s3 is not None) if d % 2 == 0 else None
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:
-        tw = twisted_witness(d)
+        tw = _twisted_witness(d) if s2t else None
         if tw is not None:
             x, y, i = tw
             witnesses["twisted"] = {"x": x, "y": y, "i": i}
         if s3 is not None:
-            L, w = hilb2_witness(d)
+            L, w = _hilb2_witness(d, s3)
             witnesses["hilb2"] = {"gram": [list(r) for r in L.gram], "w": list(w)}
         if ok and d % 8 in (2, 4):
             L = labelling_lattice(d)

@@ -1,13 +1,23 @@
 """Pell-type equations n^2 - m*a^2 = c solved through continued fractions.
 
-The negative Pell equation P_m(-1) is solvable exactly when the continued
-fraction of sqrt(m) has odd period (plus the degenerate case m = 1); the
-fundamental solution is read off the convergent just before the period ends.
-General small right-hand sides are covered by the classical bound on
-fundamental-class representatives in terms of the unit of P_m(1).
+Everything runs on one recurrence: the (P_k, Q_k) expansion of sqrt(m),
+whose terms stay below 2 sqrt(m), so it is small-integer work even where
+the solutions have thousands of digits.  Its period closes at the first
+Q_k = 1, and the convergents h/q of sqrt(m) satisfy
+
+    h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k
+
+(Jacobson & Williams, *Solving the Pell Equation*, 2009).  So the negative
+Pell equation P_m(-1) is solvable exactly when the period is odd (plus the
+degenerate case m = 1), and for c^2 < m, where every primitive solution is
+a convergent (Lagrange), P_m(c) is solvable exactly when c / g^2 equals some
+(-1)^k Q_k for a square g^2 dividing c.  ``pell_solvable`` decides from the
+Q_k alone; big-integer convergents are built only where a solution is
+returned.
 """
 
 from dataclasses import dataclass
+from itertools import cycle
 from math import isqrt
 
 from .arith import is_square
@@ -18,6 +28,7 @@ __all__ = [
     "cf_sqrt",
     "negative_pell",
     "pell_general",
+    "pell_solvable",
     "pell_unit",
 ]
 
@@ -44,45 +55,49 @@ class PellSolution:
         return {"n": self.n, "a": self.a}
 
 
-def cf_sqrt(m: int) -> tuple[int, list[int]]:
-    """Continued fraction sqrt(m) = [a0; period...], minimal period.
-
-    Classical recurrence on (m_k, d_k); the period of sqrt(m) closes exactly
-    at the first partial quotient equal to 2*a0.
-    """
+def _period(m: int) -> list[tuple[int, int]]:
+    """[(a_1, Q_1), ..., (a_l, Q_l)] over one period of sqrt(m), m >= 2 not
+    a square: P_{k+1} = a_k Q_k - P_k, Q_{k+1} = (m - P_{k+1}^2) / Q_k,
+    a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1}, closing at Q_l = 1."""
     if m < 2:
-        raise DomainError("cf_sqrt expects m >= 2")
+        raise DomainError("the continued fraction of sqrt(m) needs m >= 2")
     if is_square(m):
         raise SquareInputError(f"sqrt({m}) is an integer, no period")
     a0 = isqrt(m)
-    period = []
-    mm, dd, a = 0, 1, a0
+    p, q, a = 0, 1, a0
+    out = []
     while True:
-        mm = dd * a - mm
-        dd = (m - mm * mm) // dd
-        a = (a0 + mm) // dd
-        period.append(a)
-        if a == 2 * a0:
-            return a0, period
+        p = a * q - p
+        q = (m - p * p) // q
+        a = (a0 + p) // q
+        out.append((a, q))
+        if q == 1:
+            return out
 
 
-def _convergent(a0: int, period: list[int], idx: int) -> tuple[int, int]:
-    """(numerator, denominator) of the idx-th convergent, idx 0 = a0."""
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    for i in range(idx):
-        q = period[i % len(period)]
-        h_prev, h = h, q * h + h_prev
-        k_prev, k = k, q * k + k_prev
-    return h, k
+def _convergents(m: int, period: list[tuple[int, int]]):
+    """Yield (h_j, q_j, h_j^2 - m q_j^2) for the convergents j = 0, 1, ...
+    of sqrt(m), without end; the third entry is read off as
+    (-1)^(j+1) Q_{j+1} from ``period = _period(m)``, never computed."""
+    h_prev, h, q_prev, q = 1, isqrt(m), 0, 1
+    sign = -1
+    for a, big_q in cycle(period):
+        yield h, q, sign * big_q
+        h_prev, h = h, a * h + h_prev
+        q_prev, q = q, a * q + q_prev
+        sign = -sign
+
+
+def cf_sqrt(m: int) -> tuple[int, list[int]]:
+    """Continued fraction sqrt(m) = [a0; period...], minimal period."""
+    period = _period(m)
+    return isqrt(m), [a for a, _ in period]
 
 
 def pell_unit(m: int) -> tuple[int, int]:
-    """Fundamental solution (x1, y1) of x^2 - m*y^2 = 1, m >= 2 non-square."""
-    a0, period = cf_sqrt(m)
-    ell = len(period)
-    idx = ell - 1 if ell % 2 == 0 else 2 * ell - 1
-    x, y = _convergent(a0, period, idx)
+    """Fundamental solution (x1, y1) of x^2 - m*y^2 = 1, m >= 2 non-square:
+    the first convergent of norm 1."""
+    x, y = next((h, q) for h, q, norm in _convergents(m, _period(m)) if norm == 1)
     assert x * x - m * y * y == 1
     return x, y
 
@@ -90,7 +105,9 @@ def pell_unit(m: int) -> tuple[int, int]:
 def negative_pell(m: int) -> PellSolution | None:
     """Fundamental solution of n^2 - m*a^2 = -1, or None if unsolvable.
 
-    Perfect squares are handled outside the continued-fraction path:
+    Solvable iff the period of sqrt(m) is odd; the solution is then the
+    first convergent of norm -1, at the end of the first period.  Perfect
+    squares are handled outside the continued-fraction path:
     n^2 - s^2 a^2 = -1 factors as (n - sa)(n + sa) = -1, solvable only for
     s = 1 with (n, a) = (0, 1).
     """
@@ -100,11 +117,10 @@ def negative_pell(m: int) -> PellSolution | None:
         return PellSolution(0, 1, 1, -1)
     if is_square(m):
         return None
-    a0, period = cf_sqrt(m)
-    ell = len(period)
-    if ell % 2 == 0:
+    period = _period(m)
+    if len(period) % 2 == 0:
         return None
-    n, a = _convergent(a0, period, ell - 1)
+    n, a = next((h, q) for h, q, norm in _convergents(m, period) if norm == -1)
     return PellSolution(n, a, m, -1)
 
 
@@ -127,17 +143,52 @@ def _square_pell(s: int, c: int) -> list[PellSolution]:
     return [PellSolution(n, a, s * s, c) for n, a in sorted(sols)]
 
 
+def _primitive_targets(c: int) -> dict[int, int]:
+    """{c / g^2: g} over the squares g^2 dividing c: a solution (n, a) with
+    gcd(n, a) = g is g times a primitive solution for c / g^2."""
+    return {c // (g * g): g for g in range(1, isqrt(abs(c)) + 1) if c % (g * g) == 0}
+
+
+def pell_solvable(m: int, c: int) -> bool:
+    """Whether n^2 - m*a^2 = c has an integer solution, as bool(pell_general).
+
+    For non-square m and c^2 < m the answer comes from one period of the
+    (P_k, Q_k) recurrence alone: the norms of the convergents run through
+    (-1)^k Q_k, with both signs once the period is odd, since the norms
+    repeat with period l and flip sign after an odd l.  Perfect-square m
+    factors c; c^2 >= m falls back to the pell_general scan, which is
+    small there unless the fundamental unit is huge.
+    """
+    if m < 1:
+        raise DomainError("pell_solvable expects m >= 1")
+    if c == 0:
+        raise DomainError("pell_solvable expects c != 0")
+    if is_square(m):
+        return bool(_square_pell(isqrt(m), c))
+    if c * c >= m:
+        return bool(pell_general(m, c))
+    period = _period(m)
+    norms = {big_q if k % 2 == 0 else -big_q for k, (_, big_q) in enumerate(period, 1)}
+    if len(period) % 2:
+        norms |= {-v for v in norms}
+    return not norms.isdisjoint(_primitive_targets(c))
+
+
 def pell_general(m: int, c: int, cap: int = 10**6) -> list[PellSolution]:
     """Fundamental-class representatives of n^2 - m*a^2 = c with n, a >= 0.
 
     An empty list means the equation is unsolvable.  The representatives
     satisfy 0 <= n <= sqrt(|c| (x1 + 1) / 2) with (x1, y1) the fundamental
-    unit of P_m(1).  For c^2 < m every primitive solution appears among
-    the continued-fraction convergents of sqrt(m) (two full periods
-    suffice), so huge fundamental units cost nothing; the direct scan up
-    to the unit bound is used only when |c| >= sqrt(m), where the bound is
-    small.  Perfect-square m reduces to factoring c, which also covers the
-    P_{2d}(5) check at d = 2 where 2d = 4.
+    unit of P_m(1).  One walk over the convergents of sqrt(m) runs up to
+    that unit.  For c^2 < m every primitive solution is a convergent, so
+    the walk's matches, found by comparing norms read off the (P_k, Q_k)
+    recurrence, are the representatives.  For |c| >= sqrt(m) the walk only
+    supplies x1, and n is scanned up to the bound, which is refused above
+    2*10^6.  The walk still builds big-integer convergents as long as x1,
+    which has thousands of digits when the period is long: callers that
+    need only solvability use ``pell_solvable``.  Perfect-square m reduces
+    to factoring c, which also covers the P_{2d}(5) check at d = 2 where
+    2d = 4.
     """
     if m < 1:
         raise DomainError("pell_general expects m >= 1")
@@ -147,28 +198,22 @@ def pell_general(m: int, c: int, cap: int = 10**6) -> list[PellSolution]:
         raise DomainError(f"|c| exceeds the configured cap {cap}")
     if is_square(m):
         return _square_pell(isqrt(m), c)
-    x1, _ = pell_unit(m)
-    n_bound = isqrt((abs(c) * (x1 + 1)) // 2) + 1
+    targets = _primitive_targets(c) if c * c < m else {}
     sols = set()
+    for h, q, norm in _convergents(m, _period(m)):
+        if norm in targets:
+            g = targets[norm]
+            sols.add((g * h, g * q))
+        if norm == 1:
+            # for c^2 < m every later convergent has n > x1 >= n_bound
+            x1 = h
+            break
+    n_bound = isqrt((abs(c) * (x1 + 1)) // 2) + 1
     if c > 0 and is_square(c):
         sols.add((isqrt(c), 0))
     if c < 0 and (-c) % m == 0 and is_square((-c) // m):
         sols.add((0, isqrt((-c) // m)))
     if c * c < m:
-        a0, period = cf_sqrt(m)
-        ell = len(period)
-        for g in range(1, isqrt(abs(c)) + 1):
-            if c % (g * g):
-                continue
-            target = c // (g * g)
-            h_prev, h = 1, a0
-            q_prev, q = 0, 1
-            for k in range(2 * ell + 2):
-                if h * h - m * q * q == target:
-                    sols.add((g * h, g * q))
-                step = period[k % ell]
-                h_prev, h = h, step * h + h_prev
-                q_prev, q = q, step * q + q_prev
         sols = {s for s in sols if s[0] <= n_bound}
     else:
         if n_bound > 2 * 10**6:

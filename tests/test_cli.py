@@ -1,6 +1,9 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import json
+import sys
+
+import pytest
 
 from gmlattice.cli import main
 from gmlattice import DivisorReport
@@ -42,6 +45,35 @@ def test_classify_malformed_input(capsys):
     code, _, err = run(capsys, "classify", "abc")
     assert code == 1
     assert "error" in err.lower()
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+
+
+@needs_digit_limit
+def test_classify_json_prints_huge_pell_solution_exactly(capsys):
+    # n has about 31000 digits, past the default 4300-digit conversion limit
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "classify", "2000000018", "--json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # restored after main
+    sys.set_int_max_str_digits(0)
+    try:
+        data = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    n, a, d = data["star3"]["n"], data["star3"]["a"], data["d"]
+    assert a * a * d == 2 * n * n + 2
+    assert n.bit_length() > 100_000
+
+
+@needs_digit_limit
+def test_classify_rejects_argument_past_digit_limit(capsys):
+    code, _, err = run(capsys, "classify", "1" * 5000)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_scan_star3_filter(capsys):

@@ -9,11 +9,14 @@ from gmlattice import (
     DomainError,
     SquareInputError,
     cf_sqrt,
+    dm_isomorphism_check,
     negative_pell,
     pell_general,
+    pell_solvable,
     pell_unit,
 )
-from gmlattice.arith import is_square
+from gmlattice.arith import factorize, is_square
+from gmlattice.pell import _convergents, _period
 
 
 def brute_negative_pell(m, limit):
@@ -139,6 +142,53 @@ def test_pell_general_huge_unit_fast():
     # must stay instant where a unit-bound scan would never finish
     sols = pell_general(724, 5)
     assert [s.as_pair() for s in sols] == [(27, 1)]
+
+
+def test_convergent_norms_are_read_off_the_recurrence():
+    # h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k, recomputed with big integers
+    # over two periods, and the period closes at the first Q_k = 1
+    for m in range(2, 600):
+        if is_square(m):
+            continue
+        period = _period(m)
+        assert [a for a, _ in period] == cf_sqrt(m)[1]
+        assert [q for _, q in period].index(1) == len(period) - 1
+        walk = _convergents(m, period)
+        for _ in range(2 * len(period) + 2):
+            h, q, norm = next(walk)
+            assert h * h - m * q * q == norm
+
+
+def test_pell_solvable_matches_pell_general():
+    # the (P, Q) decision against the representatives pell_general returns,
+    # and against an independent scan wherever the unit bound keeps it short
+    for m in range(2, 600):
+        if is_square(m):
+            continue
+        x1, _ = pell_unit(m)
+        for c in range(-isqrt(m - 1), isqrt(m - 1) + 1):
+            if c == 0 or any(e > 1 for e in factorize(abs(c)).values()):
+                continue
+            got = pell_solvable(m, c)
+            assert got == bool(pell_general(m, c)), (m, c)
+            n_bound = isqrt(abs(c) * (x1 + 1) // 2) + 1
+            if n_bound <= 300:
+                brute = any(
+                    (n * n - c) % m == 0 and is_square((n * n - c) // m)
+                    for n in range(n_bound + 1)
+                )
+                assert got == brute, (m, c)
+
+
+def test_pell_solvable_minus_one_is_the_period_parity():
+    for m in range(1, 5000):
+        assert pell_solvable(m, -1) == (negative_pell(m) is not None), m
+
+
+def test_dm_isomorphism_check_matches_pell_general():
+    for d in range(14, 3001, 2):
+        expected = None if negative_pell(d // 2) is None else not pell_general(2 * d, 5)
+        assert dm_isomorphism_check(d) == expected, d
 
 
 def test_pell_general_domain_errors():
