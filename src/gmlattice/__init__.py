@@ -47,7 +47,6 @@ from .discriminant import (
     discriminant_group,
     glue,
     glue_extension_check,
-    smith_normal_form,
 )
 from .pell import (
     PellSolution,
@@ -59,6 +58,7 @@ from .pell import (
 )
 from .forms import BinaryForm, find_prime_1mod4, reduce_form, represents
 from .oracle import (
+    D_MAX,
     CounterexampleFamilyReport,
     CounterexampleGeneralReport,
     DivisorReport,

@@ -15,8 +15,9 @@ import io
 import json
 import sys
 
-from .discriminant import discriminant_group, smith_normal_form
+from .discriminant import discriminant_group
 from .errors import DomainError
+from .intmat import smith_normal_form_full
 from .lattice import (
     Sublattice,
     determinant,
@@ -30,13 +31,13 @@ from .oracle import (
     NeronSeveriModel,
     classify,
     counterexample_family,
-    cond_star3,
     hilb2_witness,
     k3_witness,
     labelling_det,
     labelling_lattice,
     twisted_witness,
 )
+from .pell import PellSolution
 from .verify import check_list, run_checks
 
 EXIT_OK = 0
@@ -200,9 +201,10 @@ def _witness_hilb2(args) -> int:
         print(f"no witness: the Pell condition fails for d = {d} (condition failed)")
         return EXIT_NO_WITNESS
     L, w = out
-    sol = cond_star3(d)
-    n, a = sol.as_pair()
     l1, l2 = (1, 0, 0), (0, 1, 0)
+    # in both normal forms w = (., ., a) with lambda2.w = -n or +n
+    sol = PellSolution(abs(L.pairing(l2, w)), w[2], d // 2, -1)
+    n, a = sol.as_pair()
     if args.json:
         print(
             json.dumps(
@@ -358,7 +360,7 @@ def cmd_lattice(args) -> int:
             print(f"({pos}, {neg}, {null})")
         return EXIT_OK
     if sub == "snf":
-        D, U, V = smith_normal_form(L.gram)
+        D, U, V, _ = smith_normal_form_full(L.gram)
         diag = [D[i][i] for i in range(L.rank)]
         if args.json:
             print(

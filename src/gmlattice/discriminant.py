@@ -30,12 +30,7 @@ __all__ = [
     "discriminant_group",
     "glue",
     "glue_extension_check",
-    "smith_normal_form",
 ]
-
-# Re-exported here because discriminant groups are where the Smith form
-# earns its keep; the implementation lives in intmat.
-smith_normal_form = intmat.smith_normal_form
 
 
 def _mod2(x: Fraction) -> Fraction:
@@ -287,41 +282,34 @@ def glue_extension_check(S: Sublattice, K: Sublattice, group_cap: int = 200000) 
         raise LatticeError("S + K must have finite index in the ambient lattice")
 
     stacked = intmat.to_matrix(tuple(S.basis) + tuple(K.basis))
-    D, _, _, Vinv = intmat.smith_normal_form_full(stacked)
+    D, U, _, _ = intmat.smith_normal_form_full(stacked)
     diag = [D[i][i] for i in range(n)]
     if any(d == 0 for d in diag):
         raise LatticeError("S + K must have finite index in the ambient lattice")
-    gen_rows = [(Vinv[i], diag[i]) for i in range(n) if diag[i] > 1]
-    glue_factors = tuple(d for _, d in gen_rows)
+    glue_factors = tuple(d for d in diag if d > 1)
     glue_order = 1
     for d in glue_factors:
         glue_order *= d
 
-    ds = discriminant_group(S.gram())
-    dk = discriminant_group(K.gram())
+    SG, KG = S.gram(), K.gram()
+    ds = discriminant_group(SG)
+    dk = discriminant_group(KG)
 
-    # project each coset representative onto the rational spans of S and K
-    bt = intmat.transpose(stacked)
+    # Row i of Vinv represents a coset of S + K in L.  U*M*V = D gives
+    # Vinv[i] = (U[i]/d_i)*M, so U[i]/d_i holds its coordinates on the basis
+    # of S followed by the basis of K: the first rank S entries lift into
+    # d(S), the rest into d(K).
     gen_lifts = []
-    for row, _ in gen_rows:
-        sol = intmat.rational_solve_square(bt, row)
-        if sol is None:
-            raise LatticeError("ambient basis decomposition failed")
-        alpha = tuple(sol[: S.rank])
-        beta = tuple(sol[S.rank :])
-        gen_lifts.append((alpha, beta))
+    for i, d in enumerate(diag):
+        if d > 1:
+            x = tuple(Fraction(u, d) for u in U[i])
+            gen_lifts.append((x[: S.rank], x[S.rank :]))
 
-    gs, gk = S.gram().gram, K.gram().gram
     qvals = tuple(
-        _mod2(_frac_pairing(gs, a, a) + _frac_pairing(gk, b, b)) for a, b in gen_lifts
+        _mod2(_frac_pairing(SG.gram, a, a) + _frac_pairing(KG.gram, b, b))
+        for a, b in gen_lifts
     )
-    iso = all(q == 0 for q in qvals)
-    for i in range(len(gen_lifts)):
-        for j in range(i + 1, len(gen_lifts)):
-            ai, bi = gen_lifts[i]
-            aj, bj = gen_lifts[j]
-            if _mod1(_frac_pairing(gs, ai, aj) + _frac_pairing(gk, bi, bj)) != 0:
-                iso = False
+    iso = check_isotropic(GlueData(SG, KG, tuple(gen_lifts)))
 
     # enumerate d(S) + d(K) to measure H_perp / H
     orders = list(ds.invariant_factors) + list(dk.invariant_factors)
@@ -368,9 +356,7 @@ def glue_extension_check(S: Sublattice, K: Sublattice, group_cap: int = 200000) 
     hperp_mod_h = len(hperp) // len(h_set) if h_set else 1
 
     disc_l = discriminant_group(L).order
-    det_law = determinant(L) * glue_order**2 == determinant(S.gram()) * determinant(
-        K.gram()
-    )
+    det_law = determinant(L) * glue_order**2 == determinant(SG) * determinant(KG)
 
     return GlueExtensionReport(
         glue_order=glue_order,

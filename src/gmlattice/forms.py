@@ -49,10 +49,6 @@ class BinaryForm:
     def is_primitive(self) -> bool:
         return self.content() == 1
 
-    def gram_doubled(self) -> Matrix:
-        """Gram matrix of the associated even lattice, ((2a, b), (b, 2c))."""
-        return ((2 * self.a, self.b), (self.b, 2 * self.c))
-
     def to_text(self) -> str:
         return f"{self.a} {self.b} {self.c}"
 

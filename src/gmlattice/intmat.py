@@ -6,7 +6,6 @@ results are hashable and safe to share between threads.  No floating point is
 used anywhere.
 """
 
-from fractions import Fraction
 from operator import index as _int
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -20,8 +19,6 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "rank",
-    "rational_solve_square",
-    "smith_normal_form",
     "smith_normal_form_full",
     "to_matrix",
     "transpose",
@@ -52,30 +49,42 @@ def mat_vec(A, v) -> tuple[int, ...]:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
 
 
-def bareiss_det(M: Matrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
+def _bareiss(M: Matrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination: (rank over Q, signed last pivot).
+
+    Every entry after a step is a minor of M, so the division by the
+    previous pivot is exact.  For a full-rank square matrix the last pivot
+    times the sign of the row swaps is the determinant.
+    """
     a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    prev = sign = 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r][c]
+        for i in range(r + 1, m):
+            row, f = a[i], a[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * a[r][j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r, sign * prev
+
+
+def bareiss_det(M: Matrix) -> int:
+    """Exact determinant of a square matrix by fraction-free elimination."""
+    r, pivot = _bareiss(M)
+    return pivot if r == len(M) else 0
 
 
 def charpoly(M: Matrix) -> list[int]:
@@ -228,42 +237,14 @@ def smith_normal_form_full(M: Matrix):
     return D, to_matrix(u), to_matrix(v), to_matrix(vinv)
 
 
-def smith_normal_form(M: Matrix):
-    """Smith normal form (D, U, V) with U*M*V = D, U and V unimodular."""
-    D, U, V, _ = smith_normal_form_full(M)
-    return D, U, V
-
-
 def invariant_factors(M: Matrix) -> list[int]:
     D, _, _, _ = smith_normal_form_full(M)
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
 
 
 def rank(M: Matrix) -> int:
-    """Rank over Q: the number of pivots of fraction-free (Bareiss)
-    elimination.  Every entry after a step is a minor of M, so the division
-    by the previous pivot is exact."""
-    a = [list(row) for row in M]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, m):
-            row, f = a[i], a[i][c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * p - f * a[r][j]) // prev
-            row[c] = 0
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over Q: the number of Bareiss pivots."""
+    return _bareiss(M)[0]
 
 
 def hermite_row_basis(rows) -> Matrix:
@@ -319,24 +300,3 @@ def kernel_basis(M: Matrix) -> Matrix:
     cols = [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
     return hermite_row_basis(cols)
 
-
-def rational_solve_square(A, b) -> list[Fraction] | None:
-    """Solve A x = b exactly for square nonsingular A; None if singular."""
-    n = len(A)
-    a = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]

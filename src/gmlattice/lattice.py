@@ -66,9 +66,6 @@ class GramLattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def is_degenerate(self) -> bool:
-        return determinant(self) == 0
-
     def norm(self, v) -> int:
         """v . v under the bilinear form."""
         return self.pairing(v, v)
@@ -239,10 +236,10 @@ class Sublattice:
 
     def gram(self) -> GramLattice:
         """Induced Gram matrix B G B^T."""
-        rows = tuple(
-            tuple(self.ambient.pairing(v, w) for w in self.basis) for v in self.basis
+        B = self.basis
+        return GramLattice(
+            intmat.mat_mul(intmat.mat_mul(B, self.ambient.gram), intmat.transpose(B))
         )
-        return GramLattice(rows)
 
     def is_primitive(self) -> bool:
         """True iff every invariant factor of the coordinate matrix is 1."""

@@ -48,6 +48,7 @@ from .lattice import (
 from .pell import PellSolution, negative_pell, pell_solvable
 
 __all__ = [
+    "D_MAX",
     "CounterexampleFamilyReport",
     "CounterexampleGeneralReport",
     "DivisorReport",
@@ -77,6 +78,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # admissibility and the three numerical conditions
 
+# Largest discriminant the deciders accept.  Solving P_{d/2}(-1) walks a
+# period of sqrt(d/2) that grows like sqrt(d), and its solution can run to
+# hundreds of thousands of bits; the README states the time budget measured
+# up to this limit.
+D_MAX = 10**11
+
+
+def _check_size(d: int) -> None:
+    if d > D_MAX:
+        raise DomainError(f"d = {d} exceeds the supported limit D_MAX = {D_MAX}")
+
 
 def admissible(d: int) -> tuple[bool, str]:
     """Whether d occurs as a labelling discriminant, with its divisor label.
@@ -101,6 +113,7 @@ def cond_star2(d: int) -> bool:
     of d are 1 (mod 4)."""
     if d <= 0:
         raise DomainError("condition defined for positive d")
+    _check_size(d)
     return _star2(d, factorize(d))
 
 
@@ -109,6 +122,7 @@ def cond_star2_twisted(d: int) -> bool:
     even power; equivalently d is a sum of two squares."""
     if d <= 0:
         raise DomainError("condition defined for positive d")
+    _check_size(d)
     return sum_of_two_squares(d)
 
 
@@ -119,39 +133,36 @@ def cond_star3(d: int) -> PellSolution | None:
         raise DomainError("condition defined for positive d")
     if d % 2:
         raise DomainError("condition defined for even d")
+    _check_size(d)
     sol = negative_pell(d // 2)
     if sol is not None:
         assert sol.a * sol.a * d == 2 * sol.n * sol.n + 2
     return sol
 
 
-def twisted_witness(d: int, max_scale: int = 4):
+def twisted_witness(d: int):
     """Integers (x, y, i) with 2 x^2 + 2 y^2 = i^2 d and i minimal, or None.
 
     A witness exists iff d satisfies the twisted condition: squaring i never
     changes the parity of a 3 (mod 4) prime's exponent, so the None answer is
-    exact, not a bounded-search artifact.
+    exact, not a bounded-search artifact.  The scale is exact too: since
+    2 = 1^2 + 1^2, d is a sum of two squares iff d/2 is, and iff 2d is.  So
+    i = 1 for even d, and i = 2 for odd d, where i = 1 would leave i^2 d odd.
     """
     if d <= 0:
         return None
     if not cond_star2_twisted(d):
         return None
-    return _twisted_witness(d, max_scale)
+    return _twisted_witness(d)
 
 
-def _twisted_witness(d: int, max_scale: int = 4):
+def _twisted_witness(d: int):
     """twisted_witness for d > 0 already known to satisfy the twisted
     condition."""
-    for i in range(1, max_scale + 1):
-        t = i * i * d
-        if t % 2:
-            continue
-        dec = two_square_decomposition(t // 2)
-        if dec is not None:
-            x, y = dec
-            assert 2 * x * x + 2 * y * y == i * i * d
-            return (x, y, i)
-    return None
+    i = 1 if d % 2 == 0 else 2
+    x, y = two_square_decomposition(i * i * d // 2)
+    assert 2 * x * x + 2 * y * y == i * i * d
+    return (x, y, i)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +218,7 @@ def labelling_lattice(d: int) -> GramLattice:
     """The normal-form labelling lattice of discriminant d = 2 or 4 (mod 8):
     ((-2,0,1),(0,-2,0),(1,0,2k)) with d = 2+8k, or
     ((-2,0,1),(0,-2,1),(1,1,2k)) with d = 4+8k."""
+    _check_size(d)
     if d % 8 == 2:
         k = (d - 2) // 8
         return GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2 * k)))
@@ -809,6 +821,7 @@ def dm_isomorphism_check(d: int) -> bool | None:
         raise DomainError("check defined for positive d")
     if d % 2:
         raise DomainError("check defined for even d")
+    _check_size(d)
     return _dm_isomorphic(d, pell_solvable(d // 2, -1))
 
 
@@ -891,7 +904,9 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
 
     ``with_witnesses=False`` skips the witness searches and returns the bare
     decision flags (microseconds instead of milliseconds per discriminant).
+    Raises DomainError for d > D_MAX.
     """
+    _check_size(d)
     ok, label = admissible(d)
     if d <= 0:
         return DivisorReport(

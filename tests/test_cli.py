@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from gmlattice.cli import main
-from gmlattice import DivisorReport
+from gmlattice import DivisorReport, oracle
 
 
 def run(capsys, *argv):
@@ -76,6 +76,13 @@ def test_classify_rejects_argument_past_digit_limit(capsys):
     assert err.startswith("error:")
 
 
+def test_classify_past_size_limit_fails_at_once(capsys):
+    code, out, err = run(capsys, "classify", "200000000000000000018")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "D_MAX" in err
+
+
 def test_scan_star3_filter(capsys):
     code, out, _ = run(capsys, "scan", "50", "--filter", "star3")
     assert code == 0
@@ -126,6 +133,21 @@ def test_witness_hilb2_transcript(capsys):
     assert "w = (0, 1, 1)" in out
     assert "lambda1.w = 1" in out
     assert "w.w = 0" in out
+
+
+def test_witness_hilb2_solves_pell_once(capsys, monkeypatch):
+    calls = []
+    solve = oracle.negative_pell
+
+    def counted(m):
+        calls.append(m)
+        return solve(m)
+
+    monkeypatch.setattr(oracle, "negative_pell", counted)
+    code, out, _ = run(capsys, "witness", "hilb2", "10")
+    assert code == 0
+    assert "(n, a) = (2, 1)" in out
+    assert calls == [5]
 
 
 def test_witness_hilb2_condition_failed(capsys):

@@ -1,6 +1,7 @@
 """Discriminant groups, isotropy checks, and lattice gluing."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from gmlattice import (
     GlueObstructionError,
     GramLattice,
     InvalidElementError,
+    LatticeError,
     Sublattice,
     check_isotropic,
     determinant,
@@ -21,7 +23,6 @@ from gmlattice import (
     is_isometric_small,
     mukai_sign_reversed,
     orthogonal_complement,
-    smith_normal_form,
     standard_lattice,
     twist,
 )
@@ -42,8 +43,8 @@ def random_even(rng, n, lo=-4, hi=4):
     return GramLattice(tuple(tuple(r) for r in g))
 
 
-def test_smith_normal_form_reexport():
-    D, U, V = smith_normal_form(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
+def test_smith_normal_form_of_labelling_gram():
+    D, U, V, _ = intmat.smith_normal_form_full(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
     assert [D[i][i] for i in range(3)] == [1, 1, 10]
 
 
@@ -296,9 +297,20 @@ def test_glue_then_recover_round_trip():
         tuple(tuple(int(x * 2) for x in row) for row in basis)
     )  # scaled by 2 to clear halves
     # e1 = (1, 0), e2 = (0, 1) in old coords; coordinates w.r.t. new basis
+    # by Cramer's rule on A x = old with A = bt^T
+    A = intmat.transpose(bt)
+    det_a = intmat.bareiss_det(A)
     coords = []
     for old in ((2, 0), (0, 2)):  # scaled old vectors
-        sol = intmat.rational_solve_square(intmat.transpose(bt), old)
+        sol = [
+            Fraction(
+                intmat.bareiss_det(
+                    tuple(tuple(old[i] if k == j else A[i][k] for k in range(2)) for i in range(2))
+                ),
+                det_a,
+            )
+            for j in range(2)
+        ]
         coords.append(tuple(int(c) for c in sol))
     Ssub = Sublattice(out, (coords[0],))
     Ksub = Sublattice(out, (coords[1],))
@@ -307,6 +319,44 @@ def test_glue_then_recover_round_trip():
     assert rep.isotropic
     assert all(q == 0 for q in rep.gen_qvalues)
     assert rep.det_law_holds
+
+
+def test_extension_check_random_orthogonal_pairs():
+    # K spanned by random vectors of a small even lattice L, S = K-perp:
+    # L is an overlattice of S + K, so every coset lift lies in L, the lift
+    # orders multiply to [L : S + K], and Nikulin's identities hold
+    rng = Random(61)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        L = random_even(rng, n, -3, 3)
+        vecs = tuple(
+            tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))
+        )
+        try:
+            K = Sublattice(L, vecs)
+            S = orthogonal_complement(L, K)
+            if abs(determinant(S.gram()) * determinant(K.gram())) > 1000:
+                continue  # keep the enumeration of d(S) + d(K) short
+            rep = glue_extension_check(S, K)
+        except LatticeError:  # dependent vectors, degenerate L, S or K
+            continue
+        order = 1
+        for (alpha, beta), d in zip(rep.gen_lifts, rep.glue_invariant_factors):
+            v = [
+                sum(a * row[j] for a, row in zip(alpha + beta, S.basis + K.basis))
+                for j in range(n)
+            ]
+            assert all(x.denominator == 1 for x in v)
+            m = lcm(*(x.denominator for x in alpha + beta))
+            assert m == d
+            order *= m
+        assert order == rep.glue_order
+        assert rep.isotropic
+        assert rep.det_law_holds
+        assert rep.quotient_identity_holds
+        checked += 1
+    assert checked >= 100
 
 
 def test_extension_check_rejects_non_orthogonal():

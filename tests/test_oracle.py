@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from gmlattice import (
+    D_MAX,
     BinaryForm,
     DivisorReport,
     DomainError,
@@ -81,6 +82,26 @@ def test_twisted_witness_examples():
     assert twisted_witness(12) is None
     x, y, i = twisted_witness(50)
     assert 2 * x * x + 2 * y * y == i * i * 50
+    for d in range(1, 5001):
+        if cond_star2_twisted(d):
+            x, y, i = twisted_witness(d)
+            assert i == (1 if d % 2 == 0 else 2)
+            assert 2 * x * x + 2 * y * y == i * i * d
+
+
+def test_size_limit_is_refused_at_once():
+    for check in (
+        classify,
+        cond_star2,
+        cond_star2_twisted,
+        cond_star3,
+        twisted_witness,
+        dm_isomorphism_check,
+        labelling_lattice,
+    ):
+        with pytest.raises(DomainError, match="D_MAX"):
+            check(D_MAX + 2)
+    assert cond_star2(D_MAX) is False  # the limit itself is accepted
 
 
 # ---------------------------------------------------------------------------
