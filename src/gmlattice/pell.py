@@ -2,18 +2,31 @@
 
 Everything runs on one recurrence: the (P_k, Q_k) expansion of sqrt(m),
 whose terms stay below 2 sqrt(m), so it is small-integer work even where
-the solutions have thousands of digits.  Its period closes at the first
-Q_k = 1, and the convergents h/q of sqrt(m) satisfy
+the solutions have thousands of digits.  The convergents h/q of sqrt(m)
+satisfy
 
     h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k
 
-(Jacobson & Williams, *Solving the Pell Equation*, 2009).  So the negative
-Pell equation P_m(-1) is solvable exactly when the period is odd (plus the
-degenerate case m = 1), and for c^2 < m, where every primitive solution is
-a convergent (Lagrange), P_m(c) is solvable exactly when c / g^2 equals some
-(-1)^k Q_k for a square g^2 dividing c.  ``pell_solvable`` decides from the
-Q_k alone; big-integer convergents are built only where a solution is
-returned.
+(Jacobson & Williams, *Solving the Pell Equation*, 2009).  The period l of
+sqrt(m) is a palindrome, a_k = a_{l-k} and Q_k = Q_{l-k}, closed by
+a_l = 2 a_0 and Q_l = 1, so the recurrence stops at its middle: the first
+Q_{s+1} = Q_s means l = 2s + 1, the first P_{s+1} = P_s means l = 2s.
+The full period, where a caller needs it, is that half mirrored.
+
+So the negative Pell equation P_m(-1) is solvable exactly when the period
+is odd (plus the degenerate case m = 1), and for c^2 < m, where every
+primitive solution is a convergent (Lagrange), P_m(c) is solvable exactly
+when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c.
+``pell_solvable`` decides from the Q_k of the half period alone.  The
+solution of P_m(-1) is the convergent at k = l - 1; with
+A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is (A_0 B) B^T for
+B = A_1 ... A_s, which gives it from the convergents at s and s - 1:
+
+    n = h_s q_s + h_{s-1} q_{s-1},  a = q_s^2 + q_{s-1}^2.
+
+A_0 B is built by a balanced product tree over a_0, ..., a_s, whose
+leaves are short linear walks, so the big-integer products are between
+numbers of equal size.
 """
 
 from dataclasses import dataclass
@@ -31,6 +44,9 @@ __all__ = [
     "pell_solvable",
     "pell_unit",
 ]
+
+# partial quotients multiplied by a linear walk before the product tree merges
+_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -55,10 +71,12 @@ class PellSolution:
         return {"n": self.n, "a": self.a}
 
 
-def _period(m: int) -> list[tuple[int, int]]:
-    """[(a_1, Q_1), ..., (a_l, Q_l)] over one period of sqrt(m), m >= 2 not
-    a square: P_{k+1} = a_k Q_k - P_k, Q_{k+1} = (m - P_{k+1}^2) / Q_k,
-    a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1}, closing at Q_l = 1."""
+def _half_period(m: int) -> tuple[list[tuple[int, int]], bool]:
+    """([(a_1, Q_1), ..., (a_s, Q_s)], l odd) for the period l of sqrt(m),
+    m >= 2 not a square: P_{k+1} = a_k Q_k - P_k,
+    Q_{k+1} = (m - P_{k+1}^2) / Q_k, a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1},
+    stopped at the middle, the first k = s with Q_{s+1} = Q_s (l = 2s + 1)
+    or P_{s+1} = P_s (l = 2s)."""
     if m < 2:
         raise DomainError("the continued fraction of sqrt(m) needs m >= 2")
     if is_square(m):
@@ -67,12 +85,22 @@ def _period(m: int) -> list[tuple[int, int]]:
     p, q, a = 0, 1, a0
     out = []
     while True:
-        p = a * q - p
-        q = (m - p * p) // q
+        p_next = a * q - p
+        q_next = (m - p_next * p_next) // q
+        if q_next == q:
+            return out, True
+        if p_next == p:
+            return out, False
+        p, q = p_next, q_next
         a = (a0 + p) // q
         out.append((a, q))
-        if q == 1:
-            return out
+
+
+def _period(m: int) -> list[tuple[int, int]]:
+    """[(a_1, Q_1), ..., (a_l, Q_l)] over one period of sqrt(m), m >= 2 not
+    a square: the half period, its mirror, and (a_l, Q_l) = (2 a_0, 1)."""
+    half, odd = _half_period(m)
+    return half + list(reversed(half if odd else half[:-1])) + [(2 * isqrt(m), 1)]
 
 
 def _convergents(m: int, period: list[tuple[int, int]]):
@@ -86,6 +114,25 @@ def _convergents(m: int, period: list[tuple[int, int]]):
         h_prev, h = h, a * h + h_prev
         q_prev, q = q, a * q + q_prev
         sign = -sign
+
+
+def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
+    """(w, x, y, z) with [[w, x], [y, z]] the product of [[a, 1], [1, 0]]
+    over ``terms``: linear walks over leaves of _LEAF terms, merged
+    pairwise in a balanced tree."""
+    level = []
+    for i in range(0, len(terms), _LEAF):
+        w, x, y, z = 1, 0, 0, 1
+        for a in terms[i : i + _LEAF]:
+            w, x, y, z = a * w + x, w, a * y + z, y
+        level.append((w, x, y, z))
+    while len(level) > 1:
+        merged = [
+            (w * w2 + x * y2, w * x2 + x * z2, y * w2 + z * y2, y * x2 + z * z2)
+            for (w, x, y, z), (w2, x2, y2, z2) in zip(level[::2], level[1::2])
+        ]
+        level = merged + level[len(merged) * 2 :]
+    return level[0]
 
 
 def cf_sqrt(m: int) -> tuple[int, list[int]]:
@@ -105,9 +152,12 @@ def pell_unit(m: int) -> tuple[int, int]:
 def negative_pell(m: int) -> PellSolution | None:
     """Fundamental solution of n^2 - m*a^2 = -1, or None if unsolvable.
 
-    Solvable iff the period of sqrt(m) is odd; the solution is then the
-    first convergent of norm -1, at the end of the first period.  Perfect
-    squares are handled outside the continued-fraction path:
+    Solvable iff the period l of sqrt(m) is odd, l = 2s + 1; the solution
+    is then the convergent h_{l-1} / q_{l-1}, the first of norm -1.  Only
+    the half period a_1, ..., a_s is computed: the product tree gives the
+    convergents at s and s - 1, and the midpoint formula
+    n = h_s q_s + h_{s-1} q_{s-1}, a = q_s^2 + q_{s-1}^2 gives the solution.
+    Perfect squares are handled outside the continued-fraction path:
     n^2 - s^2 a^2 = -1 factors as (n - sa)(n + sa) = -1, solvable only for
     s = 1 with (n, a) = (0, 1).
     """
@@ -117,11 +167,11 @@ def negative_pell(m: int) -> PellSolution | None:
         return PellSolution(0, 1, 1, -1)
     if is_square(m):
         return None
-    period = _period(m)
-    if len(period) % 2 == 0:
+    half, odd = _half_period(m)
+    if not odd:
         return None
-    n, a = next((h, q) for h, q, norm in _convergents(m, period) if norm == -1)
-    return PellSolution(n, a, m, -1)
+    h, h_prev, q, q_prev = _continuant([isqrt(m)] + [a for a, _ in half])
+    return PellSolution(h * q + h_prev * q_prev, q * q + q_prev * q_prev, m, -1)
 
 
 def _square_pell(s: int, c: int) -> list[PellSolution]:
@@ -152,10 +202,11 @@ def _primitive_targets(c: int) -> dict[int, int]:
 def pell_solvable(m: int, c: int) -> bool:
     """Whether n^2 - m*a^2 = c has an integer solution, as bool(pell_general).
 
-    For non-square m and c^2 < m the answer comes from one period of the
-    (P_k, Q_k) recurrence alone: the norms of the convergents run through
-    (-1)^k Q_k, with both signs once the period is odd, since the norms
-    repeat with period l and flip sign after an odd l.  Perfect-square m
+    For non-square m and c^2 < m the answer comes from half a period of
+    the (P_k, Q_k) recurrence alone: the norms of the convergents run
+    through (-1)^k Q_k, with both signs once the period is odd, since the
+    norms repeat with period l and flip sign after an odd l.  The mirrored
+    half adds no new Q_k, and Q_l = 1 adds the norm +1.  Perfect-square m
     factors c; c^2 >= m falls back to the pell_general scan, which is
     small there unless the fundamental unit is huge.
     """
@@ -167,9 +218,10 @@ def pell_solvable(m: int, c: int) -> bool:
         return bool(_square_pell(isqrt(m), c))
     if c * c >= m:
         return bool(pell_general(m, c))
-    period = _period(m)
-    norms = {big_q if k % 2 == 0 else -big_q for k, (_, big_q) in enumerate(period, 1)}
-    if len(period) % 2:
+    half, odd = _half_period(m)
+    norms = {big_q if k % 2 == 0 else -big_q for k, (_, big_q) in enumerate(half, 1)}
+    norms.add(1)
+    if odd:
         norms |= {-v for v in norms}
     return not norms.isdisjoint(_primitive_targets(c))
 

@@ -16,7 +16,7 @@ from gmlattice import (
     pell_unit,
 )
 from gmlattice.arith import factorize, is_square
-from gmlattice.pell import _convergents, _period
+from gmlattice.pell import _LEAF, _continuant, _convergents, _half_period, _period
 
 
 def brute_negative_pell(m, limit):
@@ -27,6 +27,29 @@ def brute_negative_pell(m, limit):
         if n * n == r:
             return (n, a)
     return None
+
+
+def full_period(m):
+    """Independent loop over one whole period of sqrt(m): [(a_k, Q_k)] for
+    k = 1..l, closing at a_l = 2 a_0."""
+    a0 = isqrt(m)
+    p, q, a = 0, 1, a0
+    out = []
+    while a != 2 * a0:
+        p = a * q - p
+        q = (m - p * p) // q
+        a = (a0 + p) // q
+        out.append((a, q))
+    return out
+
+
+def linear_negative_pell(m):
+    """(h_{l-1}, q_{l-1}) by a linear walk over the whole period."""
+    h_prev, h, q_prev, q = 1, isqrt(m), 0, 1
+    for a, _ in full_period(m)[:-1]:
+        h_prev, h = h, a * h + h_prev
+        q_prev, q = q, a * q + q_prev
+    return h, q
 
 
 def test_cf_sqrt_classical_expansions():
@@ -157,6 +180,46 @@ def test_convergent_norms_are_read_off_the_recurrence():
         for _ in range(2 * len(period) + 2):
             h, q, norm = next(walk)
             assert h * h - m * q * q == norm
+
+
+def test_half_period_mirrors_to_the_full_period():
+    for m in range(2, 20000):
+        if is_square(m):
+            continue
+        period = full_period(m)
+        half, odd = _half_period(m)
+        assert odd == (len(period) % 2 == 1), m
+        assert len(half) == len(period) // 2, m
+        assert _period(m) == period, m
+
+
+def test_negative_pell_is_the_first_norm_minus_one_convergent():
+    for m in range(2, 5000):
+        if is_square(m):
+            continue
+        sol = negative_pell(m)
+        if len(_period(m)) % 2 == 0:
+            assert sol is None, m
+            continue
+        walk = _convergents(m, _period(m))
+        first = next((h, q) for h, q, norm in walk if norm == -1)
+        assert sol.as_pair() == first, m
+
+
+def test_product_tree_matches_linear_walk():
+    rng = Random(5)
+    for size in (1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 3 * _LEAF + 7, 9 * _LEAF):
+        terms = [rng.randint(1, 50) for _ in range(size)]
+        w, x, y, z = 1, 0, 0, 1
+        for a in terms:
+            w, x, y, z = a * w + x, w, a * y + z, y
+        assert _continuant(terms) == (w, x, y, z), size
+    # half periods longer than a leaf: a prime near 10^7 (2384 terms) and a
+    # prime p from the pell-large range (135 terms), both with odd period
+    for m in (10000141, 100049):
+        half, odd = _half_period(m)
+        assert odd and len(half) > _LEAF
+        assert negative_pell(m).as_pair() == linear_negative_pell(m), m
 
 
 def test_pell_solvable_matches_pell_general():
