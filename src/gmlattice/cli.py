@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("kind", choices=["k3", "twisted", "hilb2", "counterexample"])
     w.add_argument("d", type=int, nargs="?", help="discriminant (not used by counterexample)")
     w.add_argument("--n", type=int, default=None, help="family parameter for counterexample")
-    w.add_argument("--bound", type=int, default=20, help="scan bound for counterexample")
     w.add_argument("--json", action="store_true")
 
     l = sub.add_parser("lattice", help="exact operations on a Gram-matrix file")
@@ -285,7 +284,7 @@ def _witness_counterexample(args) -> int:
     n = args.n if args.n is not None else (args.d if args.d is not None else None)
     if n is None:
         raise DomainError("counterexample witness needs --n")
-    rep = counterexample_family(n, scan_bound=min(args.bound, 30))
+    rep = counterexample_family(n)
     if args.json:
         print(json.dumps(rep.to_summary()))
         return EXIT_OK
@@ -302,7 +301,7 @@ def _witness_counterexample(args) -> int:
     else:
         print("does not represent 1 -> not in the norm-8 divisor")
     print(
-        f"labelling discs in scan: min |disc| = {rep.min_abs_disc}, "
+        f"labelling discs: min |disc| = {rep.min_abs_disc}, "
         f"all divisible by 8: {rep.all_discs_divisible_by_8}"
     )
     return EXIT_OK

@@ -32,6 +32,9 @@ __all__ = [
     "glue_extension_check",
 ]
 
+# largest order of d(S) + d(K) that glue_extension_check enumerates
+GROUP_MAX = 200000
+
 
 def _mod2(x: Fraction) -> Fraction:
     return x - 2 * (x / 2).__floor__()
@@ -265,7 +268,7 @@ class GlueExtensionReport:
     det_law_holds: bool
 
 
-def glue_extension_check(S: Sublattice, K: Sublattice, group_cap: int = 200000) -> GlueExtensionReport:
+def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     """Compute H = L/(S + K) as a subgroup of d(S) + d(K), verify that it is
     isotropic, and verify |d(L)| = |H_perp / H| by enumerating the (finite)
     ambient discriminant sum.
@@ -316,8 +319,8 @@ def glue_extension_check(S: Sublattice, K: Sublattice, group_cap: int = 200000) 
     total = 1
     for d in orders:
         total *= d
-    if total > group_cap:
-        raise LatticeError("discriminant sum too large for instance enumeration")
+    if total > GROUP_MAX:
+        raise LatticeError(f"discriminant sum of order {total} exceeds GROUP_MAX = {GROUP_MAX}")
 
     ns = len(ds.invariant_factors)
     h_exp = []

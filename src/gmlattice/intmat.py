@@ -1,5 +1,6 @@
-"""Exact linear algebra over Z and Q: determinants, characteristic polynomials,
-Smith and Hermite normal forms, integer kernels.
+"""Exact linear algebra over Z and Q: determinants and ranks by fraction-free
+elimination, the inertia (signature) of a symmetric matrix by the symmetric
+form of that elimination, Smith and Hermite normal forms, integer kernels.
 
 All routines take and return immutable tuples of tuples of Python ints, so
 results are hashable and safe to share between threads.  No floating point is
@@ -12,9 +13,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "bareiss_det",
-    "charpoly",
     "hermite_row_basis",
     "identity",
+    "inertia",
     "kernel_basis",
     "mat_mul",
     "mat_vec",
@@ -87,28 +88,43 @@ def bareiss_det(M: Matrix) -> int:
     return pivot if r == len(M) else 0
 
 
-def charpoly(M: Matrix) -> list[int]:
-    """Coefficients [1, c1, ..., cn] of det(x*I - M), exactly.
+def inertia(M: Matrix) -> tuple[int, int, int]:
+    """(positive, negative, null) of a symmetric integer matrix, exactly.
 
-    Faddeev-LeVerrier recursion; the divisions by k are exact for integer
-    matrices because the characteristic polynomial is monic integral.
+    Fraction-free symmetric elimination.  With D_k the k-th pivot, the k-th
+    leading minor (D_0 = 1), the form is congruent to diag(D_1/D_0, ...,
+    D_r/D_{r-1}) plus the Schur complement, so by Sylvester's law of inertia
+    each pivot counts with the sign of D_k * D_{k-1}.  A nonzero diagonal
+    entry is brought to the front by a symmetric swap; if the active
+    diagonal is zero but some a_ij is not, e_i <- e_i + e_j makes
+    a_ii = 2 a_ij.  Both are row-and-column operations inside the active
+    block, whose entries are bordered minors linear in their row and
+    column, so the Bareiss divisions stay exact.  Once the active block is
+    zero, the rest of the form is null.
     """
-    n = len(M)
-    coeffs = [1]
-    N = identity(n)
-    for k in range(1, n + 1):
-        N = mat_mul(M, N)
-        tr = sum(N[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
-        c = q
-        coeffs.append(c)
-        if k < n:
-            N = tuple(
-                tuple(N[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-    return coeffs
+    a = [list(row) for row in M]
+    n, pos, prev = len(a), 0, 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if a[i][i]), None)
+        if i is None:
+            ij = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            if ij is None:
+                return pos, k - pos, n - k
+            i, j = ij
+            for row in a[k:]:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+        a[k], a[i] = a[i], a[k]
+        for row in a[k:]:
+            row[k], row[i] = row[i], row[k]
+        p = a[k][k]
+        pos += (p > 0) == (prev > 0)
+        for row in a[k + 1 :]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * p - f * a[k][c]) // prev
+        prev = p
+    return pos, n - pos, 0
 
 
 def _swap_rows(a, i, j):

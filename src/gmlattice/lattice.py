@@ -40,6 +40,14 @@ __all__ = [
     "twist",
 ]
 
+# largest find_hyperbolic_plane box, (2*coord_bound+1)^(rank-1) prefixes (the
+# last coordinate is solved), or ^rank for a degenerate form, where it can be
+# free; about 5 s at the limit (Python 3.11, 2-vCPU host)
+HYPERBOLIC_BOX_MAX = 5 * 10**5
+
+# largest |det| for which is_isometric_small runs its indefinite box search
+ISOMETRY_DET_MAX = 10**6
+
 
 @dataclass(frozen=True)
 class GramLattice:
@@ -93,25 +101,10 @@ def determinant(L: GramLattice) -> int:
 
 
 def signature(L: GramLattice) -> tuple[int, int, int]:
-    """Inertia (positive, negative, null) of the form.
-
-    Count sign variations of the exact characteristic polynomial p(x) and of
-    p(-x); Descartes' rule is exact here because a symmetric matrix has only
-    real eigenvalues.  The null count is the multiplicity of the root 0.
-    """
-    coeffs = intmat.charpoly(L.gram)
-    null = 0
-    while null < len(coeffs) - 1 and coeffs[-1 - null] == 0:
-        null += 1
-
-    def variations(cs):
-        signs = [c for c in cs if c != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-    pos = variations(coeffs)
-    neg_coeffs = [c if (len(coeffs) - 1 - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
-    neg = variations(neg_coeffs)
-    return (pos, neg, null)
+    """Inertia (positive, negative, null) of the form: by Sylvester's law of
+    inertia, the sign counts of the pivots of one exact symmetric
+    elimination (``intmat.inertia``)."""
+    return intmat.inertia(L.gram)
 
 
 def twist(L: GramLattice, m: int) -> GramLattice:
@@ -390,12 +383,19 @@ def find_hyperbolic_plane(L: GramLattice, coord_bound: int):
     normalized, then lexicographic); for the first candidate v admitting a
     box vector u with v.u = 1, the returned partner is w = u - (u.u/2) v,
     integral because L is even.  None means no pair was found within the
-    box, not that none exists.
+    box, not that none exists.  A box larger than HYPERBOLIC_BOX_MAX is
+    refused with LatticeError.
     """
     if not L.is_even():
         raise LatticeError("hyperbolic plane search requires an even lattice")
     if coord_bound < 1:
         raise LatticeError("coord_bound must be >= 1")
+    e = L.rank - 1 if determinant(L) else L.rank
+    side = 2 * coord_bound + 1
+    if e > 0 and (side > HYPERBOLIC_BOX_MAX or side**e > HYPERBOLIC_BOX_MAX):
+        raise LatticeError(
+            f"search box (2*{coord_bound}+1)^{e} exceeds HYPERBOLIC_BOX_MAX = {HYPERBOLIC_BOX_MAX}"
+        )
     seen = set()
     candidates = []
     for v in _norm_solutions(L.gram, 0, [coord_bound] * L.rank):
@@ -464,7 +464,6 @@ def is_isometric_small(
     L2: GramLattice,
     rank_cap: int = 6,
     coord_bound: int = 10,
-    det_cap: int = 10**6,
 ) -> IsometryResult:
     """Search for a unimodular T with T^t G1 T = G2 by backtracking over
     vectors of matching norms and pairings.
@@ -481,13 +480,13 @@ def is_isometric_small(
     d1, d2 = determinant(L1), determinant(L2)
     if d1 == 0 or d2 == 0:
         raise DegenerateLatticeError("isometry search requires nondegenerate lattices")
-    if d1 != d2 or L1.is_even() != L2.is_even() or signature(L1) != signature(L2):
+    sig = signature(L1)
+    if d1 != d2 or L1.is_even() != L2.is_even() or sig != signature(L2):
         return IsometryResult("not-isometric")
     if n == 0:
         return IsometryResult("isometric", ())
-    sig = signature(L1)
     definite = sig[0] == n or sig[1] == n
-    if not definite and (abs(d1) > det_cap or abs(d2) > det_cap):
+    if not definite and abs(d1) > ISOMETRY_DET_MAX:
         return IsometryResult("inconclusive")
 
     G1, G2 = L1.gram, L2.gram

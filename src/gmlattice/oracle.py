@@ -369,12 +369,10 @@ class QFormAnalysis:
         return self.q.is_positive_definite()
 
 
-def _disc3_direct(k, l, m, n, x, y) -> int:
-    """det of the pairing matrix of <lambda1, lambda2, x kappa1 + y kappa2>."""
-    p = k * x + m * y
-    r = l * x + n * y
-    gram = ((-2, 0, p), (0, -2, r), (p, r, 2 * x * y))
-    return intmat.bareiss_det(gram)
+def _labelling_disc(gram: intmat.Matrix, x: int, y: int) -> int:
+    """det of the Gram of (e1, e2, x e3 + y e4) under a rank-4 Gram."""
+    basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, x, y))
+    return determinant(Sublattice(GramLattice(gram), basis).gram())
 
 
 def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
@@ -387,9 +385,8 @@ def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
     q = BinaryForm(A // h, B // h, C // h)
     qa = QFormAnalysis(k=k, l=l, m=m, n=n, A=A, B=B, C=C, h=h, q=q)
     # a binary quadratic is pinned by its values at (1,0), (0,1), (1,1)
-    assert _disc3_direct(k, l, m, n, 1, 0) == A
-    assert _disc3_direct(k, l, m, n, 0, 1) == C
-    assert _disc3_direct(k, l, m, n, 1, 1) == A + B + C
+    for x, y in ((1, 0), (0, 1), (1, 1)):
+        assert _labelling_disc(qa.rank4_gram(), x, y) == qa.Q(x, y)
     return qa
 
 
@@ -422,10 +419,11 @@ class LemmaReport:
         return all(checks)
 
 
-def lemma_checks(qa: QFormAnalysis, prime_cap: int = 10**6) -> LemmaReport:
+def lemma_checks(qa: QFormAnalysis) -> LemmaReport:
     """Check the divisor constraints on h = gcd of the coefficients, the
     residues of the primitive part, and hunt for a represented prime
-    1 (mod 4) when q is positive definite."""
+    1 (mod 4) when q is positive definite, below find_prime_1mod4's default
+    cap of 10**6."""
     all_even = all(v % 2 == 0 for v in (qa.k, qa.l, qa.m, qa.n))
     h_odd_ok = all(p % 4 != 3 for p in factorize(qa.h) if p % 2)
     h8 = None if all_even else (qa.h % 8 != 0)
@@ -437,7 +435,7 @@ def lemma_checks(qa: QFormAnalysis, prime_cap: int = 10**6) -> LemmaReport:
     elif not qa.q.is_positive_definite():
         status, prime = "not-positive-definite", None
     else:
-        hit = find_prime_1mod4(qa.q, cap=prime_cap)
+        hit = find_prime_1mod4(qa.q)
         if hit is None:
             status, prime = "bound-exhausted", None
         else:
@@ -659,15 +657,18 @@ class CounterexampleFamilyReport:
         }
 
 
-def counterexample_family(n: int, scan_bound: int = 30) -> CounterexampleFamilyReport:
+def counterexample_family(n: int) -> CounterexampleFamilyReport:
     """The one-parameter family of rank-4 models (sign convention with
     classes of square +2) whose hyperbolic plane never yields a K3
     labelling for n > 1.
 
     kappa1 = lambda1 + lambda2 + tau1 and kappa2 = lambda1 + n lambda2 +
-    tau2 span a copy of U; every labelling discriminant in the scan is
-    divisible by 8, and -Q/8 = 2x^2 + (1+2n)xy + (1+n^2)y^2 represents 1
-    exactly for n in {0, 1}.
+    tau2 span a copy of U.  The labelling by tau = x tau1 + y tau2 has
+    discriminant det diag(2, 2, tau.tau) = -8 form(x, y), form = 2x^2 +
+    (1+2n)xy + (1+n^2)y^2 (pinned against the labelling Gram at three
+    points), so every one is divisible by 8.  form has discriminant
+    -4n^2 + 4n - 7 < 0, so the least |disc| is 8 times the first
+    coefficient of its reduced form; it represents 1 exactly for n <= 1.
     """
     if n < 0:
         raise DomainError("family parameter must be non-negative")
@@ -687,24 +688,10 @@ def counterexample_family(n: int, scan_bound: int = 30) -> CounterexampleFamilyR
         and G.pairing(kappa1, kappa2) == 1
     )
     form = BinaryForm(2, 1 + 2 * n, 1 + n * n)
+    for x, y in ((1, 0), (0, 1), (1, 1)):
+        assert _labelling_disc(G.gram, x, y) == -8 * form(x, y)
     reduced, _ = reduce_form(form)
     rep1 = represents(form, 1)
-
-    min_abs = None
-    all_div8 = True
-    for x in range(-scan_bound, scan_bound + 1):
-        for y in range(-scan_bound, scan_bound + 1):
-            if (x, y) == (0, 0):
-                continue
-            tau_sq = -4 * x * x - 2 * (1 + 2 * n) * x * y - 2 * (1 + n * n) * y * y
-            disc = 4 * tau_sq  # diag(2, 2, tau.tau) since tau is orthogonal
-            if max(abs(x), abs(y)) <= 3:
-                assert disc == intmat.bareiss_det(((2, 0, 0), (0, 2, 0), (0, 0, tau_sq)))
-            assert disc == -8 * form(x, y)
-            if disc % 8:
-                all_div8 = False
-            if min_abs is None or abs(disc) < min_abs:
-                min_abs = abs(disc)
     return CounterexampleFamilyReport(
         n=n,
         lattice=G,
@@ -714,8 +701,8 @@ def counterexample_family(n: int, scan_bound: int = 30) -> CounterexampleFamilyR
         form=form,
         reduced_form=reduced,
         represents_one=rep1,
-        min_abs_disc=min_abs,
-        all_discs_divisible_by_8=all_div8,
+        min_abs_disc=8 * reduced.a,
+        all_discs_divisible_by_8=True,
         d8_member=rep1 is not None,
     )
 
@@ -735,18 +722,19 @@ class CounterexampleGeneralReport:
     all_discs_divisible_by_8: bool
 
 
-def counterexample_general(
-    k: int, l: int, m: int, n: int, scan_bound: int = 20
-) -> CounterexampleGeneralReport:
+def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGeneralReport:
     """The general rank-4 family (square +2 convention) whose labellings all
     have discriminant divisible by 8.
 
     Excludes (k, l) in {(1,0), (0,1)}, where the first hyperbolic generator
     itself produces a unit pairing.  Verifies that kappa1 = k lambda1 +
-    l lambda2 + tau1, kappa2 = m lambda1 + n lambda2 + tau2 span U, that the
-    basis change to (lambda1, lambda2, kappa1, kappa2) has the doubled-row
-    Gram, and that every scanned labelling disc is 0 (mod 8) because the
-    three relevant pairings are even.
+    l lambda2 + tau1, kappa2 = m lambda1 + n lambda2 + tau2 span U and that
+    the basis change to (lambda1, lambda2, kappa1, kappa2) has the
+    doubled-row Gram, off which pairings_even reads the parity of every
+    pairing of a labelling a kappa1 + b kappa2.  Twisting by -1 and
+    negating kappa2 gives disc(a, b) = -Q(a, -b) with Q of
+    qform_rank4(-2k, -2l, 2m, 2n), whose values have gcd h: every disc is
+    0 (mod 8) exactly when 8 | h.
     """
     if (k, l) in ((1, 0), (0, 1)):
         raise HypothesisError("family excludes (k, l) = (1,0) and (0,1)")
@@ -774,23 +762,13 @@ def counterexample_general(
         (2 * m, 2 * n, 1, 0),
     )
     basis_ok = got == expected
-
-    pair_even = True
-    all_div8 = True
-    for a in range(-scan_bound, scan_bound + 1):
-        for b in range(-scan_bound, scan_bound + 1):
-            if (a, b) == (0, 0):
-                continue
-            p = 2 * k * a + 2 * m * b
-            q = 2 * l * a + 2 * n * b
-            r = 2 * a * b
-            if p % 2 or q % 2 or r % 2:
-                pair_even = False
-            disc = 4 * r - 2 * p * p - 2 * q * q
-            if max(abs(a), abs(b)) <= 3:
-                assert disc == intmat.bareiss_det(((2, 0, p), (0, 2, q), (p, q, r)))
-            if disc % 8:
-                all_div8 = False
+    pair_even = all(
+        x % 2 == 0
+        for x in (got[0][2], got[0][3], got[1][2], got[1][3], got[2][2], got[3][3])
+    )
+    qa = qform_rank4(-2 * k, -2 * l, 2 * m, 2 * n)
+    for a, b in ((1, 0), (0, 1), (1, 1)):
+        assert _labelling_disc(got, a, b) == -qa.Q(a, -b)
     return CounterexampleGeneralReport(
         k=k,
         l=l,
@@ -802,7 +780,7 @@ def counterexample_general(
         kappa_checks=checks,
         basis_change_matches=basis_ok,
         pairings_even=pair_even,
-        all_discs_divisible_by_8=all_div8,
+        all_discs_divisible_by_8=qa.h % 8 == 0,
     )
 
 

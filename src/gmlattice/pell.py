@@ -48,6 +48,9 @@ __all__ = [
 # partial quotients multiplied by a linear walk before the product tree merges
 _LEAF = 64
 
+# largest |c| that pell_general accepts
+C_MAX = 10**6
+
 
 @dataclass(frozen=True)
 class PellSolution:
@@ -226,7 +229,7 @@ def pell_solvable(m: int, c: int) -> bool:
     return not norms.isdisjoint(_primitive_targets(c))
 
 
-def pell_general(m: int, c: int, cap: int = 10**6) -> list[PellSolution]:
+def pell_general(m: int, c: int) -> list[PellSolution]:
     """Fundamental-class representatives of n^2 - m*a^2 = c with n, a >= 0.
 
     An empty list means the equation is unsolvable.  The representatives
@@ -246,8 +249,8 @@ def pell_general(m: int, c: int, cap: int = 10**6) -> list[PellSolution]:
         raise DomainError("pell_general expects m >= 1")
     if c == 0:
         raise DomainError("pell_general expects c != 0")
-    if abs(c) > cap:
-        raise DomainError(f"|c| exceeds the configured cap {cap}")
+    if abs(c) > C_MAX:
+        raise DomainError(f"|c| = {abs(c)} exceeds the supported limit C_MAX = {C_MAX}")
     if is_square(m):
         return _square_pell(isqrt(m), c)
     targets = _primitive_targets(c) if c * c < m else {}

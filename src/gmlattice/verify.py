@@ -253,7 +253,7 @@ def check_lemma_suite_instances():
 
 
 def check_counterexample_family():
-    r2 = counterexample_family(2, scan_bound=12)
+    r2 = counterexample_family(2)
     if not (
         r2.kappa_checks
         and r2.reduced_form == BinaryForm(2, 1, 2)
@@ -262,8 +262,8 @@ def check_counterexample_family():
         and not r2.d8_member
     ):
         return False, "n=2 family"
-    r0 = counterexample_family(0, scan_bound=6)
-    r1 = counterexample_family(1, scan_bound=6)
+    r0 = counterexample_family(0)
+    r1 = counterexample_family(1)
     if not (r0.d8_member and r0.represents_one == (0, 1)):
         return False, f"n=0 family rep {r0.represents_one}"
     if not (r1.d8_member and r1.represents_one in ((1, -1), (-1, 1))):
@@ -273,7 +273,7 @@ def check_counterexample_family():
 
 def check_counterexample_general():
     for klmn in ((2, 1, 0, 1), (1, 1, 0, 0), (1, 1, 1, 3), (3, 2, 1, 1)):
-        rep = counterexample_general(*klmn, scan_bound=8)
+        rep = counterexample_general(*klmn)
         if not (
             rep.kappa_checks
             and rep.basis_change_matches
@@ -281,8 +281,8 @@ def check_counterexample_general():
             and rep.all_discs_divisible_by_8
         ):
             return False, f"{klmn}"
-    fam = counterexample_family(3, scan_bound=1)
-    gen = counterexample_general(1, 1, 1, 3, scan_bound=1)
+    fam = counterexample_family(3)
+    gen = counterexample_general(1, 1, 1, 3)
     if fam.lattice.gram != gen.lattice.gram:
         return False, "N_(1,1,1,n) should equal the one-parameter family"
     return True, "kappa span, doubled-row basis change, discs 0 mod 8"

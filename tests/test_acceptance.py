@@ -115,7 +115,7 @@ def test_criterion_05_lemma_suite():
         if all(v % 2 == 0 for v in klmn):
             continue
         qa = qform_rank4(*klmn)
-        rep = lemma_checks(qa, prime_cap=10**6)
+        rep = lemma_checks(qa)
         assert rep.h_odd_primes_1mod4, klmn
         assert rep.h_not_div_8, klmn
         assert rep.a_not_3mod4 and rep.c_not_3mod4 and rep.b_even, klmn
@@ -133,7 +133,7 @@ def test_criterion_05_lemma_suite():
 def test_criterion_06_counterexample_family():
     t0 = time.perf_counter()
     for n in range(0, 21):
-        rep = counterexample_family(n, scan_bound=30)
+        rep = counterexample_family(n)
         assert rep.kappa_checks, n
         assert (rep.represents_one is not None) == (n in (0, 1)), n
         assert rep.all_discs_divisible_by_8, n

@@ -166,11 +166,11 @@ def test_witness_twisted(capsys):
 
 
 def test_witness_k3(capsys):
-    code, out, _ = run(capsys, "witness", "k3", "10", "--bound", "5")
+    code, out, _ = run(capsys, "witness", "k3", "10")
     assert code == 0
     assert "v.w = 1" in out
     assert "g.g = -10" in out
-    code, out, _ = run(capsys, "witness", "k3", "12", "--bound", "30")
+    code, out, _ = run(capsys, "witness", "k3", "12")
     assert code == 3
     assert "no hyperbolic plane because the K3 condition fails" in out
 
@@ -224,6 +224,16 @@ def test_lattice_hyperbolic_exhausted(tmp_path, capsys):
     code, out, _ = run(capsys, "lattice", "hyperbolic", str(f), "--bound", "10")
     assert code == 3
     assert "bound exhausted" in out
+
+
+def test_lattice_hyperbolic_box_past_the_limit(tmp_path, capsys):
+    from gmlattice.lattice import format_gram_text, standard_lattice
+
+    f = tmp_path / "lambda.gram"
+    f.write_text(format_gram_text(standard_lattice("Lambda")))
+    code, _, err = run(capsys, "lattice", "hyperbolic", str(f), "--bound", "1")
+    assert code == 1
+    assert err.startswith("error: ") and "HYPERBOLIC_BOX_MAX" in err
 
 
 def test_lattice_disc_group(tmp_path, capsys):

@@ -62,22 +62,6 @@ def test_bareiss_matches_cofactor_expansion():
         assert (det != 0) == (intmat.rank(M) == n)
 
 
-def test_charpoly_agrees_with_determinant_evaluation():
-    rng = Random(2)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        M = random_matrix(rng, n, n)
-        coeffs = intmat.charpoly(M)
-        assert coeffs[0] == 1
-        for lam in (-3, -1, 0, 1, 2, 7):
-            shifted = tuple(
-                tuple((lam if i == j else 0) - M[i][j] for j in range(n))
-                for i in range(n)
-            )
-            value = sum(c * lam ** (n - i) for i, c in enumerate(coeffs))
-            assert value == intmat.bareiss_det(shifted)
-
-
 def test_smith_normal_form_examples():
     D, U, V, _ = intmat.smith_normal_form_full(((2, 0), (0, 2)))
     assert (D[0][0], D[1][1]) == (2, 2)

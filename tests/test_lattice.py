@@ -27,6 +27,7 @@ from gmlattice import (
     twist,
 )
 from gmlattice import intmat
+from gmlattice.lattice import HYPERBOLIC_BOX_MAX
 
 
 def random_symmetric(rng, n, lo=-5, hi=5):
@@ -199,6 +200,28 @@ def test_signature_matches_diagonalization_oracle():
     for _ in range(120):
         L = random_symmetric(rng, rng.randint(1, 5), -7, 7)
         assert signature(L) == signature_by_diagonalization(L.gram), L.gram
+    # rank-deficient products B^T D B, so the elimination stops on a zero
+    # active block, and sparse zero-diagonal Grams, so it has to apply
+    # e_i <- e_i + e_j before it finds a pivot
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        D = [rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(k)]
+        g = tuple(
+            tuple(sum(B[t][i] * D[t] * B[t][j] for t in range(k)) for j in range(n))
+            for i in range(n)
+        )
+        assert signature(GramLattice(g)) == signature_by_diagonalization(g), g
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    g[i][j] = g[j][i] = rng.randint(-4, 4)
+        g = tuple(tuple(row) for row in g)
+        assert signature(GramLattice(g)) == signature_by_diagonalization(g), g
 
 
 def test_signature_additive_on_direct_sums():
@@ -399,6 +422,20 @@ def test_hyperbolic_d3578_needs_a_larger_box():
 def test_hyperbolic_requires_even():
     with pytest.raises(LatticeError):
         find_hyperbolic_plane(standard_lattice("I(2,0)"), 2)
+
+
+def test_hyperbolic_box_past_the_limit_is_refused():
+    assert (2 * 1 + 1) ** 21 > HYPERBOLIC_BOX_MAX
+    with pytest.raises(LatticeError, match="HYPERBOLIC_BOX_MAX"):
+        find_hyperbolic_plane(standard_lattice("Lambda"), 1)
+    with pytest.raises(LatticeError, match="HYPERBOLIC_BOX_MAX"):
+        find_hyperbolic_plane(GramLattice(((-2, 0, 1), (0, -2, 1), (1, 1, 2))), 2000)
+    # a degenerate form can leave the solved last coordinate free, so its
+    # whole box counts: 707^2 prefixes would pass, 707^3 points do not
+    degenerate = direct_sum(twist(standard_lattice("U"), 2), GramLattice(((0,),)))
+    assert 707**2 <= HYPERBOLIC_BOX_MAX < 707**3
+    with pytest.raises(LatticeError, match="HYPERBOLIC_BOX_MAX"):
+        find_hyperbolic_plane(degenerate, 353)
 
 
 # ---------------------------------------------------------------------------

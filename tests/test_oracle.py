@@ -281,7 +281,7 @@ def test_lemma_conclusions_random_not_all_even():
         if all(v % 2 == 0 for v in klmn):
             continue
         qa = qform_rank4(*klmn)
-        rep = lemma_checks(qa, prime_cap=10**6)
+        rep = lemma_checks(qa)
         assert rep.h_odd_primes_1mod4
         assert rep.h_not_div_8
         assert rep.a_not_3mod4 and rep.c_not_3mod4 and rep.b_even
@@ -334,7 +334,7 @@ def test_k3_witness_rank2_unsupported():
 def test_k3_witness_flipped_family_never_finds_k3():
     # the counterexample family in the +2 convention: U is present but no
     # labelling ever satisfies the K3 condition (all discs are 0 mod 8)
-    fam = counterexample_family(3, scan_bound=2)
+    fam = counterexample_family(3)
     B = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (1, 3, 0, 1))
     doubled = intmat.mat_mul(intmat.mat_mul(B, fam.lattice.gram), intmat.transpose(B))
     model = NeronSeveriModel(
@@ -363,7 +363,7 @@ def test_neron_severi_model_validation():
 
 
 def test_counterexample_family_examples():
-    r2 = counterexample_family(2, scan_bound=10)
+    r2 = counterexample_family(2)
     assert r2.kappa_checks
     assert r2.reduced_form == BinaryForm(2, 1, 2)
     assert r2.represents_one is None
@@ -371,31 +371,53 @@ def test_counterexample_family_examples():
     assert r2.min_abs_disc == 16
     assert not r2.d8_member
 
-    r0 = counterexample_family(0, scan_bound=6)
+    r0 = counterexample_family(0)
     assert r0.represents_one == (0, 1)
     assert r0.d8_member
 
-    r1 = counterexample_family(1, scan_bound=6)
+    r1 = counterexample_family(1)
     assert r1.represents_one in ((1, -1), (-1, 1))
     assert r1.d8_member
 
 
+def box_scan(G, lam1, lam2, t1, t2, bound):
+    """Brute force over (a, b) in a box: the pairings of lambda1, lambda2
+    and tau = a t1 + b t2, and the labelling discriminant, the det of the
+    Gram of (lambda1, lambda2, tau)."""
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if (a, b) == (0, 0):
+                continue
+            tau = tuple(a * x + b * y for x, y in zip(t1, t2))
+            rows = (lam1, lam2, tau)
+            gram = tuple(tuple(G.pairing(v, w) for w in rows) for v in rows)
+            yield (gram[0][2], gram[1][2], gram[2][2]), intmat.bareiss_det(gram)
+
+
 def test_counterexample_family_d8_rule():
-    for n in range(0, 12):
-        rep = counterexample_family(n, scan_bound=8)
+    for n in range(0, 41):
+        rep = counterexample_family(n)
         assert rep.d8_member == (n in (0, 1))
         assert rep.kappa_checks
         assert rep.all_discs_divisible_by_8
+        discs = [
+            disc
+            for _, disc in box_scan(
+                rep.lattice, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), 6
+            )
+        ]
+        assert rep.min_abs_disc == min(abs(x) for x in discs), n
+        assert rep.all_discs_divisible_by_8 == all(x % 8 == 0 for x in discs), n
 
 
 def test_counterexample_general_examples():
-    rep = counterexample_general(2, 1, 0, 1, scan_bound=12)
+    rep = counterexample_general(2, 1, 0, 1)
     assert rep.kappa_checks and rep.pairings_even and rep.all_discs_divisible_by_8
-    rep2 = counterexample_general(1, 1, 0, 0, scan_bound=6)
+    rep2 = counterexample_general(1, 1, 0, 0)
     assert rep2.kappa_checks
     assert rep2.lattice.pairing(rep2.kappa1, rep2.kappa2) == 1
-    fam = counterexample_family(4, scan_bound=1)
-    gen = counterexample_general(1, 1, 1, 4, scan_bound=1)
+    fam = counterexample_family(4)
+    gen = counterexample_general(1, 1, 1, 4)
     assert fam.lattice.gram == gen.lattice.gram
 
 
@@ -413,11 +435,16 @@ def test_counterexample_general_random_scan():
         k, l, m, n = (rng.randint(-6, 6) for _ in range(4))
         if (k, l) in ((1, 0), (0, 1)):
             continue
-        rep = counterexample_general(k, l, m, n, scan_bound=20)
+        rep = counterexample_general(k, l, m, n)
         assert rep.kappa_checks
         assert rep.basis_change_matches
         assert rep.pairings_even
         assert rep.all_discs_divisible_by_8
+        scan = list(
+            box_scan(rep.lattice, (1, 0, 0, 0), (0, 1, 0, 0), rep.kappa1, rep.kappa2, 6)
+        )
+        assert rep.pairings_even == all(x % 2 == 0 for p, _ in scan for x in p)
+        assert rep.all_discs_divisible_by_8 == all(disc % 8 == 0 for _, disc in scan)
         done += 1
 
 
