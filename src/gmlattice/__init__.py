@@ -30,6 +30,7 @@ from .lattice import (
     enumerate_vectors,
     find_hyperbolic_plane,
     format_gram_text,
+    hyperbolic_partner,
     is_isometric_small,
     mukai_sign_reversed,
     orthogonal_complement,

@@ -19,6 +19,7 @@ from .errors import (
     UnsupportedRankError,
 )
 from . import intmat
+from .arith import xgcd
 from .intmat import Matrix
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "enumerate_vectors",
     "find_hyperbolic_plane",
     "format_gram_text",
+    "hyperbolic_partner",
     "is_isometric_small",
     "mukai_sign_reversed",
     "orthogonal_complement",
@@ -42,11 +44,19 @@ __all__ = [
 
 # largest find_hyperbolic_plane box, (2*coord_bound+1)^(rank-1) prefixes (the
 # last coordinate is solved), or ^rank for a degenerate form, where it can be
-# free; about 5 s at the limit (Python 3.11, 2-vCPU host)
+# free; at the limit, U(3) at coord_bound 249999 takes 4.5 s and 37 MB peak
+# RSS through the CLI, since box vectors stream (Python 3.11, 2-vCPU host)
 HYPERBOLIC_BOX_MAX = 5 * 10**5
 
 # largest |det| for which is_isometric_small runs its indefinite box search
 ISOMETRY_DET_MAX = 10**6
+
+# largest rank is_isometric_small accepts
+ISOMETRY_RANK_MAX = 6
+
+# candidate checks after which the indefinite box search of
+# is_isometric_small gives up as "inconclusive"
+ISOMETRY_CHECKS_MAX = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -343,48 +353,43 @@ def enumerate_vectors(L: GramLattice, target_norm: int, coord_bound: int) -> lis
     return list(_norm_solutions(L.gram, target_norm, [coord_bound] * L.rank))
 
 
-def _canonical_sign(v):
-    for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple(-y for y in v)
-    return v
+def hyperbolic_partner(L: GramLattice, v):
+    """A partner w of the isotropic v (w.w = 0, v.w = 1), so that v and w
+    span a hyperbolic plane U; None exactly when G v has content > 1, since
+    every pairing v.w is then a multiple of that content.
 
-
-def _first_dual_pair(L, c, bound):
-    """First u with u . c == 1, ordered by growing sup-norm then lex."""
-    n = L.rank
-    last = n - 1
-    cl = c[last]
-    for shell in range(1, bound + 1):
-        rng = [range(-shell, shell + 1)] * last
-        for prefix in product(*rng):
-            acc = sum(c[i] * prefix[i] for i in range(last))
-            if cl == 0:
-                if acc == 1 and max(abs(x) for x in prefix) == shell:
-                    return prefix + (0,)
-            else:
-                rem = 1 - acc
-                if rem % cl == 0:
-                    z = rem // cl
-                    if abs(z) > shell:
-                        continue
-                    u = prefix + (z,)
-                    if max(abs(x) for x in u) == shell:
-                        return u
-    return None
+    Folding xgcd over c = G v, from g = c[0] and u = e_0, keeps u.c = g and
+    stops as soon as g == 1; then u.v = 1, and w = u - (u.u/2) v, integral
+    because L is even, has v.w = 1 and w.w = u.u - 2(u.u/2) = 0.
+    """
+    if not L.is_even():
+        raise LatticeError("hyperbolic plane search requires an even lattice")
+    if L.norm(v) != 0:
+        raise LatticeError("hyperbolic partner needs an isotropic vector")
+    c = intmat.mat_vec(L.gram, v)
+    g, u = c[0], [1] + [0] * (len(c) - 1)
+    for i in range(1, len(c)):
+        if g == 1:
+            break
+        g, p, q = xgcd(g, c[i])
+        u = [p * x for x in u]
+        u[i] = q
+    if g != 1:
+        return None
+    half = L.norm(u) // 2
+    return tuple(x - half * y for x, y in zip(u, v))
 
 
 def find_hyperbolic_plane(L: GramLattice, coord_bound: int):
     """A pair (v, w) with v.v = w.w = 0 and v.w = 1, or None.
 
-    Isotropic candidates are taken in order of growing sup-norm (sign
-    normalized, then lexicographic); for the first candidate v admitting a
-    box vector u with v.u = 1, the returned partner is w = u - (u.u/2) v,
-    integral because L is even.  None means no pair was found within the
-    box, not that none exists.  A box larger than HYPERBOLIC_BOX_MAX is
-    refused with LatticeError.
+    The box |coords| <= coord_bound bounds v only: v is the least isotropic
+    box vector, by sup-norm and then lexicographically with its first
+    nonzero coordinate positive, whose G v has content 1, and its partner
+    w = hyperbolic_partner(L, v) is exact, wherever it lies.  None means
+    that no box vector v has such a partner, not that L contains no
+    hyperbolic plane.  A box larger than HYPERBOLIC_BOX_MAX is refused with
+    LatticeError.
     """
     if not L.is_even():
         raise LatticeError("hyperbolic plane search requires an even lattice")
@@ -396,32 +401,17 @@ def find_hyperbolic_plane(L: GramLattice, coord_bound: int):
         raise LatticeError(
             f"search box (2*{coord_bound}+1)^{e} exceeds HYPERBOLIC_BOX_MAX = {HYPERBOLIC_BOX_MAX}"
         )
-    seen = set()
-    candidates = []
+    best = None
     for v in _norm_solutions(L.gram, 0, [coord_bound] * L.rank):
-        if not any(v):
-            continue
-        cv = _canonical_sign(v)
-        if cv in seen:
-            continue
-        seen.add(cv)
-        candidates.append(cv)
-    candidates.sort(key=lambda v: (max(abs(x) for x in v), v))
-    for v in candidates:
-        c = intmat.mat_vec(L.gram, v)
-        g = 0
-        for x in c:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        u = _first_dual_pair(L, c, coord_bound)
-        if u is None:
-            continue
-        uu = L.norm(u)
-        half = uu // 2
-        w = tuple(x - half * y for x, y in zip(u, v))
-        return (v, w)
-    return None
+        if next((x for x in v if x), 0) <= 0:
+            continue  # zero, or the negative of a sign-normalized box vector
+        key = (max(abs(x) for x in v), v)
+        if (best is None or key < best) and gcd(*intmat.mat_vec(L.gram, v)) == 1:
+            best = key
+    if best is None:
+        return None
+    v = best[1]
+    return (v, hyperbolic_partner(L, v))
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +450,20 @@ def _definite_norm_vectors(G, target):
 
 
 def is_isometric_small(
-    L1: GramLattice,
-    L2: GramLattice,
-    rank_cap: int = 6,
-    coord_bound: int = 10,
+    L1: GramLattice, L2: GramLattice, coord_bound: int = 10
 ) -> IsometryResult:
     """Search for a unimodular T with T^t G1 T = G2 by backtracking over
     vectors of matching norms and pairings.
 
     Complete (hence a proof either way) for definite lattices; for
     indefinite ones the search is confined to |coords| <= coord_bound and
-    reports "inconclusive" when the box is exhausted.
+    reports "inconclusive" when the box is exhausted or after
+    ISOMETRY_CHECKS_MAX candidate checks.  Ranks above ISOMETRY_RANK_MAX
+    are refused with UnsupportedRankError.
     """
     n = L1.rank
-    if n > rank_cap or L2.rank > rank_cap:
-        raise UnsupportedRankError(f"isometry search capped at rank {rank_cap}")
+    if n > ISOMETRY_RANK_MAX or L2.rank > ISOMETRY_RANK_MAX:
+        raise UnsupportedRankError(f"isometry search capped at rank {ISOMETRY_RANK_MAX}")
     if n != L2.rank:
         return IsometryResult("not-isometric")
     d1, d2 = determinant(L1), determinant(L2)
@@ -505,19 +494,26 @@ def is_isometric_small(
             pools.append(list(_norm_solutions(G1, t, [coord_bound] * n)))
 
     cols: list[tuple] = []
+    checks = 0
 
     def pair(x, y):
         gy = intmat.mat_vec(G1, y)
         return sum(a * b for a, b in zip(x, gy))
 
     def extend(j):
+        # True: all columns found; False: none fits; None: check limit hit
+        nonlocal checks
         for cand in pools[j]:
+            checks += 1
+            if not definite and checks > ISOMETRY_CHECKS_MAX:
+                return None
             if all(pair(cols[i], cand) == G2[i][j] for i in range(j)):
                 cols.append(cand)
                 if j + 1 == n:
                     return True
-                if extend(j + 1):
-                    return True
+                found = extend(j + 1)
+                if found is not False:
+                    return found
                 cols.pop()
         return False
 

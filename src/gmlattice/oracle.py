@@ -27,7 +27,6 @@ from .arith import (
     sum_of_two_squares,
     two_square_decomposition,
     two_square_decompositions,
-    xgcd,
 )
 from .errors import (
     DomainError,
@@ -41,8 +40,8 @@ from .lattice import (
     GramLattice,
     Sublattice,
     determinant,
+    hyperbolic_partner,
     orthogonal_complement,
-    saturate,
     twist,
 )
 from .pell import PellSolution, negative_pell, pell_solvable
@@ -467,7 +466,7 @@ class K3WitnessReport:
     plane, which happens exactly when the K3 condition fails for its
     determinant.
     Rank 4: status "found" carries coprime (x, y), in the sign-normalized
-    kappa basis, whose saturated labelling discriminant satisfies the K3
+    kappa basis, whose labelling discriminant ``disc_raw`` satisfies the K3
     condition, plus the form analysis; "not-found-within-bound" is only a
     statement about the box |x|, |y| <= bound.
     """
@@ -480,8 +479,6 @@ class K3WitnessReport:
     gen_norm: int | None = None
     xy: tuple[int, int] | None = None
     disc_raw: int | None = None
-    disc_saturated: int | None = None
-    sat_index: int | None = None
     qform: QFormAnalysis | None = None
     lemmas: LemmaReport | None = None
 
@@ -507,10 +504,7 @@ def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
         return K3WitnessReport(kind="rank3", status="proven-absent")
     X, Y = found
     v = ((X + a) // 2, (Y + b) // 2, 1)
-    _, p, q = xgcd(X, Y)
-    u = (-p, -q, 0)  # G v = (-X, -Y, t) and X p + Y q = 1, so v.u = 1
-    half = L.norm(u) // 2
-    w = tuple(x - half * y for x, y in zip(u, v))
+    w = hyperbolic_partner(L, v)  # G v = (-X, -Y, t) has content 1
     assert L.norm(v) == 0 and L.norm(w) == 0 and L.pairing(v, w) == 1
     comp = orthogonal_complement(L, Sublattice(L, (v, w)))
     g = comp.basis[0]
@@ -537,8 +531,9 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
 
     * Found: take z = 1 and a decomposition X^2 + Y^2 = d/2 with
       gcd(X, Y) = 1 and X = a, Y = b (mod 2); then v = ((X+a)/2, (Y+b)/2, 1)
-      is integral and isotropic, xgcd gives u = (-p, -q, 0) with
-      Xp + Yq = 1 = v.u, and w = u - (u.u/2) v completes the plane (u.u is
+      is integral and isotropic, G v has content 1, and
+      ``hyperbolic_partner`` completes the plane exactly: xgcd gives
+      u = (-p, -q, 0) with Xp + Yq = 1 = v.u, and w = u - (u.u/2) v (u.u is
       even because L is even).  L = U + <g>, so the complement generator
       has g.g = -d, rechecked through ``orthogonal_complement``.
     * Absent, prime p = 3 (mod 4) dividing d/2: p | X^2 + Y^2 forces p | X
@@ -558,8 +553,11 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
 
     Rank 4 (basis lambda1, lambda2, kappa1, kappa2 with unimodular
     hyperbolic kappa-block): analyze the labelling-discriminant form and
-    return coprime (x, y) with |x|, |y| <= bound whose saturated labelling
-    satisfies the K3 condition.
+    return the least coprime (x, y) with |x|, |y| <= bound (by sup-norm,
+    then lexicographically) whose labelling discriminant satisfies the K3
+    condition.  The box bounds (x, y) only: for coprime (x, y) the rows
+    lambda1, lambda2, x kappa1 + y kappa2 are already primitive (they
+    extend to a basis), so no saturation is needed.
     """
     L = N.effective_lattice()
     if L.rank == 3:
@@ -603,17 +601,13 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
         raw = qa.Q(x, y)
         sub = Sublattice(L, (N.lambda1, N.lambda2, (0, 0, x, y)))
         assert determinant(sub.gram()) == raw
-        sat, idx = saturate(L, sub)
-        d_sat = determinant(sat.gram())
-        if d_sat > 0 and cond_star2(d_sat):
+        if raw > 0 and cond_star2(raw):
             return K3WitnessReport(
                 kind="rank4",
                 status="found",
                 bound=bound,
                 xy=(x, y),
                 disc_raw=raw,
-                disc_saturated=d_sat,
-                sat_index=idx,
                 qform=qa,
                 lemmas=lemmas,
             )

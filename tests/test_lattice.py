@@ -1,6 +1,9 @@
 """Lattice construction, invariants, sublattices and bounded searches."""
 
+from itertools import product
+from math import gcd
 from random import Random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from gmlattice import (
     enumerate_vectors,
     find_hyperbolic_plane,
     format_gram_text,
+    hyperbolic_partner,
     is_isometric_small,
     mukai_sign_reversed,
     orthogonal_complement,
@@ -419,6 +423,69 @@ def test_hyperbolic_d3578_needs_a_larger_box():
     check_hyperbolic_pair(L, find_hyperbolic_plane(L, 60))
 
 
+def test_hyperbolic_partner_need_not_lie_in_the_box():
+    # v = (1, 1, 1) is the least isotropic box vector with G v of content
+    # 1; its partner lies far outside the radius-1 box
+    L = GramLattice(((-2, 0, -3), (0, -2, -6), (-3, -6, 22)))
+    v, w = find_hyperbolic_plane(L, 1)
+    assert v == (1, 1, 1) and max(abs(x) for x in w) > 1
+    check_hyperbolic_pair(L, (v, w))
+
+
+def random_even_gram(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * rng.randint(-3, 3)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.randint(-4, 4)
+    return GramLattice(tuple(tuple(row) for row in g))
+
+
+def test_hyperbolic_plane_is_the_least_box_vector_with_content_1():
+    # brute force: the least isotropic box vector, by sup-norm and then
+    # sign-normalized lex, whose G v has content 1
+    rng = Random(7)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        L = random_even_gram(rng, n)
+        bound = rng.randint(1, {2: 6, 3: 3, 4: 2}[n])
+        best = None
+        for v in product(range(-bound, bound + 1), repeat=n):
+            if next((x for x in v if x), 0) <= 0 or L.norm(v) != 0:
+                continue
+            key = (max(map(abs, v)), v)
+            if gcd(*intmat.mat_vec(L.gram, v)) == 1 and (best is None or key < best):
+                best = key
+        pair = find_hyperbolic_plane(L, bound)
+        if best is None:
+            assert pair is None
+            continue
+        found += 1
+        assert pair[0] == best[1]
+        check_hyperbolic_pair(L, pair)
+    assert found > 100
+
+
+def test_hyperbolic_partner_exists_iff_content_1():
+    rng = Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        L = random_even_gram(rng, rng.randint(2, 4))
+        for v in enumerate_vectors(L, 0, 2):
+            if not any(v):
+                continue
+            w = hyperbolic_partner(L, v)
+            primitive = gcd(*intmat.mat_vec(L.gram, v)) == 1
+            assert (w is not None) == primitive
+            if w is not None:
+                check_hyperbolic_pair(L, (v, w))
+            seen[primitive] += 1
+    assert seen[True] > 100 and seen[False] > 100
+    with pytest.raises(LatticeError, match="isotropic"):
+        hyperbolic_partner(standard_lattice("U"), (1, 1))
+
+
 def test_hyperbolic_requires_even():
     with pytest.raises(LatticeError):
         find_hyperbolic_plane(standard_lattice("I(2,0)"), 2)
@@ -482,6 +549,20 @@ def test_isometry_indefinite_inconclusive():
     res = is_isometric_small(L1, L2, coord_bound=6)
     assert res.status == "inconclusive"
     assert not res
+
+
+def test_isometry_indefinite_search_is_limited():
+    # U + U(3) and U(3) + U differ by a block swap; an unlimited search at
+    # the default coord_bound backtracks for minutes before finding it
+    U = standard_lattice("U")
+    L1, L2 = direct_sum(U, twist(U, 3)), direct_sum(twist(U, 3), U)
+    start = time.perf_counter()
+    res = is_isometric_small(L1, L2)
+    assert time.perf_counter() - start < 60
+    assert res.status in ("isometric", "inconclusive")
+    if res:
+        T = res.matrix
+        assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(T), L1.gram), T) == L2.gram
 
 
 def test_isometry_rank_cap():

@@ -14,6 +14,7 @@ from gmlattice import (
     HypothesisError,
     LatticeError,
     NeronSeveriModel,
+    Sublattice,
     UnsupportedRankError,
     admissible,
     classify,
@@ -317,8 +318,9 @@ def test_k3_witness_rank4():
     assert rep.status == "found"
     x, y = rep.xy
     assert rep.disc_raw == qa.Q(x, y)
-    assert rep.disc_raw == rep.sat_index**2 * rep.disc_saturated
-    assert cond_star2(rep.disc_saturated)
+    L = model.lattice
+    assert Sublattice(L, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, x, y))).is_primitive()
+    assert cond_star2(rep.disc_raw)
     # the contract's probe point: (1, 0) labels with discriminant 10
     assert qa.Q(1, 0) == 10 and cond_star2(10)
 
