@@ -8,7 +8,6 @@ spot with exact integer arithmetic.
 from gmlattice import (
     GlueData,
     GramLattice,
-    NeronSeveriModel,
     Sublattice,
     classify,
     counterexample_family,
@@ -62,7 +61,7 @@ print("w =", w, " w.w =", L.norm(w), " lambda1.w =", L.pairing((1, 0, 0), w))
 banner("Hyperbolic planes inside labelling lattices")
 for d in (10, 12):
     Ld = labelling_lattice(d)
-    rep = k3_witness(NeronSeveriModel(Ld, (1, 0, 0), (0, 1, 0)))
+    rep = k3_witness(Ld)
     if rep.found():
         v, u = rep.u_basis
         print(f"d={d}: found U = <{v}, {u}> (checks {Ld.norm(v)}, {Ld.norm(u)}, {Ld.pairing(v, u)})")

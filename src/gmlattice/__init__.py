@@ -65,7 +65,6 @@ from .oracle import (
     DivisorReport,
     K3WitnessReport,
     LemmaReport,
-    NeronSeveriModel,
     QFormAnalysis,
     admissible,
     classify,

@@ -11,7 +11,6 @@ Integers are printed exactly, in decimal, however many digits they have
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -28,7 +27,8 @@ from .lattice import (
     signature,
 )
 from .oracle import (
-    NeronSeveriModel,
+    D_MAX,
+    _k3_report_to_json,
     classify,
     counterexample_family,
     hilb2_witness,
@@ -163,29 +163,28 @@ def _scan_keep(rep, flt) -> bool:
 def cmd_scan(args) -> int:
     if args.max_d < 2:
         raise DomainError("scan needs max_d >= 2")
+    if args.max_d > D_MAX:
+        raise DomainError(f"max_d = {args.max_d} exceeds the supported limit D_MAX = {D_MAX}")
     if args.json and args.csv:
         raise DomainError("choose one of --json and --csv")
-    rows = []
+    # each row is printed as soon as its d is classified, so memory stays flat
+    if not args.json:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(
+            ["d", "divisor", "star2", "star2_twisted", "star3_n", "star3_a", "dm_isomorphic"]
+        )
     for d in range(2, args.max_d + 1):
         if d % 8 not in (0, 2, 4):
             continue
         rep = classify(d)
-        if _scan_keep(rep, args.filter):
-            rows.append(rep)
-    if args.json:
-        for rep in rows:
+        if not _scan_keep(rep, args.filter):
+            continue
+        if args.json:
             print(json.dumps(rep.to_dict()))
-        return EXIT_OK
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["d", "divisor", "star2", "star2_twisted", "star3_n", "star3_a", "dm_isomorphic"]
-    )
-    for rep in rows:
-        n, a = rep.star3.as_pair() if rep.star3 else ("", "")
-        dm = "" if rep.dm_isomorphic is None else rep.dm_isomorphic
-        writer.writerow([rep.d, rep.divisor_label, rep.star2, rep.star2_twisted, n, a, dm])
-    sys.stdout.write(buf.getvalue())
+        else:
+            n, a = rep.star3.as_pair() if rep.star3 else ("", "")
+            dm = "" if rep.dm_isomorphic is None else rep.dm_isomorphic
+            writer.writerow([rep.d, rep.divisor_label, rep.star2, rep.star2_twisted, n, a, dm])
     return EXIT_OK
 
 
@@ -225,9 +224,8 @@ def _witness_hilb2(args) -> int:
     print(f"normal-form gram: {list(list(r) for r in L.gram)}")
     print(f"w = {w}")
     print(f"transcript: lambda1.w = {L.pairing(l1, w)}, lambda2.w = {L.pairing(l2, w)}, w.w = {L.norm(w)}")
-    m = NeronSeveriModel(L, l1, l2)
     other = L.pairing(l2, w)
-    print(f"det<lambda1, lambda2, w> = {labelling_det(m, w)} = 2*({other})^2 + 2")
+    print(f"det<lambda1, lambda2, w> = {labelling_det(L, w)} = 2*({other})^2 + 2")
     return EXIT_OK
 
 
@@ -249,23 +247,12 @@ def _witness_twisted(args) -> int:
 def _witness_k3(args) -> int:
     d = args.d
     L = labelling_lattice(d)
-    model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-    rep = k3_witness(model)
+    rep = k3_witness(L)
     if rep.status == "found":
-        v, w = rep.u_basis
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "d": d,
-                        "status": rep.status,
-                        "u_basis": [list(v), list(w)],
-                        "complement_gen": list(rep.complement_gen),
-                        "gen_norm": rep.gen_norm,
-                    }
-                )
-            )
+            print(json.dumps({"d": d, **_k3_report_to_json(rep)}))
             return EXIT_OK
+        v, w = rep.u_basis
         print(f"d = {d}: hyperbolic plane found in gram {list(list(r) for r in L.gram)}")
         print(f"v = {v}, w = {w}")
         print(

@@ -19,7 +19,6 @@ against the defining identities before it is returned.
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import index
 
 from .arith import (
     factored_sum_of_two_squares,
@@ -42,7 +41,6 @@ from .lattice import (
     determinant,
     hyperbolic_partner,
     orthogonal_complement,
-    twist,
 )
 from .pell import PellSolution, negative_pell, pell_solvable
 
@@ -53,7 +51,6 @@ __all__ = [
     "DivisorReport",
     "K3WitnessReport",
     "LemmaReport",
-    "NeronSeveriModel",
     "QFormAnalysis",
     "admissible",
     "classify",
@@ -267,68 +264,51 @@ def _hilb2_witness(d: int, sol: PellSolution):
     return L, w
 
 
-@dataclass(frozen=True)
-class NeronSeveriModel:
-    """A small even lattice with two distinguished classes of square -2.
+def _check_labelling(L: GramLattice) -> None:
+    """Reject a Gram that is not an even lattice of rank 2 to 4 whose first
+    two basis vectors are lambda1, lambda2 with Gram diag(-2,-2)."""
+    if not 2 <= L.rank <= 4:
+        raise UnsupportedRankError("labelling lattice rank must be between 2 and 4")
+    if not L.is_even():
+        raise LatticeError("labelling lattice must be even")
+    g = L.gram
+    if g[0][0] != -2 or g[1][1] != -2 or g[0][1] != 0:
+        raise LatticeError(
+            "the first two basis vectors (lambda1, lambda2) must pair as diag(-2,-2)"
+        )
 
-    ``flipped=True`` declares the opposite sign convention (classes of
-    square +2); operations twist by -1 internally in that case.
+
+def _unit(rank: int, i: int) -> tuple:
+    return tuple(int(j == i) for j in range(rank))
+
+
+def labelling_det(L: GramLattice, w) -> int:
+    """Determinant of <lambda1, lambda2, w>.
+
+    L is presented in the basis (lambda1, lambda2, ...) of the square -2
+    convention; a Gram in the square +2 convention is passed as
+    ``twist(L, -1)``.
     """
-
-    lattice: GramLattice
-    lambda1: tuple
-    lambda2: tuple
-    flipped: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda1", tuple(index(x) for x in self.lambda1))
-        object.__setattr__(self, "lambda2", tuple(index(x) for x in self.lambda2))
-        L = self.lattice
-        if not 2 <= L.rank <= 4:
-            raise UnsupportedRankError("model rank must be between 2 and 4")
-        if not L.is_even():
-            raise LatticeError("model lattice must be even")
-        s = 2 if self.flipped else -2
-        if (
-            L.norm(self.lambda1) != s
-            or L.norm(self.lambda2) != s
-            or L.pairing(self.lambda1, self.lambda2) != 0
-        ):
-            raise LatticeError(
-                "distinguished classes must pair as diag(-2,-2) (or +2 when flipped)"
-            )
-        if not Sublattice(L, (self.lambda1, self.lambda2)).is_primitive():
-            raise LatticeError("distinguished classes must span a primitive sublattice")
-
-    def effective_lattice(self) -> GramLattice:
-        """The lattice in the square -2 convention."""
-        return twist(self.lattice, -1) if self.flipped else self.lattice
-
-
-def labelling_det(N: NeronSeveriModel, w) -> int:
-    """Determinant of <lambda1, lambda2, w> in the square -2 convention."""
-    L = N.effective_lattice()
-    vs = (N.lambda1, N.lambda2, tuple(w))
+    _check_labelling(L)
+    vs = (_unit(L.rank, 0), _unit(L.rank, 1), tuple(w))
     gram = tuple(tuple(L.pairing(u, v) for v in vs) for u in vs)
     return intmat.bareiss_det(gram)
 
 
-def hilb2_criterion(N: NeronSeveriModel, w, embedding: str = "standard") -> bool:
-    """True iff w.w = 0 and the distinguished pairing is a unit.
+def hilb2_criterion(L: GramLattice, w) -> bool:
+    """True iff w.w = 0 and |lambda1 . w| = 1.
 
-    "standard" tests |lambda1 . w| = 1; "swapped" tests |lambda2 . w| = 1
-    (the two available unimodular-overlattice embeddings; the relevant one
-    is whichever pairing is odd).  When true, the labelling
-    <lambda1, lambda2, w> has determinant 2 n^2 + 2 for the other pairing n.
+    L is presented in the basis (lambda1, lambda2, ...) of the square -2
+    convention (a +2 convention is passed as ``twist(L, -1)``).  The two
+    unimodular overlattices differ only in which of lambda1, lambda2 has
+    the unit pairing; to test lambda2, swap the first two rows and columns
+    of the Gram and the first two coordinates of w.  When true, the
+    labelling <lambda1, lambda2, w> has determinant 2 n^2 + 2 for
+    n = lambda2 . w.
     """
-    if embedding not in ("standard", "swapped"):
-        raise DomainError("embedding must be 'standard' or 'swapped'")
-    L = N.effective_lattice()
+    _check_labelling(L)
     w = tuple(w)
-    if L.norm(w) != 0:
-        return False
-    probe = N.lambda1 if embedding == "standard" else N.lambda2
-    return abs(L.pairing(probe, w)) == 1
+    return L.norm(w) == 0 and abs(L.pairing(_unit(L.rank, 0), w)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +438,9 @@ def lemma_checks(qa: QFormAnalysis) -> LemmaReport:
 
 @dataclass(frozen=True)
 class K3WitnessReport:
-    """Outcome of the hyperbolic-plane criterion on a rank 3 or 4 model.
+    """Outcome of ``k3_witness`` on a labelling lattice of rank 3 or 4,
+    given in the basis (lambda1, lambda2, ...) with lambda1, lambda2 of
+    square -2.
 
     Rank 3: the decision is exact and ``bound`` is None.  Status "found"
     carries the plane (v, w) and the complement generator g with
@@ -519,8 +501,13 @@ def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
     )
 
 
-def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
-    """Hyperbolic-plane criterion certifying the K3 association on the model.
+def k3_witness(L: GramLattice, bound: int = 20) -> K3WitnessReport:
+    """Hyperbolic-plane criterion certifying the K3 association on L.
+
+    L is a labelling lattice presented in its labelling basis: the first two
+    basis vectors are lambda1, lambda2 of square -2 (a Gram in the square +2
+    convention is passed as ``twist(L, -1)``).  ``bound`` sizes the rank-4
+    search box; rank 3 ignores it.
 
     Rank 3 (basis lambda1, lambda2, tau, so the Gram is
     ((-2,0,a),(0,-2,b),(a,b,c)) with d = det = 2(a^2 + b^2 + 2c)): an exact
@@ -559,20 +546,12 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
     lambda1, lambda2, x kappa1 + y kappa2 are already primitive (they
     extend to a basis), so no saturation is needed.
     """
-    L = N.effective_lattice()
+    _check_labelling(L)
     if L.rank == 3:
-        if N.lambda1 != (1, 0, 0) or N.lambda2 != (0, 1, 0):
-            raise LatticeError(
-                "rank-3 model must be presented in the basis (lambda1, lambda2, tau)"
-            )
         return _rank3_k3_witness(L)
     if L.rank != 4:
-        raise UnsupportedRankError("K3 witness search supports rank 3 and 4 models")
+        raise UnsupportedRankError("K3 witness search supports rank 3 and 4 lattices")
 
-    if N.lambda1 != (1, 0, 0, 0) or N.lambda2 != (0, 1, 0, 0):
-        raise LatticeError(
-            "rank-4 model must be presented in the basis (lambda1, lambda2, kappa1, kappa2)"
-        )
     g = [list(row) for row in L.gram]
     if g[2][3] == -1:
         # normalize the hyperbolic block by negating kappa2
@@ -582,7 +561,7 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
             g[3][j] = -g[3][j]
     if g[2][2] != 0 or g[3][3] != 0 or g[2][3] != 1:
         raise LatticeError("kappa generators must span a unimodular hyperbolic plane")
-    L = GramLattice(tuple(tuple(row) for row in g))  # normalized kappa basis
+    normalized = tuple(tuple(row) for row in g)
     k, m = g[0][2], g[0][3]
     l, n = g[1][2], g[1][3]
     qa = qform_rank4(k, l, m, n)
@@ -599,8 +578,7 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
     candidates.sort(key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy))
     for x, y in candidates:
         raw = qa.Q(x, y)
-        sub = Sublattice(L, (N.lambda1, N.lambda2, (0, 0, x, y)))
-        assert determinant(sub.gram()) == raw
+        assert _labelling_disc(normalized, x, y) == raw
         if raw > 0 and cond_star2(raw):
             return K3WitnessReport(
                 kind="rank4",
@@ -621,7 +599,7 @@ def k3_witness(N: NeronSeveriModel, bound: int = 20) -> K3WitnessReport:
 
 
 # ---------------------------------------------------------------------------
-# the rank-4 counterexample family (sign-flipped convention)
+# the rank-4 counterexample family (square +2 convention)
 
 
 @dataclass(frozen=True)
@@ -908,9 +886,7 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             L, w = _hilb2_witness(d, s3)
             witnesses["hilb2"] = {"gram": [list(r) for r in L.gram], "w": list(w)}
         if ok and d % 8 in (2, 4):
-            L = labelling_lattice(d)
-            model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-            witnesses["k3"] = _k3_report_to_json(k3_witness(model))
+            witnesses["k3"] = _k3_report_to_json(k3_witness(labelling_lattice(d)))
     return DivisorReport(
         d=d,
         admissible=ok,

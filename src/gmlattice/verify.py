@@ -36,7 +36,6 @@ from .oracle import (
     hilb2_witness,
     labelling_det,
     lemma_checks,
-    NeronSeveriModel,
     qform_rank4,
 )
 from .pell import cf_sqrt, negative_pell, pell_general
@@ -301,11 +300,10 @@ def check_hilb2_witness_parity():
         if d % 8 == 4 and (n % 2 != 1 or a % 4 != 1):
             return False, f"d={d}: parity of (n,a)=({n},{a})"
         L, w = hilb2_witness(d)
-        model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
         if L.norm(w) != 0 or L.pairing((1, 0, 0), w) != 1:
             return False, f"d={d}: witness identities"
         other = L.pairing((0, 1, 0), w)
-        if labelling_det(model, w) != 2 * other * other + 2:
+        if labelling_det(L, w) != 2 * other * other + 2:
             return False, f"d={d}: labelling determinant"
     return True, "all Pell-solvable admissible d <= 202"
 

@@ -11,7 +11,6 @@ from random import Random
 from gmlattice import (
     BinaryForm,
     GramLattice,
-    NeronSeveriModel,
     Sublattice,
     cf_sqrt,
     classify,
@@ -211,12 +210,11 @@ def test_criterion_09_hilb2_witnesses():
             assert d % 8 == 4, d
             assert n % 2 == 1 and a % 4 == 1, d
         L, w = wit
-        model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
         assert L.norm(w) == 0
         assert L.pairing((1, 0, 0), w) == 1
-        assert hilb2_criterion(model, w)
+        assert hilb2_criterion(L, w)
         other = L.pairing((0, 1, 0), w)
-        assert labelling_det(model, w) == 2 * other * other + 2 == a * a * d
+        assert labelling_det(L, w) == 2 * other * other + 2 == a * a * d
         found += 1
     assert found >= 10
     elapsed = time.perf_counter() - t0
@@ -250,15 +248,13 @@ def test_criterion_10_mukai_model_invariants():
 def test_criterion_11_k3_witness_instances():
     t0 = time.perf_counter()
     for d in (2, 10, 26, 50):
-        model = NeronSeveriModel(labelling_lattice(d), (1, 0, 0), (0, 1, 0))
-        rep = k3_witness(model, bound=20)
+        L = labelling_lattice(d)
+        rep = k3_witness(L)
         assert rep.status == "found", d
         v, w = rep.u_basis
-        L = model.lattice
         assert L.norm(v) == 0 and L.norm(w) == 0 and L.pairing(v, w) == 1
         assert rep.gen_norm == -d
-    model12 = NeronSeveriModel(labelling_lattice(12), (1, 0, 0), (0, 1, 0))
-    rep12 = k3_witness(model12, bound=30)
+    rep12 = k3_witness(labelling_lattice(12))
     assert rep12.status == "proven-absent"
     # the suite's own independent exhaustive scan at bound 30
     L12 = labelling_lattice(12)

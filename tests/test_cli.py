@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, output formats."""
 
+import hashlib
 import json
 import sys
 
@@ -81,6 +82,29 @@ def test_classify_past_size_limit_fails_at_once(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "D_MAX" in err
+
+
+def test_scan_past_size_limit_fails_at_once(capsys):
+    code, out, err = run(capsys, "scan", "100000000001")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "D_MAX" in err
+
+
+# sha256 of the stdout of each command, pinned so that a refactor which
+# changes a single byte of the published output fails here
+STABLE_OUTPUTS = {
+    ("scan", "1000", "--json"): "9fbdb3066bf310879654d20248d12672cdb7c6240fba38dca841d37dae086cc9",
+    ("scan", "1000"): "0da0f11d6d1fe4de4fbaf4ca6a40e28b8504c5627fdab51c98eab14860bd28fc",
+    ("verify-paper",): "0c196779073c608c7cd54a55ab91b2b46ef8646fb87b5fc5da1c29e23163e396",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STABLE_OUTPUTS))
+def test_output_is_byte_stable(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STABLE_OUTPUTS[argv]
 
 
 def test_scan_star3_filter(capsys):
@@ -199,6 +223,11 @@ def test_witness_json_outputs(capsys):
     assert data["represents_one"] is None
     code, out, _ = run(capsys, "witness", "twisted", "16", "--json")
     assert json.loads(out) == {"d": 16, "x": 2, "y": 2, "i": 1}
+    code, out, _ = run(capsys, "witness", "k3", "10", "--json")
+    assert out == (
+        '{"d": 10, "status": "found", "u_basis": [[1, 1, 1], [0, 1, 1]], '
+        '"complement_gen": [2, 5, 4], "gen_norm": -10}\n'
+    )
 
 
 def test_lattice_det(tmp_path, capsys):

@@ -13,7 +13,6 @@ from gmlattice import (
     GramLattice,
     HypothesisError,
     LatticeError,
-    NeronSeveriModel,
     Sublattice,
     UnsupportedRankError,
     admissible,
@@ -33,6 +32,7 @@ from gmlattice import (
     labelling_normal_form,
     lemma_checks,
     qform_rank4,
+    twist,
     twisted_witness,
 )
 from gmlattice.oracle import labelling_det
@@ -197,38 +197,35 @@ def test_hilb2_witness_d4_and_d20():
         L, w = hilb2_witness(d)
         assert L.norm(w) == 0
         assert L.pairing((1, 0, 0), w) == 1
-        model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-        assert hilb2_criterion(model, w)
+        assert hilb2_criterion(L, w)
         other = L.pairing((0, 1, 0), w)
-        assert labelling_det(model, w) == 2 * other * other + 2
+        assert labelling_det(L, w) == 2 * other * other + 2
 
 
 def test_hilb2_criterion_rejects_lambda1():
     L = labelling_lattice(10)
-    model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-    assert hilb2_criterion(model, (1, 0, 0)) is False
+    assert hilb2_criterion(L, (1, 0, 0)) is False
 
 
 def test_hilb2_criterion_generic_det_identity():
     # shape ((-2,0,1),(0,-2,n),(1,n,0)): det = 2n^2+2
     for n in range(-6, 7):
         L = GramLattice(((-2, 0, 1), (0, -2, n), (1, n, 0)))
-        model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
         w = (0, 0, 1)
-        assert hilb2_criterion(model, w) is True
-        assert labelling_det(model, w) == 2 * n * n + 2
+        assert hilb2_criterion(L, w) is True
+        assert labelling_det(L, w) == 2 * n * n + 2
 
 
 def test_hilb2_criterion_swapped_embedding():
-    # witness with lambda2-pairing 1 instead: second normal form shape
+    # witness with lambda2-pairing 1 instead: hilb2_criterion sees it once
+    # lambda1 and lambda2 are swapped in the Gram (and in w)
     L = GramLattice(((-2, 0, 0), (0, -2, 1), (0, 1, 2)))
-    model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
     w = (1, 0, 1)  # w.w = -2 + 2 = 0, lambda2.w = 1, lambda1.w = -2
     assert L.norm(w) == 0
-    assert hilb2_criterion(model, w, embedding="swapped") is True
-    assert hilb2_criterion(model, w, embedding="standard") is False
-    with pytest.raises(DomainError):
-        hilb2_criterion(model, w, embedding="both")
+    swapped = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
+    assert swapped.norm((0, 1, 1)) == 0
+    assert hilb2_criterion(swapped, (0, 1, 1)) is True
+    assert hilb2_criterion(L, w) is False
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +291,28 @@ def test_lemma_conclusions_random_not_all_even():
 
 
 def test_k3_witness_rank3_found():
-    model = NeronSeveriModel(labelling_lattice(10), (1, 0, 0), (0, 1, 0))
-    rep = k3_witness(model, bound=5)
+    L = labelling_lattice(10)
+    rep = k3_witness(L)
     assert rep.status == "found"
     v, w = rep.u_basis
-    L = model.lattice
     assert L.norm(v) == 0 and L.norm(w) == 0 and L.pairing(v, w) == 1
     assert rep.gen_norm == -10
     assert L.norm(rep.complement_gen) == -10
 
 
 def test_k3_witness_rank3_proven_absent():
-    model = NeronSeveriModel(labelling_lattice(12), (1, 0, 0), (0, 1, 0))
-    rep = k3_witness(model, bound=30)
+    rep = k3_witness(labelling_lattice(12))
     assert rep.status == "proven-absent"
     assert not rep.found()
 
 
 def test_k3_witness_rank4():
     qa = qform_rank4(2, 1, -1, 1)
-    model = NeronSeveriModel(GramLattice(qa.rank4_gram()), (1, 0, 0, 0), (0, 1, 0, 0))
-    rep = k3_witness(model, bound=8)
+    L = GramLattice(qa.rank4_gram())
+    rep = k3_witness(L, bound=8)
     assert rep.status == "found"
     x, y = rep.xy
     assert rep.disc_raw == qa.Q(x, y)
-    L = model.lattice
     assert Sublattice(L, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, x, y))).is_primitive()
     assert cond_star2(rep.disc_raw)
     # the contract's probe point: (1, 0) labels with discriminant 10
@@ -326,11 +320,8 @@ def test_k3_witness_rank4():
 
 
 def test_k3_witness_rank2_unsupported():
-    model = NeronSeveriModel(
-        GramLattice(((-2, 0), (0, -2))), (1, 0), (0, 1)
-    )
     with pytest.raises(UnsupportedRankError):
-        k3_witness(model)
+        k3_witness(GramLattice(((-2, 0), (0, -2))))
 
 
 def test_k3_witness_flipped_family_never_finds_k3():
@@ -339,25 +330,39 @@ def test_k3_witness_flipped_family_never_finds_k3():
     fam = counterexample_family(3)
     B = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (1, 3, 0, 1))
     doubled = intmat.mat_mul(intmat.mat_mul(B, fam.lattice.gram), intmat.transpose(B))
-    model = NeronSeveriModel(
-        GramLattice(doubled), (1, 0, 0, 0), (0, 1, 0, 0), flipped=True
-    )
-    rep = k3_witness(model, bound=6)
+    rep = k3_witness(twist(GramLattice(doubled), -1), bound=6)
     assert rep.status == "not-found-within-bound"
     assert rep.qform.h % 8 == 0
     assert rep.lemmas.all_even
 
 
-def test_neron_severi_model_validation():
+def test_labelling_input_validation():
+    bad_grams = (
+        ((-2, 0, 1), (0, 2, 0), (1, 0, 2)),  # lambda2.lambda2 = 2
+        ((-8, 0, 1), (0, -2, 0), (1, 0, 2)),  # lambda1.lambda1 = -8
+        ((-2, 1, 0), (1, -2, 0), (0, 0, 2)),  # lambda1.lambda2 = 1
+        ((-2, 0, 1), (0, -2, 0), (1, 0, 3)),  # odd lattice
+    )
+    for gram in bad_grams:
+        L = GramLattice(gram)
+        for call in (lambda: k3_witness(L), lambda: hilb2_criterion(L, (0, 0, 1))):
+            with pytest.raises(LatticeError) as info:
+                call()
+            assert not isinstance(info.value, UnsupportedRankError), gram
     with pytest.raises(LatticeError):
-        NeronSeveriModel(labelling_lattice(10), (1, 0, 0), (0, 0, 1))  # wrong norms
+        hilb2_criterion(GramLattice(((-8, 0), (0, -2))), (0, 1))
+    for gram in (((-2,),), tuple(tuple(-2 * (i == j) for j in range(5)) for i in range(5))):
+        L = GramLattice(gram)
+        with pytest.raises(UnsupportedRankError):
+            k3_witness(L)
+        with pytest.raises(UnsupportedRankError):
+            hilb2_criterion(L, (0,) * L.rank)
+    # the square +2 convention is accepted once twisted by -1
+    plus2 = twist(GramLattice(((2, 0), (0, 2))), -1)
+    assert plus2.gram == ((-2, 0), (0, -2))
+    assert hilb2_criterion(plus2, (1, 0)) is False
     with pytest.raises(LatticeError):
-        NeronSeveriModel(
-            GramLattice(((-8, 0), (0, -2))), (1, 0), (0, 1)
-        )
-    # flipped convention accepts +2 classes
-    m = NeronSeveriModel(GramLattice(((2, 0), (0, 2))), (1, 0), (0, 1), flipped=True)
-    assert m.effective_lattice().gram == ((-2, 0), (0, -2))
+        hilb2_criterion(GramLattice(((2, 0), (0, 2))), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +461,12 @@ def test_k3_status_consistency_sweep():
     for d in range(2, 4001):
         if d % 8 not in (2, 4):
             continue
-        model = NeronSeveriModel(labelling_lattice(d), (1, 0, 0), (0, 1, 0))
-        rep = k3_witness(model)
+        L = labelling_lattice(d)
+        rep = k3_witness(L)
         assert rep.status == ("found" if cond_star2(d) else "proven-absent"), d
         if rep.found():
             assert rep.gen_norm == -d, d
-        if d <= 800 and find_hyperbolic_plane(model.lattice, 20) is not None:
+        if d <= 800 and find_hyperbolic_plane(L, 20) is not None:
             assert rep.found(), d
 
 
@@ -474,7 +479,7 @@ def test_k3_witness_random_labelling_grams_vs_box_search():
         c = 2 * rng.randint(-8, 8)
         L = GramLattice(((-2, 0, a), (0, -2, b), (a, b, c)))
         d = determinant(L)
-        rep = k3_witness(NeronSeveriModel(L, (1, 0, 0), (0, 1, 0)))
+        rep = k3_witness(L)
         expect = d > 0 and cond_star2(d)
         assert rep.status == ("found" if expect else "proven-absent"), (a, b, c)
         if rep.found():
@@ -488,10 +493,13 @@ def test_k3_witness_random_labelling_grams_vs_box_search():
 
 
 def test_k3_witness_rank3_requires_labelling_basis():
-    L = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
-    model = NeronSeveriModel(L, (0, 1, 0), (1, 0, 0))
+    # the basis is part of the signature: the same labelling lattice in the
+    # basis (tau, lambda1, lambda2) is refused
+    L = GramLattice(((2, 1, 0), (1, -2, 0), (0, 0, -2)))
     with pytest.raises(LatticeError):
-        k3_witness(model)
+        k3_witness(L)
+    with pytest.raises(LatticeError):
+        hilb2_criterion(L, (0, 0, 1))
 
 
 def test_exact_isotropy_certificate_vs_enumeration():
@@ -536,9 +544,8 @@ def test_hilb2_witness_huge_fundamental_solution():
     L, w = hilb2_witness(3242)
     assert L.norm(w) == 0
     assert L.pairing((1, 0, 0), w) == 1
-    model = NeronSeveriModel(L, (1, 0, 0), (0, 1, 0))
-    assert hilb2_criterion(model, w)
-    assert labelling_det(model, w) == sol.a**2 * 3242
+    assert hilb2_criterion(L, w)
+    assert labelling_det(L, w) == sol.a**2 * 3242
 
 
 def test_classify_is_thread_safe_and_deterministic():
