@@ -154,20 +154,23 @@ def represents(f: BinaryForm, value: int):
     return None
 
 
-_STAGES = (256, 4096, 65536)
+# largest value find_prime_1mod4 searches, and the values it searches up to
+# in turn, so that a small prime is found without scanning the largest box
+PRIME_CAP = 10**6
+_STAGES = (256, 4096, 65536, PRIME_CAP)
 
 
-def find_prime_1mod4(f: BinaryForm, cap: int = 10**6):
-    """Smallest prime p = 1 (mod 4) represented by f below cap, with a
-    witness (p, x, y); None means the cap was exhausted, never that no such
-    prime exists.
+def find_prime_1mod4(f: BinaryForm):
+    """Smallest prime p = 1 (mod 4) represented by f, at most PRIME_CAP,
+    with a witness (p, x, y); None means the cap was exhausted, never that
+    no such prime exists.  The witness is the first that ``represents``
+    finds for p.
     """
     if not f.is_positive_definite():
         raise UnsupportedFormError("prime search needs a positive definite form")
     if not f.is_primitive():
         raise ImprimitiveFormError("prime search needs a primitive form")
-    stages = sorted({min(s, cap) for s in _STAGES} | {cap})
-    for stage in stages:
+    for stage in _STAGES:
         xb, yb = _ellipse_bounds(f, stage)
         best = None
         prime_cache: dict[int, bool] = {}
@@ -183,9 +186,5 @@ def find_prime_1mod4(f: BinaryForm, cap: int = 10**6):
                 if prime_cache[v]:
                     best = v
         if best is not None:
-            wxb, wyb = _ellipse_bounds(f, best)
-            for x in _ordered_range(wxb):
-                for y in _ordered_range(wyb):
-                    if f(x, y) == best:
-                        return (best, x, y)
+            return (best, *represents(f, best))
     return None

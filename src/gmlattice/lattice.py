@@ -58,6 +58,9 @@ ISOMETRY_RANK_MAX = 6
 # is_isometric_small gives up as "inconclusive"
 ISOMETRY_CHECKS_MAX = 2 * 10**5
 
+# |coords| box of the indefinite search of is_isometric_small
+ISOMETRY_BOX = 10
+
 
 @dataclass(frozen=True)
 class GramLattice:
@@ -161,42 +164,33 @@ def _diag(entries) -> GramLattice:
     )
 
 
-def standard_lattice(name: str, twist_by: int = 1) -> GramLattice:
-    """Named standard lattices, with the form multiplied by ``twist_by``.
+def standard_lattice(name: str) -> GramLattice:
+    """Named standard lattices.
 
     Supported names: "U" (hyperbolic plane), "E8", "I(r,s)" (odd diagonal
     lattice), "Lambda" (E8^2 + U^2 + I(2,0)(2), the rank-22 vanishing
     lattice of signature (20,2)) and "LambdaTilde" (U^4 + E8(-1)^2, the
-    rank-24 even unimodular lattice of signature (4,20)).
+    rank-24 even unimodular lattice of signature (4,20)).  A twisted copy
+    is ``twist(standard_lattice(name), m)``, named e.g. "I(2,0)(2)".
     """
-    if twist_by == 0:
-        raise InvalidTwistError("twist by 0 is not a lattice")
     key = name.strip()
     if key == "U":
-        base = GramLattice(_U_GRAM, name="U")
-    elif key == "E8":
-        base = GramLattice(_E8_GRAM, name="E8")
-    elif key == "Lambda":
+        return GramLattice(_U_GRAM, name="U")
+    if key == "E8":
+        return GramLattice(_E8_GRAM, name="E8")
+    if key == "Lambda":
         e8 = GramLattice(_E8_GRAM)
         u = GramLattice(_U_GRAM)
-        base = direct_sum(e8, e8, u, u, _diag((2, 2)))
-        base = GramLattice(base.gram, name="Lambda")
-    elif key == "LambdaTilde":
+        return GramLattice(direct_sum(e8, e8, u, u, _diag((2, 2))).gram, name="Lambda")
+    if key == "LambdaTilde":
         u = GramLattice(_U_GRAM)
         e8m = twist(GramLattice(_E8_GRAM), -1)
-        base = direct_sum(u, u, u, u, e8m, e8m)
-        base = GramLattice(base.gram, name="LambdaTilde")
-    else:
-        m = _I_RS.match(key)
-        if not m:
-            raise LatticeError(f"unknown standard lattice {name!r}")
-        r, s = int(m.group(1)), int(m.group(2))
-        base = _diag((1,) * r + (-1,) * s)
-        base = GramLattice(base.gram, name=f"I({r},{s})")
-    if twist_by == 1:
-        return base
-    out = twist(base, twist_by)
-    return GramLattice(out.gram, name=f"{base.name}({twist_by})")
+        return GramLattice(direct_sum(u, u, u, u, e8m, e8m).gram, name="LambdaTilde")
+    m = _I_RS.match(key)
+    if not m:
+        raise LatticeError(f"unknown standard lattice {name!r}")
+    r, s = int(m.group(1)), int(m.group(2))
+    return GramLattice(_diag((1,) * r + (-1,) * s).gram, name=f"I({r},{s})")
 
 
 def mukai_sign_reversed() -> GramLattice:
@@ -449,14 +443,13 @@ def _definite_norm_vectors(G, target):
     return list(_norm_solutions(G, target, bounds))
 
 
-def is_isometric_small(
-    L1: GramLattice, L2: GramLattice, coord_bound: int = 10
-) -> IsometryResult:
+def is_isometric_small(L1: GramLattice, L2: GramLattice) -> IsometryResult:
     """Search for a unimodular T with T^t G1 T = G2 by backtracking over
     vectors of matching norms and pairings.
 
     Complete (hence a proof either way) for definite lattices; for
-    indefinite ones the search is confined to |coords| <= coord_bound and
+    indefinite ones the columns are drawn from |coords| <= ISOMETRY_BOX,
+    each pool tried by sup-norm and then lexicographically, and the search
     reports "inconclusive" when the box is exhausted or after
     ISOMETRY_CHECKS_MAX candidate checks.  Ranks above ISOMETRY_RANK_MAX
     are refused with UnsupportedRankError.
@@ -491,7 +484,8 @@ def is_isometric_small(
                 return IsometryResult("not-isometric")
             pools.append(_definite_norm_vectors(G1, t))
         else:
-            pools.append(list(_norm_solutions(G1, t, [coord_bound] * n)))
+            pool = _norm_solutions(G1, t, [ISOMETRY_BOX] * n)
+            pools.append(sorted(pool, key=lambda v: (max(map(abs, v)), v)))
 
     cols: list[tuple] = []
     checks = 0

@@ -282,6 +282,15 @@ def _unit(rank: int, i: int) -> tuple:
     return tuple(int(j == i) for j in range(rank))
 
 
+def _labelling_det(gram: intmat.Matrix, w) -> int:
+    """det of the pairings of (e1, e2, w) under gram."""
+    gw = intmat.mat_vec(gram, w)
+    ww = sum(a * b for a, b in zip(w, gw))
+    return intmat.bareiss_det(
+        ((gram[0][0], gram[0][1], gw[0]), (gram[1][0], gram[1][1], gw[1]), (gw[0], gw[1], ww))
+    )
+
+
 def labelling_det(L: GramLattice, w) -> int:
     """Determinant of <lambda1, lambda2, w>.
 
@@ -290,9 +299,10 @@ def labelling_det(L: GramLattice, w) -> int:
     ``twist(L, -1)``.
     """
     _check_labelling(L)
-    vs = (_unit(L.rank, 0), _unit(L.rank, 1), tuple(w))
-    gram = tuple(tuple(L.pairing(u, v) for v in vs) for u in vs)
-    return intmat.bareiss_det(gram)
+    w = tuple(w)
+    if len(w) != L.rank:
+        raise LatticeError("vector length must equal the lattice rank")
+    return _labelling_det(L.gram, w)
 
 
 def hilb2_criterion(L: GramLattice, w) -> bool:
@@ -348,12 +358,6 @@ class QFormAnalysis:
         return self.q.is_positive_definite()
 
 
-def _labelling_disc(gram: intmat.Matrix, x: int, y: int) -> int:
-    """det of the Gram of (e1, e2, x e3 + y e4) under a rank-4 Gram."""
-    basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, x, y))
-    return determinant(Sublattice(GramLattice(gram), basis).gram())
-
-
 def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
     """Build the labelling-discriminant form and verify the polynomial
     identity against the direct 3x3 determinant at three probe points."""
@@ -365,7 +369,7 @@ def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
     qa = QFormAnalysis(k=k, l=l, m=m, n=n, A=A, B=B, C=C, h=h, q=q)
     # a binary quadratic is pinned by its values at (1,0), (0,1), (1,1)
     for x, y in ((1, 0), (0, 1), (1, 1)):
-        assert _labelling_disc(qa.rank4_gram(), x, y) == qa.Q(x, y)
+        assert _labelling_det(qa.rank4_gram(), (0, 0, x, y)) == qa.Q(x, y)
     return qa
 
 
@@ -401,8 +405,8 @@ class LemmaReport:
 def lemma_checks(qa: QFormAnalysis) -> LemmaReport:
     """Check the divisor constraints on h = gcd of the coefficients, the
     residues of the primitive part, and hunt for a represented prime
-    1 (mod 4) when q is positive definite, below find_prime_1mod4's default
-    cap of 10**6."""
+    1 (mod 4) when q is positive definite, up to ``forms.PRIME_CAP``
+    ("bound-exhausted" when none is found there)."""
     all_even = all(v % 2 == 0 for v in (qa.k, qa.l, qa.m, qa.n))
     h_odd_ok = all(p % 4 != 3 for p in factorize(qa.h) if p % 2)
     h8 = None if all_even else (qa.h % 8 != 0)
@@ -442,20 +446,20 @@ class K3WitnessReport:
     given in the basis (lambda1, lambda2, ...) with lambda1, lambda2 of
     square -2.
 
-    Rank 3: the decision is exact and ``bound`` is None.  Status "found"
-    carries the plane (v, w) and the complement generator g with
-    g.g = -det; "proven-absent" means the lattice contains no hyperbolic
-    plane, which happens exactly when the K3 condition fails for its
-    determinant.
+    Rank 3: the decision is exact.  Status "found" carries the plane (v, w)
+    and the complement generator g with g.g = -det; "proven-absent" means
+    the lattice contains no hyperbolic plane, which happens exactly when
+    the K3 condition fails for its determinant.
     Rank 4: status "found" carries coprime (x, y), in the sign-normalized
     kappa basis, whose labelling discriminant ``disc_raw`` satisfies the K3
-    condition, plus the form analysis; "not-found-within-bound" is only a
-    statement about the box |x|, |y| <= bound.
+    condition, plus the form analysis; "proven-absent" means 8 divides the
+    content h, so no labelling discriminant satisfies it;
+    "not-found-within-bound" is only a statement about the box
+    |x|, |y| <= K3_RANK4_BOX.
     """
 
     kind: str
     status: str
-    bound: int | None = None
     u_basis: tuple | None = None
     complement_gen: tuple | None = None
     gen_norm: int | None = None
@@ -501,13 +505,16 @@ def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
     )
 
 
-def k3_witness(L: GramLattice, bound: int = 20) -> K3WitnessReport:
+# |x|, |y| box of the rank-4 k3_witness search
+K3_RANK4_BOX = 20
+
+
+def k3_witness(L: GramLattice) -> K3WitnessReport:
     """Hyperbolic-plane criterion certifying the K3 association on L.
 
     L is a labelling lattice presented in its labelling basis: the first two
     basis vectors are lambda1, lambda2 of square -2 (a Gram in the square +2
-    convention is passed as ``twist(L, -1)``).  ``bound`` sizes the rank-4
-    search box; rank 3 ignores it.
+    convention is passed as ``twist(L, -1)``).
 
     Rank 3 (basis lambda1, lambda2, tau, so the Gram is
     ((-2,0,a),(0,-2,b),(a,b,c)) with d = det = 2(a^2 + b^2 + 2c)): an exact
@@ -539,12 +546,17 @@ def k3_witness(L: GramLattice, bound: int = 20) -> K3WitnessReport:
     "found" or "proven-absent", never bounded.
 
     Rank 4 (basis lambda1, lambda2, kappa1, kappa2 with unimodular
-    hyperbolic kappa-block): analyze the labelling-discriminant form and
-    return the least coprime (x, y) with |x|, |y| <= bound (by sup-norm,
-    then lexicographically) whose labelling discriminant satisfies the K3
-    condition.  The box bounds (x, y) only: for coprime (x, y) the rows
-    lambda1, lambda2, x kappa1 + y kappa2 are already primitive (they
-    extend to a basis), so no saturation is needed.
+    hyperbolic kappa-block): analyze the labelling-discriminant form Q and
+    return the least coprime (x, y) with |x|, |y| <= K3_RANK4_BOX (by
+    sup-norm, then lexicographically) whose labelling discriminant Q(x, y)
+    satisfies the K3 condition.  For coprime (x, y) the rows lambda1,
+    lambda2, x kappa1 + y kappa2 are already primitive (they extend to a
+    basis), so no saturation is needed.
+
+    * Absent, 8 | h: every labelling discriminant Q(x, y) = h q(x, y) is
+      0 (mod 8), while the K3 condition needs 8 not to divide it; the
+      status is "proven-absent", with no box scan.  Otherwise no exact
+      argument is known, and an empty box is "not-found-within-bound".
     """
     _check_labelling(L)
     if L.rank == 3:
@@ -566,10 +578,13 @@ def k3_witness(L: GramLattice, bound: int = 20) -> K3WitnessReport:
     l, n = g[1][2], g[1][3]
     qa = qform_rank4(k, l, m, n)
     lemmas = lemma_checks(qa)
+    if qa.h % 8 == 0:
+        return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa, lemmas=lemmas)
 
+    b = K3_RANK4_BOX
     candidates = []
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
+    for x in range(-b, b + 1):
+        for y in range(-b, b + 1):
             if (x, y) == (0, 0) or gcd(x, y) != 1:
                 continue
             if x < 0 or (x == 0 and y < 0):
@@ -578,12 +593,11 @@ def k3_witness(L: GramLattice, bound: int = 20) -> K3WitnessReport:
     candidates.sort(key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy))
     for x, y in candidates:
         raw = qa.Q(x, y)
-        assert _labelling_disc(normalized, x, y) == raw
+        assert _labelling_det(normalized, (0, 0, x, y)) == raw
         if raw > 0 and cond_star2(raw):
             return K3WitnessReport(
                 kind="rank4",
                 status="found",
-                bound=bound,
                 xy=(x, y),
                 disc_raw=raw,
                 qform=qa,
@@ -592,7 +606,6 @@ def k3_witness(L: GramLattice, bound: int = 20) -> K3WitnessReport:
     return K3WitnessReport(
         kind="rank4",
         status="not-found-within-bound",
-        bound=bound,
         qform=qa,
         lemmas=lemmas,
     )
@@ -634,42 +647,29 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
     classes of square +2) whose hyperbolic plane never yields a K3
     labelling for n > 1.
 
-    kappa1 = lambda1 + lambda2 + tau1 and kappa2 = lambda1 + n lambda2 +
-    tau2 span a copy of U.  The labelling by tau = x tau1 + y tau2 has
-    discriminant det diag(2, 2, tau.tau) = -8 form(x, y), form = 2x^2 +
-    (1+2n)xy + (1+n^2)y^2 (pinned against the labelling Gram at three
-    points), so every one is divisible by 8.  form has discriminant
-    -4n^2 + 4n - 7 < 0, so the least |disc| is 8 times the first
-    coefficient of its reduced form; it represents 1 exactly for n <= 1.
+    This is counterexample_general(1, 1, 1, n): kappa1 = lambda1 + lambda2
+    + tau1 and kappa2 = lambda1 + n lambda2 + tau2 span a copy of U.  The
+    labelling by tau = x tau1 + y tau2 has discriminant
+    det diag(2, 2, tau.tau) = -8 form(x, y), form = 2x^2 + (1+2n)xy +
+    (1+n^2)y^2 (pinned against the labelling Gram at three points), so
+    every one is divisible by 8.  form has discriminant -4n^2 + 4n - 7 < 0,
+    so the least |disc| is 8 times the first coefficient of its reduced
+    form; it represents 1 exactly for n <= 1.
     """
     if n < 0:
         raise DomainError("family parameter must be non-negative")
-    G = GramLattice(
-        (
-            (2, 0, 0, 0),
-            (0, 2, 0, 0),
-            (0, 0, -4, -1 - 2 * n),
-            (0, 0, -1 - 2 * n, -2 * (1 + n * n)),
-        )
-    )
-    kappa1 = (1, 1, 1, 0)
-    kappa2 = (1, n, 0, 1)
-    checks = (
-        G.norm(kappa1) == 0
-        and G.norm(kappa2) == 0
-        and G.pairing(kappa1, kappa2) == 1
-    )
+    gen = counterexample_general(1, 1, 1, n)
     form = BinaryForm(2, 1 + 2 * n, 1 + n * n)
     for x, y in ((1, 0), (0, 1), (1, 1)):
-        assert _labelling_disc(G.gram, x, y) == -8 * form(x, y)
+        assert _labelling_det(gen.lattice.gram, (0, 0, x, y)) == -8 * form(x, y)
     reduced, _ = reduce_form(form)
     rep1 = represents(form, 1)
     return CounterexampleFamilyReport(
         n=n,
-        lattice=G,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa_checks=checks,
+        lattice=gen.lattice,
+        kappa1=gen.kappa1,
+        kappa2=gen.kappa2,
+        kappa_checks=gen.kappa_checks,
         form=form,
         reduced_form=reduced,
         represents_one=rep1,
@@ -740,7 +740,7 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
     )
     qa = qform_rank4(-2 * k, -2 * l, 2 * m, 2 * n)
     for a, b in ((1, 0), (0, 1), (1, 1)):
-        assert _labelling_disc(got, a, b) == -qa.Q(a, -b)
+        assert _labelling_det(got, (0, 0, a, b)) == -qa.Q(a, -b)
     return CounterexampleGeneralReport(
         k=k,
         l=l,

@@ -24,6 +24,7 @@ from .lattice import (
     orthogonal_complement,
     signature,
     standard_lattice,
+    twist,
 )
 from .oracle import (
     admissible,
@@ -63,7 +64,7 @@ def check_vanishing_lattice(L: GramLattice | None = None):
 
 
 def check_i20_twist():
-    L = standard_lattice("I(2,0)", 2)
+    L = twist(standard_lattice("I(2,0)"), 2)
     ok = L.gram == ((2, 0), (0, 2))
     return ok, f"gram={L.gram}"
 

@@ -10,36 +10,25 @@ from random import Random
 
 from gmlattice import (
     BinaryForm,
-    GramLattice,
-    Sublattice,
     cf_sqrt,
     classify,
     cond_star2_twisted,
     cond_star3,
     counterexample_family,
-    determinant,
-    discriminant_group,
-    dm_isomorphism_check,
-    glue,
-    GlueData,
     hilb2_criterion,
     hilb2_witness,
-    is_isometric_small,
     k3_witness,
     labelling_lattice,
     lemma_checks,
-    mukai_sign_reversed,
     negative_pell,
-    orthogonal_complement,
     pell_general,
     qform_rank4,
-    signature,
-    standard_lattice,
 )
 from gmlattice.arith import is_square
 from gmlattice.oracle import labelling_det
 from gmlattice import intmat
 from gmlattice.cli import main as cli_main
+from gmlattice.verify import run_checks
 
 
 def report(num, desc, elapsed, budget):
@@ -221,26 +210,16 @@ def test_criterion_09_hilb2_witnesses():
     report(9, f"Hilbert-square witnesses, admissible d <= 2000 ({found} solvable)", elapsed, 30.0)
 
 
+def passed_checks(names):
+    results = run_checks(names=names)
+    assert [r.name for r in results] == list(names)
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
+
+
 def test_criterion_10_mukai_model_invariants():
     t0 = time.perf_counter()
-    M = mukai_sign_reversed()
-    f1 = tuple(1 if i == 0 else (-1 if i == 1 else 0) for i in range(24))
-    f2 = tuple(1 if i == 2 else (-1 if i == 3 else 0) for i in range(24))
-    comp = orthogonal_complement(M, Sublattice(M, (f1, f2)))
-    G = comp.gram()
-    assert comp.rank == 22
-    assert G.is_even()
-    assert determinant(G) == 4
-    assert signature(G) == (20, 2, 0)
-    assert discriminant_group(G).invariant_factors == (2, 2)
-    from fractions import Fraction
-
-    half = Fraction(1, 2)
-    glued = glue(
-        GlueData(GramLattice(((2,),)), GramLattice(((-2,),)), (((half,), (half,)),))
-    )
-    assert bool(is_isometric_small(glued, standard_lattice("U")))
-    assert determinant(glued) == (2 * -2) // (2 * 2)
+    passed_checks(("mukai-embedding-complement", "glue-hyperbolic-plane"))
     elapsed = time.perf_counter() - t0
     report(10, "Mukai complement and diagonal glue", elapsed, 1.0)
 
@@ -275,16 +254,9 @@ def test_criterion_11_k3_witness_instances():
 
 def test_criterion_12_debarre_macri():
     t0 = time.perf_counter()
-    assert dm_isomorphism_check(2) is False
-    assert dm_isomorphism_check(10) is False
-    assert dm_isomorphism_check(26) is True
-    # sub-results shown: the Pell data behind each verdict
-    assert negative_pell(1).as_pair() == (0, 1)
+    passed_checks(("double-epw-isomorphism",))
+    # the check tests membership; the solution list of P_4(5) is exactly one
     assert [s.as_pair() for s in pell_general(4, 5)] == [(3, 1)]
-    assert negative_pell(5).as_pair() == (2, 1)
-    assert (5, 1) in [s.as_pair() for s in pell_general(20, 5)]
-    assert negative_pell(13).as_pair() == (18, 5)
-    assert pell_general(52, 5) == []
     elapsed = time.perf_counter() - t0
     report(12, "double-EPW isomorphism checks d in {2,10,26}", elapsed, 1.0)
 

@@ -218,8 +218,10 @@ def test_glue_two_generators_gives_u_plus_u():
     from gmlattice import signature
 
     assert signature(out) == signature(uu) == (2, 2, 0)
-    res = is_isometric_small(out, uu, coord_bound=4)
+    res = is_isometric_small(out, uu)
     assert res.status == "isometric"
+    T = res.matrix
+    assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(T), out.gram), T) == uu.gram
 
 
 def test_glue_determinant_law_random():

@@ -14,6 +14,7 @@ from gmlattice import (
     represents,
 )
 from gmlattice.arith import is_prime
+from gmlattice.forms import PRIME_CAP
 
 
 def apply_transform(f, T, x, y):
@@ -89,8 +90,11 @@ def test_reduce_boundary_sign_convention():
 
 
 def test_find_prime_cap_semantics():
-    # cap below the smallest represented prime 1 (mod 4): honest None
-    assert find_prime_1mod4(BinaryForm(1, 0, 1), cap=3) is None
+    # every nonzero value of this primitive form is at least 10**6 + 1, past
+    # PRIME_CAP, so no prime lies below the cap: an honest None
+    f = BinaryForm(10**6 + 1, 1, 10**6 + 1)
+    assert f.is_primitive() and 10**6 + 1 > PRIME_CAP
+    assert find_prime_1mod4(f) is None
 
 
 def test_reduce_rejects_indefinite():
@@ -181,7 +185,7 @@ def test_find_prime_reports_exhaustion_not_absence():
     # (11, 14, 11) only represents odd values 3 (mod 4): the search must
     # come back empty-handed rather than inventing a witness
     f = BinaryForm(11, 14, 11)
-    assert find_prime_1mod4(f, cap=10**4) is None
+    assert find_prime_1mod4(f) is None
     vals = {f(x, y) for x in range(-30, 31) for y in range(-30, 31)}
     assert all(v % 4 == 3 for v in vals if v % 2 == 1 and v > 0)
 

@@ -54,8 +54,9 @@ def test_standard_u():
 
 
 def test_standard_i20_twisted():
-    L = standard_lattice("I(2,0)", 2)
+    L = twist(standard_lattice("I(2,0)"), 2)
     assert L.gram == ((2, 0), (0, 2))
+    assert L.name == "I(2,0)(2)"
 
 
 def test_standard_e8():
@@ -89,8 +90,6 @@ def test_standard_lambda_tilde():
 
 
 def test_invalid_twist():
-    with pytest.raises(InvalidTwistError):
-        standard_lattice("U", 0)
     with pytest.raises(InvalidTwistError):
         twist(standard_lattice("U"), 0)
 
@@ -546,14 +545,14 @@ def test_isometry_indefinite_inconclusive():
     # so the bounded indefinite search must answer "inconclusive"
     L1 = GramLattice(((2, 0), (0, -6)))
     L2 = GramLattice(((-2, 0), (0, 6)))
-    res = is_isometric_small(L1, L2, coord_bound=6)
+    res = is_isometric_small(L1, L2)
     assert res.status == "inconclusive"
     assert not res
 
 
 def test_isometry_indefinite_search_is_limited():
-    # U + U(3) and U(3) + U differ by a block swap; an unlimited search at
-    # the default coord_bound backtracks for minutes before finding it
+    # U + U(3) and U(3) + U differ by a block swap; an unlimited search in
+    # the ISOMETRY_BOX box backtracks for minutes before finding it
     U = standard_lattice("U")
     L1, L2 = direct_sum(U, twist(U, 3)), direct_sum(twist(U, 3), U)
     start = time.perf_counter()

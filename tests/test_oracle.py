@@ -309,7 +309,7 @@ def test_k3_witness_rank3_proven_absent():
 def test_k3_witness_rank4():
     qa = qform_rank4(2, 1, -1, 1)
     L = GramLattice(qa.rank4_gram())
-    rep = k3_witness(L, bound=8)
+    rep = k3_witness(L)
     assert rep.status == "found"
     x, y = rep.xy
     assert rep.disc_raw == qa.Q(x, y)
@@ -330,8 +330,9 @@ def test_k3_witness_flipped_family_never_finds_k3():
     fam = counterexample_family(3)
     B = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (1, 3, 0, 1))
     doubled = intmat.mat_mul(intmat.mat_mul(B, fam.lattice.gram), intmat.transpose(B))
-    rep = k3_witness(twist(GramLattice(doubled), -1), bound=6)
-    assert rep.status == "not-found-within-bound"
+    rep = k3_witness(twist(GramLattice(doubled), -1))
+    assert rep.status == "proven-absent"
+    assert not rep.found() and rep.xy is None
     assert rep.qform.h % 8 == 0
     assert rep.lemmas.all_even
 
@@ -490,6 +491,32 @@ def test_k3_witness_random_labelling_grams_vs_box_search():
             assert rep.found(), (a, b, c)
         seen.add("pos" if d > 0 and d % 8 else ("8|d" if d > 0 else "d<=0"))
     assert seen == {"pos", "8|d", "d<=0"}
+
+
+def test_k3_witness_rank4_absence_vs_box_scan():
+    # "proven-absent" exactly when 8 | h, and then no labelling in a box has
+    # a K3 discriminant; otherwise a K3 discriminant in the box is found
+    rng = Random(31)
+    seen = set()
+    for _ in range(60):
+        klmn = [rng.randint(-3, 3) * (2 if rng.random() < 0.5 else 1) for _ in range(4)]
+        qa = qform_rank4(*klmn)
+        L = GramLattice(qa.rank4_gram())
+        rep = k3_witness(L)
+        k3_discs = [
+            qa.Q(x, y)
+            for x in range(-6, 7)
+            for y in range(-6, 7)
+            if qa.Q(x, y) > 0 and cond_star2(qa.Q(x, y))
+        ]
+        if qa.h % 8 == 0:
+            assert rep.status == "proven-absent" and not k3_discs, klmn
+        else:
+            assert rep.status != "proven-absent", klmn
+            if k3_discs:
+                assert rep.found() and rep.disc_raw == qa.Q(*rep.xy), klmn
+        seen.add(rep.status)
+    assert {"proven-absent", "found"} <= seen
 
 
 def test_k3_witness_rank3_requires_labelling_basis():
