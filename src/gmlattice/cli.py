@@ -346,7 +346,7 @@ def cmd_lattice(args) -> int:
             print(f"({pos}, {neg}, {null})")
         return EXIT_OK
     if sub == "snf":
-        D, U, V, _ = smith_normal_form_full(L.gram)
+        D, U, V = smith_normal_form_full(L.gram)
         diag = [D[i][i] for i in range(L.rank)]
         if args.json:
             print(

@@ -67,7 +67,7 @@ class DiscriminantData:
     generators: tuple[tuple[Fraction, ...], ...]
     qvalues: tuple[Fraction, ...]
     bmatrix: tuple[tuple[Fraction, ...], ...]
-    _vinv: intmat.Matrix = field(repr=False, compare=False, default=())
+    _u: intmat.Matrix = field(repr=False, compare=False, default=())
     _diag: tuple[int, ...] = field(repr=False, compare=False, default=())
 
     @property
@@ -86,22 +86,15 @@ class DiscriminantData:
         return " + ".join(f"Z/{d}" for d in self.invariant_factors)
 
     def exponents_of_lift(self, lift) -> tuple[int, ...]:
-        """Coordinates of a dual-lattice lift w.r.t. the stored generators."""
-        lift = tuple(Fraction(x) for x in lift)
-        _require_dual(self.lattice, lift)
-        n = self.lattice.rank
-        coords = [
-            sum(Fraction(self._vinv[j][i]) * lift[i] for i in range(n))
-            for j in range(n)
-        ]
-        out = []
-        for j, d in enumerate(self._diag):
-            if d > 1:
-                m = coords[j] * d
-                if m.denominator != 1:
-                    raise InvalidElementError("lift is not in the dual lattice")
-                out.append(int(m) % d)
-        return tuple(out)
+        """Coordinates of a dual-lattice lift w.r.t. the stored generators.
+
+        x -> G x identifies d(L) with Z^n / G Z^n, and U G V = D carries
+        that onto the sum of the Z/d_j, so the j-th coordinate of x is
+        (U G x)_j mod d_j.
+        """
+        gx = _require_dual(self.lattice, tuple(Fraction(x) for x in lift))
+        ugx = intmat.mat_vec(self._u, gx)
+        return tuple(c % d for c, d in zip(ugx, self._diag) if d > 1)
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +117,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
     if determinant(L) == 0:
         raise DegenerateLatticeError("degenerate lattice has no discriminant group")
     n = L.rank
-    D, _, V, Vinv = intmat.smith_normal_form_full(L.gram)
+    D, U, V = intmat.smith_normal_form_full(L.gram)
     diag = tuple(D[i][i] for i in range(n))
     factors = []
     gens = []
@@ -143,21 +136,24 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
         generators=tuple(gens),
         qvalues=qvals,
         bmatrix=bmat,
-        _vinv=Vinv,
+        _u=U,
         _diag=diag,
     )
 
 
-def _require_dual(L: GramLattice, lift) -> None:
-    """A valid lift pairs integrally with the whole lattice."""
+def _require_dual(L: GramLattice, lift) -> tuple[int, ...]:
+    """A valid lift pairs integrally with the whole lattice; returns G lift."""
     if len(lift) != L.rank:
         raise InvalidElementError("lift has wrong length")
+    gx = []
     for row in L.gram:
         val = sum(Fraction(a) * x for a, x in zip(row, lift))
         if val.denominator != 1:
             raise InvalidElementError(
                 "lift is not in the dual lattice (denominator does not divide the order)"
             )
+        gx.append(int(val))
+    return tuple(gx)
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
         raise LatticeError("S + K must have finite index in the ambient lattice")
 
     stacked = intmat.to_matrix(tuple(S.basis) + tuple(K.basis))
-    D, U, _, _ = intmat.smith_normal_form_full(stacked)
+    D, U, _ = intmat.smith_normal_form_full(stacked)
     diag = [D[i][i] for i in range(n)]
     if any(d == 0 for d in diag):
         raise LatticeError("S + K must have finite index in the ambient lattice")
@@ -298,10 +294,10 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     ds = discriminant_group(SG)
     dk = discriminant_group(KG)
 
-    # Row i of Vinv represents a coset of S + K in L.  U*M*V = D gives
-    # Vinv[i] = (U[i]/d_i)*M, so U[i]/d_i holds its coordinates on the basis
-    # of S followed by the basis of K: the first rank S entries lift into
-    # d(S), the rest into d(K).
+    # U*M*V = D, so row i of U*M is d_i times row i of V^-1, a vector of L
+    # whose class generates a cyclic factor of L/(S + K).  Its coordinates
+    # on the basis of S followed by the basis of K are U[i]/d_i: the first
+    # rank S entries lift into d(S), the rest into d(K).
     gen_lifts = []
     for i, d in enumerate(diag):
         if d > 1:

@@ -127,76 +127,36 @@ def inertia(M: Matrix) -> tuple[int, int, int]:
     return pos, n - pos, 0
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _addmul_row(a, dst, src, q):
-    if q:
-        row_s = a[src]
-        a[dst] = [x + q * y for x, y in zip(a[dst], row_s)]
-
-
-def _negate_row(a, i):
-    a[i] = [-x for x in a[i]]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _addmul_col(a, dst, src, q):
-    if q:
-        for row in a:
-            row[dst] += q * row[src]
-
-
-def _negate_col(a, i):
-    for row in a:
-        row[i] = -row[i]
-
-
 def smith_normal_form_full(M: Matrix):
-    """Return (D, U, V, Vinv) with U*M*V = D diagonal, d1 | d2 | ... >= 0.
+    """Return (D, U, V) with U*M*V = D diagonal, d1 | d2 | ... >= 0.
 
-    U and V are unimodular; Vinv is the exact inverse of V (tracked through
-    the column operations, never computed by matrix inversion).
+    The elimination runs on the block matrix W = [[M, I_m], [I_n, 0]]: a row
+    operation on the first m rows acts on M and builds the unimodular U in
+    the right block, a column operation on the first n columns acts on M and
+    builds the unimodular V in the bottom block.  No inverse is tracked;
+    U*M = D*V^-1, so row i of U*M is d_i times row i of V^-1.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    a = [list(row) for row in M]
-    u = [list(row) for row in identity(m)]
-    v = [list(row) for row in identity(n)]
-    vinv = [list(row) for row in identity(n)]
+    # W without its zero block, which no operation touches
+    a = [list(row) + list(e) for row, e in zip(M, identity(m))]
+    a += [list(row) for row in identity(n)]
 
     def row_swap(i, j):
-        _swap_rows(a, i, j)
-        _swap_rows(u, i, j)
+        a[i], a[j] = a[j], a[i]
 
     def row_addmul(dst, src, q):
-        _addmul_row(a, dst, src, q)
-        _addmul_row(u, dst, src, q)
-
-    def row_negate(i):
-        _negate_row(a, i)
-        _negate_row(u, i)
+        if q:
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
     def col_swap(i, j):
-        _swap_cols(a, i, j)
-        _swap_cols(v, i, j)
-        _swap_rows(vinv, i, j)
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     def col_addmul(dst, src, q):
-        # A <- A*C with C = I + q*E[src,dst]; C^-1 acts on vinv rows.
-        _addmul_col(a, dst, src, q)
-        _addmul_col(v, dst, src, q)
-        _addmul_row(vinv, src, dst, -q)
-
-    def col_negate(i):
-        _negate_col(a, i)
-        _negate_col(v, i)
-        _negate_row(vinv, i)
+        if q:
+            for row in a:
+                row[dst] += q * row[src]
 
     t = 0
     while t < min(m, n):
@@ -246,15 +206,15 @@ def smith_normal_form_full(M: Matrix):
                 break
             row_addmul(t, fix, 1)
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
-    D = to_matrix(a)
-    return D, to_matrix(u), to_matrix(v), to_matrix(vinv)
+    D = to_matrix(row[:n] for row in a[:m])
+    return D, to_matrix(row[n:] for row in a[:m]), to_matrix(a[m:])
 
 
 def invariant_factors(M: Matrix) -> list[int]:
-    D, _, _, _ = smith_normal_form_full(M)
+    D = smith_normal_form_full(M)[0]
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
 
 
@@ -311,7 +271,7 @@ def kernel_basis(M: Matrix) -> Matrix:
     if not M:
         return identity(0)
     n = len(M[0])
-    D, _, V, _ = smith_normal_form_full(M)
+    D, _, V = smith_normal_form_full(M)
     r = len([1 for i in range(min(len(D), n)) if D[i][i]])
     cols = [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
     return hermite_row_basis(cols)

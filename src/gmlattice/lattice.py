@@ -262,16 +262,20 @@ def orthogonal_complement(L: GramLattice, S: Sublattice) -> Sublattice:
 def saturate(L: GramLattice, S: Sublattice) -> tuple[Sublattice, int]:
     """Primitive closure of S (rational span intersected with L) and index.
 
-    The index i satisfies det(S) = i^2 * det(saturation).
+    The index i satisfies det(S) = i^2 * det(saturation).  With
+    U*B*V = D the Smith form of the basis B, the saturation is spanned by
+    the rows of V^-1, and row i of V^-1 is row i of U*B divided by d_i.
     """
     if S.ambient != L:
         raise LatticeError("sublattice does not live in the given lattice")
     if not S.basis:
         return S, 1
-    D, _, _, Vinv = intmat.smith_normal_form_full(S.basis)
-    r = S.rank
-    factors = [D[i][i] for i in range(r)]
-    sat_rows = intmat.hermite_row_basis(Vinv[:r])
+    D, U, _ = intmat.smith_normal_form_full(S.basis)
+    factors = [D[i][i] for i in range(S.rank)]
+    UB = intmat.mat_mul(U, S.basis)
+    sat_rows = intmat.hermite_row_basis(
+        tuple(x // d for x in row) for row, d in zip(UB, factors)
+    )
     index = 1
     for d in factors:
         index *= d
@@ -451,8 +455,11 @@ def is_isometric_small(L1: GramLattice, L2: GramLattice) -> IsometryResult:
     indefinite ones the columns are drawn from |coords| <= ISOMETRY_BOX,
     each pool tried by sup-norm and then lexicographically, and the search
     reports "inconclusive" when the box is exhausted or after
-    ISOMETRY_CHECKS_MAX candidate checks.  Ranks above ISOMETRY_RANK_MAX
-    are refused with UnsupportedRankError.
+    ISOMETRY_CHECKS_MAX candidate checks.  It reports "inconclusive" at
+    once when building the pools would walk more than ISOMETRY_CHECKS_MAX
+    box prefixes, n*(2*ISOMETRY_BOX+1)^(n-1): at ISOMETRY_BOX = 10, for
+    every indefinite rank above 4.  Ranks above ISOMETRY_RANK_MAX are refused
+    with UnsupportedRankError.
     """
     n = L1.rank
     if n > ISOMETRY_RANK_MAX or L2.rank > ISOMETRY_RANK_MAX:
@@ -468,7 +475,10 @@ def is_isometric_small(L1: GramLattice, L2: GramLattice) -> IsometryResult:
     if n == 0:
         return IsometryResult("isometric", ())
     definite = sig[0] == n or sig[1] == n
-    if not definite and abs(d1) > ISOMETRY_DET_MAX:
+    if not definite and (
+        abs(d1) > ISOMETRY_DET_MAX
+        or n * (2 * ISOMETRY_BOX + 1) ** (n - 1) > ISOMETRY_CHECKS_MAX
+    ):
         return IsometryResult("inconclusive")
 
     G1, G2 = L1.gram, L2.gram

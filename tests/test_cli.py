@@ -107,6 +107,54 @@ def test_output_is_byte_stable(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == STABLE_OUTPUTS[argv]
 
 
+def _lambda_gram_text():
+    from gmlattice.lattice import format_gram_text, standard_lattice
+
+    return format_gram_text(standard_lattice("Lambda"))
+
+
+# (Gram text, a non-primitive basis) for the d = 12 labelling, Lambda and an
+# even indefinite rank-4 lattice with d(L) = Z/2 + Z/216
+STABLE_LATTICES = {
+    "d12": ("3\n-2 0 1\n0 -2 1\n1 1 2\n", "2 0 2; 0 3 3"),
+    "Lambda": (
+        _lambda_gram_text(),
+        "2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2; "
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0 3 0 0 0",
+    ),
+    "rank4": ("4\n2 1 0 3\n1 -4 3 0\n0 3 6 1\n3 0 1 -2\n", "2 4 0 6; 1 -1 3 0; 0 0 4 2"),
+}
+
+# sha256 of `lattice <sub> --json`: snf prints the Smith transforms U and V,
+# so a change to the elimination order shows here
+STABLE_LATTICE_OUTPUTS = {
+    ("d12", "snf"): "4c3e01f7958f36038c0f623d6cc0eb22eab855d8ab3059eeb92a2ab16711fcea",
+    ("d12", "disc-group"): "ab4d909e2679fe1a98b37d7f6d404083d42f16669576f548ddab736107bca571",
+    ("d12", "saturate"): "f777a56e719047544c9b734b578521843ee843daab832c870661764f26f6b81b",
+    ("d12", "complement"): "1b4be7bf8533e84cba64adb6de0034fd37bc9220e445d30d18cbd9f1ce08552c",
+    ("Lambda", "snf"): "8d7ea22b0284ce9c8c7f3c6852fe7cea6e7cacd3031a90830e531239480bfa66",
+    ("Lambda", "disc-group"): "e8cb64d68cd7e446aa3c2a5969c4e0518b8087c9bca17105fa6b5158be66eacc",
+    ("Lambda", "saturate"): "56e31021b145423ea23e36322355506ca1cff36f92252956bc155889e74e72c0",
+    ("Lambda", "complement"): "85c49b02bfd0080e9a782c653b734061e70366dbb082196adaa4b3a79eb9bce8",
+    ("rank4", "snf"): "212ed756ef32d45f4ab9830e03fbc9fb35b92ab9c312fad0a18a1397657fdc93",
+    ("rank4", "disc-group"): "89bbd92dbd5a27fb260885bb6a9f158846fd11d9e306b5fb3a1d7de7e5840146",
+    ("rank4", "saturate"): "6590724fe8bc5facdc48d1ae843e8c67716a2836198ca209fc57115d5d1941a8",
+    ("rank4", "complement"): "ffab855319867a9e33b9c500365ecb50d08d5b3f8e679b8f45c163d3f2decc23",
+}
+
+
+@pytest.mark.parametrize("name,sub", sorted(STABLE_LATTICE_OUTPUTS))
+def test_lattice_output_is_byte_stable(tmp_path, capsys, name, sub):
+    text, basis = STABLE_LATTICES[name]
+    f = tmp_path / f"{name}.gram"
+    f.write_text(text)
+    extra = ("--basis", basis) if sub in ("saturate", "complement") else ()
+    code, out, _ = run(capsys, "lattice", sub, str(f), "--json", *extra)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == STABLE_LATTICE_OUTPUTS[(name, sub)]
+
+
 def test_scan_star3_filter(capsys):
     code, out, _ = run(capsys, "scan", "50", "--filter", "star3")
     assert code == 0

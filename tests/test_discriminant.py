@@ -1,6 +1,7 @@
 """Discriminant groups, isotropy checks, and lattice gluing."""
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from random import Random
 
@@ -44,7 +45,7 @@ def random_even(rng, n, lo=-4, hi=4):
 
 
 def test_smith_normal_form_of_labelling_gram():
-    D, U, V, _ = intmat.smith_normal_form_full(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
+    D, U, V = intmat.smith_normal_form_full(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
     assert [D[i][i] for i in range(3)] == [1, 1, 10]
 
 
@@ -104,6 +105,29 @@ def test_disc_group_order_equals_det_random():
                 assert val.denominator == 1
             scaled = tuple(order * x for x in g)
             assert all(x.denominator == 1 for x in scaled)
+        done += 1
+
+
+def test_exponents_of_lift_inverts_the_generators():
+    # brute force: every class of d(L) is the coset sum(e_j g_j) + Z^n, so
+    # keying the exponent tuples by that coset mod 1 must give |d(L)| keys,
+    # and each lift sum(e_j g_j) + y (y in L) must read back as e
+    rng = Random(23)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        L = random_even(rng, n)
+        d = determinant(L)
+        if d == 0 or abs(d) > 200:
+            continue
+        dg = discriminant_group(L)
+        by_coset = {}
+        for e in product(*(range(k) for k in dg.invariant_factors)):
+            x = [sum(ej * g[i] for ej, g in zip(e, dg.generators)) for i in range(n)]
+            by_coset[tuple(xi - xi.__floor__() for xi in map(Fraction, x))] = e
+            y = [rng.randint(-5, 5) for _ in range(n)]
+            assert dg.exponents_of_lift([xi + yi for xi, yi in zip(x, y)]) == e
+        assert len(by_coset) == dg.order
         done += 1
 
 

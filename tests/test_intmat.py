@@ -63,11 +63,11 @@ def test_bareiss_matches_cofactor_expansion():
 
 
 def test_smith_normal_form_examples():
-    D, U, V, _ = intmat.smith_normal_form_full(((2, 0), (0, 2)))
+    D, U, V = intmat.smith_normal_form_full(((2, 0), (0, 2)))
     assert (D[0][0], D[1][1]) == (2, 2)
-    D, U, V, _ = intmat.smith_normal_form_full(((0, 1), (1, 0)))
+    D, U, V = intmat.smith_normal_form_full(((0, 1), (1, 0)))
     assert (D[0][0], D[1][1]) == (1, 1)
-    D, U, V, _ = intmat.smith_normal_form_full(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
+    D, U, V = intmat.smith_normal_form_full(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
     assert (D[0][0], D[1][1], D[2][2]) == (1, 1, 10)
 
 
@@ -76,11 +76,16 @@ def test_smith_normal_form_properties_random():
     for _ in range(80):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         M = random_matrix(rng, m, n)
-        D, U, V, Vinv = intmat.smith_normal_form_full(M)
+        D, U, V = intmat.smith_normal_form_full(M)
         assert intmat.mat_mul(intmat.mat_mul(U, M), V) == D
         assert abs(intmat.bareiss_det(U)) == 1
         assert abs(intmat.bareiss_det(V)) == 1
-        assert intmat.mat_mul(V, Vinv) == intmat.identity(n)
+        if m == n and intmat.bareiss_det(M):
+            # row i of U*M is d_i times row i of V^-1
+            UM = intmat.mat_mul(U, M)
+            assert all(x % D[i][i] == 0 for i in range(n) for x in UM[i])
+            Vinv = [[x // D[i][i] for x in UM[i]] for i in range(n)]
+            assert intmat.mat_mul(V, Vinv) == intmat.identity(n)
         diag = [D[i][i] for i in range(min(m, n))]
         for a, b in zip(diag, diag[1:]):
             if b != 0:
@@ -98,7 +103,7 @@ def test_smith_normal_form_hypothesis(m, n, data):
     M = tuple(
         tuple(data.draw(st.integers(-30, 30)) for _ in range(n)) for _ in range(m)
     )
-    D, U, V, _ = intmat.smith_normal_form_full(M)
+    D, U, V = intmat.smith_normal_form_full(M)
     assert intmat.mat_mul(intmat.mat_mul(U, M), V) == D
     for i in range(m):
         for j in range(n):

@@ -306,6 +306,35 @@ def test_saturation_determinant_law_random():
         checked += 1
 
 
+def test_saturate_contains_s_and_has_the_smith_index():
+    # the saturation contains S, is primitive, has the rank of S, and
+    # [sat : S] is the product of the invariant factors of S.basis
+    rng = Random(10)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(1, 5)
+        L = random_symmetric(rng, n)
+        k = rng.randint(1, n)
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k))
+        if intmat.rank(rows) != k:
+            continue
+        sat, idx = saturate(L, Sublattice(L, rows))
+        assert sat.rank == k and sat.is_primitive()
+        # each row of S lies in the row module of sat
+        assert all(
+            intmat.hermite_row_basis(sat.basis + (v,)) == sat.basis for v in rows
+        )
+        product_of_factors = 1
+        for f in intmat.invariant_factors(rows):
+            product_of_factors *= f
+        assert idx == product_of_factors
+        # the index of S in sat, from the coordinates of S on sat's basis
+        coords = intmat.mat_mul(rows, intmat.transpose(sat.basis))
+        gram_sat = intmat.mat_mul(sat.basis, intmat.transpose(sat.basis))
+        assert abs(intmat.bareiss_det(coords)) == idx * abs(intmat.bareiss_det(gram_sat))
+        checked += 1
+
+
 def test_primitive_complement_index_law():
     # det(S) * det(S_perp) = det(L) * [L : S + S_perp]^2
     rng = Random(10)
@@ -562,6 +591,17 @@ def test_isometry_indefinite_search_is_limited():
     if res:
         T = res.matrix
         assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(T), L1.gram), T) == L2.gram
+
+
+def test_isometry_indefinite_rank6_is_inconclusive_at_once():
+    # building the pools would walk 6 * 21^5 box prefixes, past
+    # ISOMETRY_CHECKS_MAX, so the search must give up before it starts
+    U = standard_lattice("U")
+    L = direct_sum(U, U, U)
+    start = time.perf_counter()
+    res = is_isometric_small(L, L)
+    assert time.perf_counter() - start < 1
+    assert res.status == "inconclusive"
 
 
 def test_isometry_rank_cap():
