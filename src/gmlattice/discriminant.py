@@ -6,12 +6,18 @@ with q: d(L) -> Q/2Z and b: d(L) x d(L) -> Q/Z.  Values are exact Fractions
 reduced to [0,2) and [0,1).  Gluing two even lattices along an isotropic
 subgroup of d(left) + d(right) produces the even overlattice generated by
 the rational lifts.
+
+Fractions appear only at the API: in the values returned and in the lifts
+taken as arguments.  Inside, a rational lift x is held as integer
+numerators over one denominator t together with the integer vector G x,
+so a pairing is an integer dot product over t, a dual-lattice test is a
+divisibility test, and one Fraction is built per value stored.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import lcm
+from operator import mul
 
 from .errors import (
     DegenerateLatticeError,
@@ -32,25 +38,46 @@ __all__ = [
     "glue_extension_check",
 ]
 
-# largest order of d(S) + d(K) that glue_extension_check enumerates
+# largest order of d(S) + d(K) that glue_extension_check accepts; its two
+# subgroup walks (H and the image of the H-perp test) stay below it
 GROUP_MAX = 200000
 
 
-def _mod2(x: Fraction) -> Fraction:
-    return x - 2 * (x / 2).__floor__()
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - x.__floor__()
+def _q(s: int, t: int) -> Fraction:
+    """s / t reduced mod 2, into [0, 2)."""
+    return Fraction(s % (2 * t), t)
 
 
-def _frac_pairing(gram, v, w) -> Fraction:
-    total = Fraction(0)
-    for i, vi in enumerate(v):
-        if vi:
-            row = gram[i]
-            total += vi * sum(Fraction(row[j]) * w[j] for j in range(len(w)) if w[j])
-    return total
+def _b(s: int, t: int) -> Fraction:
+    """s / t reduced mod 1, into [0, 1)."""
+    return Fraction(s % t, t)
+
+
+def _numerators(lift) -> tuple[tuple[int, ...], int]:
+    """A rational vector as integer numerators over one denominator t."""
+    fr = [Fraction(x) for x in lift]
+    t = lcm(*(x.denominator for x in fr))
+    return tuple(x.numerator * (t // x.denominator) for x in fr), t
+
+
+def _dual_image(L: GramLattice, num, t: int) -> tuple[int, ...]:
+    """G x for x = num / t, which must lie in the dual lattice, i.e. pair
+    integrally with the whole lattice."""
+    if len(num) != L.rank:
+        raise InvalidElementError("lift has wrong length")
+    gx = []
+    for row in L.gram:
+        q, r = divmod(_dot(row, num), t)
+        if r:
+            raise InvalidElementError(
+                "lift is not in the dual lattice (denominator does not divide the order)"
+            )
+        gx.append(q)
+    return tuple(gx)
 
 
 @dataclass(frozen=True)
@@ -92,9 +119,11 @@ class DiscriminantData:
         that onto the sum of the Z/d_j, so the j-th coordinate of x is
         (U G x)_j mod d_j.
         """
-        gx = _require_dual(self.lattice, tuple(Fraction(x) for x in lift))
-        ugx = intmat.mat_vec(self._u, gx)
-        return tuple(c % d for c, d in zip(ugx, self._diag) if d > 1)
+        return self._exponents(_dual_image(self.lattice, *_numerators(lift)))
+
+    def _exponents(self, gx) -> tuple[int, ...]:
+        """exponents_of_lift, given G x."""
+        return tuple(_dot(row, gx) % d for row, d in zip(self._u, self._diag) if d > 1)
 
     def to_dict(self) -> dict:
         return {
@@ -110,50 +139,30 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
 
     The Smith decomposition U G V = D identifies L*/L with the cokernel of
     G; the class of column j of V divided by D[j][j] is a generator of
-    order D[j][j].
+    order D[j][j].  G is singular iff some D[j][j] is 0.
     """
     if not L.is_even():
         raise LatticeError("discriminant form is defined for even lattices")
-    if determinant(L) == 0:
-        raise DegenerateLatticeError("degenerate lattice has no discriminant group")
     n = L.rank
     D, U, V = intmat.smith_normal_form_full(L.gram)
     diag = tuple(D[i][i] for i in range(n))
-    factors = []
-    gens = []
-    for j in range(n):
-        d = diag[j]
-        if d > 1:
-            factors.append(d)
-            gens.append(tuple(Fraction(V[i][j], d) for i in range(n)))
-    qvals = tuple(_mod2(_frac_pairing(L.gram, g, g)) for g in gens)
-    bmat = tuple(
-        tuple(_mod1(_frac_pairing(L.gram, g, h)) for h in gens) for g in gens
-    )
+    if 0 in diag:
+        raise DegenerateLatticeError("degenerate lattice has no discriminant group")
+    factors = tuple(d for d in diag if d > 1)
+    # generator j is cols[j] / d_j, and G times it is the integer vector gcols[j]
+    cols = [tuple(row[j] for row in V) for j in range(n) if diag[j] > 1]
+    gcols = [_dual_image(L, c, d) for c, d in zip(cols, factors)]
     return DiscriminantData(
         lattice=L,
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
-        qvalues=qvals,
-        bmatrix=bmat,
+        invariant_factors=factors,
+        generators=tuple(tuple(Fraction(x, d) for x in c) for c, d in zip(cols, factors)),
+        qvalues=tuple(_q(_dot(c, gc), d) for c, gc, d in zip(cols, gcols, factors)),
+        bmatrix=tuple(
+            tuple(_b(_dot(c, gc), d) for gc in gcols) for c, d in zip(cols, factors)
+        ),
         _u=U,
         _diag=diag,
     )
-
-
-def _require_dual(L: GramLattice, lift) -> tuple[int, ...]:
-    """A valid lift pairs integrally with the whole lattice; returns G lift."""
-    if len(lift) != L.rank:
-        raise InvalidElementError("lift has wrong length")
-    gx = []
-    for row in L.gram:
-        val = sum(Fraction(a) * x for a, x in zip(row, lift))
-        if val.denominator != 1:
-            raise InvalidElementError(
-                "lift is not in the dual lattice (denominator does not divide the order)"
-            )
-        gx.append(int(val))
-    return tuple(gx)
 
 
 @dataclass(frozen=True)
@@ -176,35 +185,42 @@ class GlueData:
         object.__setattr__(self, "subgroup_gens", gens)
 
 
+def _glue_lifts(left: GramLattice, right: GramLattice, pairs):
+    """Each pair (a, b) = (na, nb) / t over one denominator t, as the tuple
+    (na, nb, t, G_left a, G_right b); raises unless a and b lie in the duals."""
+    out = []
+    for a, b in pairs:
+        num, t = _numerators(a + b)
+        na, nb = num[: len(a)], num[len(a) :]
+        out.append((na, nb, t, _dual_image(left, na, t), _dual_image(right, nb, t)))
+    return out
+
+
+def _isotropic(lifts) -> bool:
+    """q(x) = (na.G a + nb.G b) / t vanishes mod 2 on every lift, b mod 1 on
+    every pair."""
+    for na, nb, t, ga, gb in lifts:
+        if (_dot(na, ga) + _dot(nb, gb)) % (2 * t):
+            return False
+    for i, (na, nb, t, _, _) in enumerate(lifts):
+        for _, _, _, ga, gb in lifts[i + 1 :]:
+            if (_dot(na, ga) + _dot(nb, gb)) % t:
+                return False
+    return True
+
+
 def check_isotropic(g: GlueData) -> bool:
     """True iff every generator has q = 0 (mod 2) and all pairs have
     b = 0 (mod 1), i.e. the glue group is isotropic for q_left + q_right."""
-    for a, b in g.subgroup_gens:
-        _require_dual(g.left, a)
-        _require_dual(g.right, b)
-    gens = g.subgroup_gens
-    for a, b in gens:
-        q = _mod2(_frac_pairing(g.left.gram, a, a) + _frac_pairing(g.right.gram, b, b))
-        if q != 0:
-            return False
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            ai, bi = gens[i]
-            aj, bj = gens[j]
-            bb = _mod1(
-                _frac_pairing(g.left.gram, ai, aj)
-                + _frac_pairing(g.right.gram, bi, bj)
-            )
-            if bb != 0:
-                return False
-    return True
+    return _isotropic(_glue_lifts(g.left, g.right, g.subgroup_gens))
 
 
 def glue_with_basis(g: GlueData):
     """Glue and also return (overlattice, basis rows over Q, glue index).
 
     The overlattice is generated by left + right and the lifts; its basis is
-    extracted by Hermite reduction of the scaled generators.  The basis rows
+    extracted by Hermite reduction of the generators scaled by their common
+    denominator t, so the new Gram is (H_i G H_j) / t^2.  The basis rows
     express the new basis in the old left+right coordinates, so
     det(out) * index^2 = det(left) * det(right).
     """
@@ -214,33 +230,34 @@ def glue_with_basis(g: GlueData):
     n = n1 + n2
     big = [list(row) + [0] * n2 for row in g.left.gram]
     big += [[0] * n1 + list(row) for row in g.right.gram]
-    gram = intmat.to_matrix(big)
 
-    rows = [tuple(Fraction(x) for x in row) for row in intmat.identity(n)]
-    rows += [a + b for a, b in g.subgroup_gens]
-    t = lcm(*(x.denominator for row in rows for x in row)) if rows else 1
-    scaled = [tuple(int(x * t) for x in row) for row in rows]
+    nums = [_numerators(a + b) for a, b in g.subgroup_gens]
+    t = lcm(*(s for _, s in nums))
+    scaled = [tuple(t if i == j else 0 for j in range(n)) for i in range(n)]
+    scaled += [tuple(x * (t // s) for x in num) for num, s in nums]
     H = intmat.hermite_row_basis(scaled)
     if len(H) != n:
         raise GlueObstructionError("glue generators do not span a finite overlattice")
-    basis = tuple(tuple(Fraction(x, t) for x in row) for row in H)
     det_h = intmat.bareiss_det(H)
     index, rem = divmod(t**n, det_h)
     if rem:
         raise GlueObstructionError("overlattice index is not integral")
 
+    t2 = t * t
+    gh = [intmat.mat_vec(big, h) for h in H]
     new_gram = []
-    for v in basis:
+    for h in H:
         row_vals = []
-        for w in basis:
-            val = _frac_pairing(gram, v, w)
-            if val.denominator != 1:
+        for w in gh:
+            val, r = divmod(_dot(h, w), t2)
+            if r:
                 raise GlueObstructionError("glued form is not integral")
-            row_vals.append(int(val))
+            row_vals.append(val)
         new_gram.append(tuple(row_vals))
     out = GramLattice(tuple(new_gram))
     if not out.is_even():
         raise GlueObstructionError("glued lattice is not even")
+    basis = tuple(tuple(Fraction(x, t) for x in row) for row in H)
     return out, basis, index
 
 
@@ -264,18 +281,33 @@ class GlueExtensionReport:
     det_law_holds: bool
 
 
+def _subgroup_order(gens, moduli) -> int:
+    """Order of the subgroup of the sum of the Z/m (m in moduli) generated by
+    gens, by walking it."""
+    zero = tuple(0 for _ in moduli)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((c + x) % m for c, x, m in zip(cur, g, moduli))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
 def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     """Compute H = L/(S + K) as a subgroup of d(S) + d(K), verify that it is
-    isotropic, and verify |d(L)| = |H_perp / H| by enumerating the (finite)
-    ambient discriminant sum.
+    isotropic, and verify |d(L)| = |H_perp / H| on the (finite) ambient
+    discriminant sum, where |d(L)| = |det L|.
     """
     L = S.ambient
     if K.ambient != L:
         raise LatticeError("S and K must live in the same ambient lattice")
-    for v in S.basis:
-        for w in K.basis:
-            if L.pairing(v, w) != 0:
-                raise LatticeError("S and K must be orthogonal")
+    gk = [intmat.mat_vec(L.gram, w) for w in K.basis]
+    if any(_dot(v, gw) for v in S.basis for gw in gk):
+        raise LatticeError("S and K must be orthogonal")
     n = L.rank
     if S.rank + K.rank != n:
         raise LatticeError("S + K must have finite index in the ambient lattice")
@@ -299,63 +331,44 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     # on the basis of S followed by the basis of K are U[i]/d_i: the first
     # rank S entries lift into d(S), the rest into d(K).
     gen_lifts = []
-    for i, d in enumerate(diag):
+    for row, d in zip(U, diag):
         if d > 1:
-            x = tuple(Fraction(u, d) for u in U[i])
+            x = tuple(Fraction(u, d) for u in row)
             gen_lifts.append((x[: S.rank], x[S.rank :]))
+    lifts = _glue_lifts(SG, KG, gen_lifts)
+    qvals = tuple(_q(_dot(na, ga) + _dot(nb, gb), t) for na, nb, t, ga, gb in lifts)
+    iso = _isotropic(lifts)
 
-    qvals = tuple(
-        _mod2(_frac_pairing(SG.gram, a, a) + _frac_pairing(KG.gram, b, b))
-        for a, b in gen_lifts
-    )
-    iso = check_isotropic(GlueData(SG, KG, tuple(gen_lifts)))
-
-    # enumerate d(S) + d(K) to measure H_perp / H
-    orders = list(ds.invariant_factors) + list(dk.invariant_factors)
+    orders = ds.invariant_factors + dk.invariant_factors
     total = 1
     for d in orders:
         total *= d
     if total > GROUP_MAX:
         raise LatticeError(f"discriminant sum of order {total} exceeds GROUP_MAX = {GROUP_MAX}")
 
+    h_exp = [ds._exponents(ga) + dk._exponents(gb) for _, _, _, ga, gb in lifts]
+
+    # b on d(S) + d(K) is C / N: C block diagonal, N the common denominator
+    N = lcm(*(b.denominator for dg in (ds, dk) for row in dg.bmatrix for b in row))
     ns = len(ds.invariant_factors)
-    h_exp = []
-    for a, b in gen_lifts:
-        h_exp.append(ds.exponents_of_lift(a) + dk.exponents_of_lift(b))
+    C = [[0] * len(orders) for _ in orders]
+    for off, dg in ((0, ds), (ns, dk)):
+        for i, row in enumerate(dg.bmatrix):
+            for j, b in enumerate(row):
+                C[off + i][off + j] = b.numerator * (N // b.denominator)
+    # with g_k the generators of d(S) + d(K), c_k holds N b(g_k, h) mod N for
+    # each generator h of H: H_perp is the kernel of x -> sum_k x_k c_k, whose
+    # image is the span of the c_k, so |H_perp| = |d(S) + d(K)| / |span|
+    c = [tuple(_dot(row, h) % N for h in h_exp) for row in C]
+    hperp = total // _subgroup_order(c, (N,) * len(h_exp))
+    hperp_mod_h = hperp // _subgroup_order(h_exp, orders)
 
-    bmat = [[Fraction(0)] * len(orders) for _ in range(len(orders))]
-    for i in range(ns):
-        for j in range(ns):
-            bmat[i][j] = ds.bmatrix[i][j]
-    for i in range(len(dk.invariant_factors)):
-        for j in range(len(dk.invariant_factors)):
-            bmat[ns + i][ns + j] = dk.bmatrix[i][j]
-
-    def b_pair(x, y):
-        return _mod1(
-            sum(
-                Fraction(x[i]) * y[j] * bmat[i][j]
-                for i in range(len(orders))
-                for j in range(len(orders))
-                if x[i] and y[j] and bmat[i][j]
-            )
-        )
-
-    elements = list(product(*(range(d) for d in orders))) if orders else [()]
-    h_set = {tuple(0 for _ in orders)}
-    frontier = [tuple(0 for _ in orders)]
-    while frontier:
-        cur = frontier.pop()
-        for gen in h_exp:
-            nxt = tuple((c + g) % d for c, g, d in zip(cur, gen, orders))
-            if nxt not in h_set:
-                h_set.add(nxt)
-                frontier.append(nxt)
-    hperp = [x for x in elements if all(b_pair(x, h) == 0 for h in h_exp)]
-    hperp_mod_h = len(hperp) // len(h_set) if h_set else 1
-
-    disc_l = discriminant_group(L).order
-    det_law = determinant(L) * glue_order**2 == determinant(SG) * determinant(KG)
+    # d(L) is defined for even L only, and |d(L)| = |L*/L| = |det L|
+    if not L.is_even():
+        raise LatticeError("discriminant form is defined for even lattices")
+    det_l = determinant(L)
+    disc_l = abs(det_l)
+    det_law = det_l * glue_order**2 == determinant(SG) * determinant(KG)
 
     return GlueExtensionReport(
         glue_order=glue_order,

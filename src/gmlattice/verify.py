@@ -72,15 +72,16 @@ def check_i20_twist():
 def check_mukai_lattice(L: GramLattice | None = None):
     L = L or standard_lattice("LambdaTilde")
     M = mukai_sign_reversed()
+    det_l, sig_l, sig_m = determinant(L), signature(L), signature(M)
     ok = (
         L.rank == 24
-        and determinant(L) == 1
-        and signature(L) == (4, 20, 0)
+        and det_l == 1
+        and sig_l == (4, 20, 0)
         and determinant(M) == 1
-        and signature(M) == (20, 4, 0)
+        and sig_m == (20, 4, 0)
         and M.is_even()
     )
-    return ok, f"det={determinant(L)} sig={signature(L)} reversed sig={signature(M)}"
+    return ok, f"det={det_l} sig={sig_l} reversed sig={sig_m}"
 
 
 def _mukai_embedding_vectors():
@@ -97,14 +98,15 @@ def check_mukai_embedding_complement(M: GramLattice | None = None):
     K = Sublattice(M, (f1, f2))
     comp = orthogonal_complement(M, K)
     G = comp.gram()
+    det_g, sig_g = determinant(G), signature(G)
     dg = discriminant_group(G)
     # the unimodular ambient glues the two pieces along a group of order 4
     ext = glue_extension_check(comp, K)
     ok = (
         comp.rank == 22
-        and determinant(G) == 4
+        and det_g == 4
         and G.is_even()
-        and signature(G) == (20, 2, 0)
+        and sig_g == (20, 2, 0)
         and dg.invariant_factors == (2, 2)
         and ext.glue_order == 4
         and ext.disc_order_ambient == 1
@@ -112,7 +114,7 @@ def check_mukai_embedding_complement(M: GramLattice | None = None):
         and ext.det_law_holds
     )
     return ok, (
-        f"complement rank={comp.rank} det={determinant(G)} sig={signature(G)} "
+        f"complement rank={comp.rank} det={det_g} sig={sig_g} "
         f"d(L)={dg.group_name()}; glue |H|={ext.glue_order}, ambient d trivial"
     )
 

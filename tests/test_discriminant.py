@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from random import Random
+import time
 
 import pytest
 
@@ -27,10 +28,28 @@ from gmlattice import (
     standard_lattice,
     twist,
 )
-from gmlattice.discriminant import glue_with_basis
+from gmlattice.discriminant import GROUP_MAX, glue_with_basis
 from gmlattice import intmat
 
 H = Fraction(1, 2)
+
+
+# Fraction reference for the integer arithmetic inside gmlattice.discriminant
+def frac_pairing(gram, v, w) -> Fraction:
+    total = Fraction(0)
+    for i, vi in enumerate(v):
+        if vi:
+            row = gram[i]
+            total += vi * sum(Fraction(row[j]) * w[j] for j in range(len(w)) if w[j])
+    return total
+
+
+def mod2(x: Fraction) -> Fraction:
+    return x - 2 * (x / 2).__floor__()
+
+
+def mod1(x: Fraction) -> Fraction:
+    return x - x.__floor__()
 
 
 def random_even(rng, n, lo=-4, hi=4):
@@ -152,6 +171,44 @@ def test_q_values_negate_under_twist():
         done += 1
 
 
+def test_integer_paths_match_the_fraction_reference():
+    # 200 random even nondegenerate L of rank 1-8: q and b of the generators,
+    # exponents of their multiples, and the glue of L + L(-1) along the
+    # diagonal of a random subgroup of d(L), whose index is that subgroup's
+    # order and whose Gram is the reference pairing of the returned basis
+    rng = Random(29)
+    done = 0
+    while done < 200:
+        n = rng.randint(1, 8)
+        L = random_even(rng, n)
+        d = determinant(L)
+        if d == 0:
+            continue
+        dg = discriminant_group(L)
+        assert dg.order == abs(d)
+        gens = dg.generators
+        assert dg.qvalues == tuple(mod2(frac_pairing(L.gram, g, g)) for g in gens)
+        assert dg.bmatrix == tuple(
+            tuple(mod1(frac_pairing(L.gram, g, h)) for h in gens) for g in gens
+        )
+        pairs = []
+        order = 1
+        for j, (g, f) in enumerate(zip(gens, dg.invariant_factors)):
+            m = rng.randint(0, f)
+            e = tuple(m % f if i == j else 0 for i in range(len(gens)))
+            assert dg.exponents_of_lift(tuple(m * x for x in g)) == e
+            if rng.random() < 0.7:
+                pairs.append((tuple(m * x for x in g), tuple(m * x for x in g)))
+                order *= f // gcd(m, f)
+        Lneg = twist(L, -1)
+        out, basis, index = glue_with_basis(GlueData(L, Lneg, tuple(pairs)))
+        big = direct_sum(L, Lneg).gram
+        assert out.gram == tuple(tuple(frac_pairing(big, v, w) for w in basis) for v in basis)
+        assert index == order
+        assert determinant(out) * index**2 == d * determinant(Lneg)
+        done += 1
+
+
 # ---------------------------------------------------------------------------
 # isotropy and glue
 
@@ -169,6 +226,16 @@ def test_isotropy_rejects_the_sum_class():
 def test_isotropy_of_opposite_forms():
     g = GlueData(GramLattice(((2,),)), GramLattice(((-2,),)), (((H,), (H,)),))
     assert check_isotropic(g) is True
+
+
+def test_isotropy_needs_the_pairings_too():
+    # in d(U(2)) = (Z/2)^2, e1/2 and e2/2 each have q = 0, but b = 1/2
+    U2 = twist(standard_lattice("U"), 2)
+    U = standard_lattice("U")
+    first, second = ((H, 0), (0, 0)), ((0, H), (0, 0))
+    assert check_isotropic(GlueData(U2, U, (first,)))
+    assert check_isotropic(GlueData(U2, U, (second,)))
+    assert not check_isotropic(GlueData(U2, U, (first, second)))
 
 
 def test_isotropy_trivial_group():
@@ -381,8 +448,44 @@ def test_extension_check_random_orthogonal_pairs():
         assert rep.isotropic
         assert rep.det_law_holds
         assert rep.quotient_identity_holds
+        assert rep.disc_order_ambient == discriminant_group(L).order
+        # |H_perp| and |H| against enumerating d(S) + d(K) with Fraction sums
+        ds, dk = discriminant_group(S.gram()), discriminant_group(K.gram())
+        gens = [g + (0,) * K.rank for g in ds.generators]
+        gens += [(0,) * S.rank + g for g in dk.generators]
+        glue_vectors = [alpha + beta for alpha, beta in rep.gen_lifts]
+        SK = direct_sum(S.gram(), K.gram()).gram
+        hperp = 0
+        for x in product(*(range(f) for f in ds.invariant_factors + dk.invariant_factors)):
+            y = [sum(xi * g[j] for xi, g in zip(x, gens)) for j in range(n)]
+            hperp += all(mod1(frac_pairing(SK, y, v)) == 0 for v in glue_vectors)
+        h_order = len({
+            tuple(mod1(sum(c * v[j] for c, v in zip(cs, glue_vectors))) for j in range(n))
+            for cs in product(*(range(f) for f in rep.glue_invariant_factors))
+        })
+        assert hperp == rep.hperp_mod_h_order * h_order
         checked += 1
     assert checked >= 100
+
+
+def test_extension_check_at_group_max_finishes_within_budget():
+    # U + U with S = <(1, 200, 0, 0)> and K = S-perp: d(S) + d(K) has order
+    # 400 * 400 = 160000 <= GROUP_MAX, glued along H of order 400
+    U = standard_lattice("U")
+    L = direct_sum(U, U)
+    S = Sublattice(L, ((1, 200, 0, 0),))
+    K = orthogonal_complement(L, S)
+    total = discriminant_group(S.gram()).order * discriminant_group(K.gram()).order
+    assert total == 160000 <= GROUP_MAX
+    start = time.perf_counter()
+    rep = glue_extension_check(S, K)
+    assert time.perf_counter() - start < 1.0
+    assert rep.glue_order == 400
+    assert rep.isotropic
+    assert rep.disc_order_ambient == 1
+    assert rep.hperp_mod_h_order == 1
+    assert rep.quotient_identity_holds
+    assert rep.det_law_holds
 
 
 def test_extension_check_rejects_non_orthogonal():
