@@ -27,7 +27,6 @@ from .lattice import (
     Sublattice,
     determinant,
     direct_sum,
-    enumerate_vectors,
     find_hyperbolic_plane,
     format_gram_text,
     hyperbolic_partner,
@@ -55,7 +54,6 @@ from .pell import (
     negative_pell,
     pell_general,
     pell_solvable,
-    pell_unit,
 )
 from .forms import BinaryForm, find_prime_1mod4, reduce_form, represents
 from .oracle import (

@@ -9,6 +9,8 @@ used anywhere.
 
 from operator import index as _int
 
+from .arith import xgcd
+
 Matrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
@@ -127,90 +129,95 @@ def inertia(M: Matrix) -> tuple[int, int, int]:
     return pos, n - pos, 0
 
 
+def _echelon(rows, n: int):
+    """Row Hermite form of the first n columns: (H, Z).
+
+    H holds the rows with a pivot, in pivot order, each pivot positive and
+    every entry above it in [0, pivot); Z holds the rows whose first n
+    entries end up 0.  Columns past n ride along, so on [M | I] they record
+    the unimodular transform.  Rows go in one at a time and meet the pivots
+    through unimodular 2x2 xgcd steps; after each insertion every pivot row
+    is size-reduced against the pivots to its right (Kannan & Bachem, SIAM
+    J. Comput. 8, 1979), which keeps the entries near the size of the
+    determinant.
+    """
+    piv = {}  # pivot column -> row
+    Z = []
+    for r in rows:
+        c = first = next((j for j in range(n) if r[j]), n)
+        while c < n:
+            p = piv.get(c)
+            if p is None:
+                piv[c] = r if r[c] > 0 else [-x for x in r]
+                break
+            g, s, t = xgcd(p[c], r[c])
+            a, b = p[c] // g, r[c] // g
+            piv[c] = [s * x + t * y for x, y in zip(p, r)]
+            r = [a * y - b * x for x, y in zip(p, r)]
+            c = next((j for j in range(c + 1, n) if r[j]), n)
+        else:
+            Z.append(r)
+        # the insertion changed only pivots at columns >= first, and reducing
+        # by a pivot changes a row only past that pivot's column, so every
+        # row is still reduced at the pivot columns before first
+        cols = sorted(piv)
+        for k, c in enumerate(cols):
+            if c < first:
+                continue
+            p = piv[c]
+            for above in cols[:k]:
+                q = piv[above][c] // p[c]
+                if q:
+                    piv[above] = [x - q * y for x, y in zip(piv[above], p)]
+    return [piv[c] for c in sorted(piv)], Z
+
+
 def smith_normal_form_full(M: Matrix):
     """Return (D, U, V) with U*M*V = D diagonal, d1 | d2 | ... >= 0.
 
-    The elimination runs on the block matrix W = [[M, I_m], [I_n, 0]]: a row
-    operation on the first m rows acts on M and builds the unimodular U in
-    the right block, a column operation on the first n columns acts on M and
-    builds the unimodular V in the bottom block.  No inverse is tracked;
-    U*M = D*V^-1, so row i of U*M is d_i times row i of V^-1.
+    Alternates a row Hermite form of [A | U] with a column Hermite form of
+    [A^T | V^T] until A is diagonal, then makes each diagonal pair (a, b)
+    into (g, ab/g), g = pa + qb, with U2 = [[p, q], [-b/g, a/g]] on rows i,
+    j of U and V2 = [[1, -qb/g], [1, pa/g]] on columns i, j of V.  D is
+    unique; U and V are one valid choice.  No inverse is tracked; U*M =
+    D*V^-1, so row i of U*M is d_i times row i of V^-1.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    # W without its zero block, which no operation touches
-    a = [list(row) + list(e) for row, e in zip(M, identity(m))]
-    a += [list(row) for row in identity(n)]
+    A, U, V = M, identity(m), identity(n)
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
+    def diagonal(A):
+        return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(A))
 
-    def row_addmul(dst, src, q):
-        if q:
-            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(dst, src, q):
-        if q:
-            for row in a:
-                row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
+    while True:
+        H, Z = _echelon(([*a, *u] for a, u in zip(A, U)), n)
+        A = [r[:n] for r in H + Z]
+        U = [r[n:] for r in H + Z]
+        if diagonal(A):
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            # clear column t below and above, Euclid-style
-            dirty = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
-                    if a[i][t]:
-                        row_swap(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(n):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
-                    if a[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: pivot must divide the rest of the block
-            fix = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            row_addmul(t, fix, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
+        H, Z = _echelon(([*a, *v] for a, v in zip(transpose(A), transpose(V))), m)
+        A = transpose([r[:m] for r in H + Z])
+        V = transpose([r[m:] for r in H + Z])
+        if diagonal(A):
+            break
 
-    D = to_matrix(row[:n] for row in a[:m])
-    return D, to_matrix(row[n:] for row in a[:m]), to_matrix(a[m:])
+    V = [list(row) for row in V]
+    d = [A[i][i] for i in range(min(m, n))]
+    r = len([x for x in d if x])
+    for i in range(r):
+        for j in range(i + 1, r):
+            a, b = d[i], d[j]
+            if b % a:
+                g, p, q = xgcd(a, b)
+                ui, uj = U[i], U[j]
+                U[i] = [p * x + q * y for x, y in zip(ui, uj)]
+                U[j] = [(a * y - b * x) // g for x, y in zip(ui, uj)]
+                for row in V:
+                    x, y = row[i], row[j]
+                    row[i], row[j] = x + y, (p * a * y - q * b * x) // g
+                d[i], d[j] = g, a * b // g
+    D = tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(m))
+    return D, to_matrix(U), to_matrix(V)
 
 
 def invariant_factors(M: Matrix) -> list[int]:
@@ -230,49 +237,19 @@ def hermite_row_basis(rows) -> Matrix:
     rows dropped.  Two generating sets of the same module map to identical
     output, which is what makes enumeration results reproducible.
     """
-    a = [list(map(int, row)) for row in rows if any(row)]
-    if not a:
-        return ()
-    n = len(a[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, len(a)):
-            while a[i][c]:
-                q = a[r][c] // a[i][c]
-                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-                a[r], a[i] = a[i], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == len(a):
-            break
-    return to_matrix(row for row in a[:r] if any(row))
+    rows = [tuple(row) for row in rows]
+    return to_matrix(_echelon(rows, len(rows[0]) if rows else 0)[0])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Primitive basis of {x in Z^n : M x = 0}, as canonical HNF rows.
 
-    The kernel of the Smith decomposition is spanned by the columns of V
-    past the rank; since V is unimodular that span is automatically
-    saturated in Z^n.
+    The row Hermite form of [M^T | I_n] is T*[M^T | I_n] with T unimodular;
+    the parts of T in the rows where M^T went to zero span the kernel, and
+    since T is unimodular that span is saturated in Z^n.
     """
     if not M:
         return identity(0)
     n = len(M[0])
-    D, _, V = smith_normal_form_full(M)
-    r = len([1 for i in range(min(len(D), n)) if D[i][i]])
-    cols = [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
-    return hermite_row_basis(cols)
-
+    _, Z = _echelon(([*c, *e] for c, e in zip(transpose(M), identity(n))), len(M))
+    return hermite_row_basis(z[len(M) :] for z in Z)

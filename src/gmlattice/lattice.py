@@ -28,7 +28,6 @@ __all__ = [
     "Sublattice",
     "determinant",
     "direct_sum",
-    "enumerate_vectors",
     "find_hyperbolic_plane",
     "format_gram_text",
     "hyperbolic_partner",
@@ -248,8 +247,9 @@ class Sublattice:
 def orthogonal_complement(L: GramLattice, S: Sublattice) -> Sublattice:
     """The primitive sublattice of everything orthogonal to S.
 
-    Computed as the integer kernel of B*G via the Smith decomposition, so
-    the result is saturated; its basis is in canonical Hermite form.
+    Computed as the integer kernel of B*G, read off the unimodular
+    transform of one Hermite elimination, so the result is saturated; its
+    basis is in canonical Hermite form.
     """
     if S.ambient != L:
         raise LatticeError("sublattice does not live in the given lattice")
@@ -340,15 +340,6 @@ def _norm_solutions(G, target, bounds):
                         roots.add(z)
             for z in sorted(roots):
                 yield prefix + (z,)
-
-
-def enumerate_vectors(L: GramLattice, target_norm: int, coord_bound: int) -> list[tuple]:
-    """All vectors with |coords| <= coord_bound and given norm, in
-    lexicographic order.  Exhaustive within the box.
-    """
-    if coord_bound < 1:
-        raise LatticeError("coord_bound must be >= 1")
-    return list(_norm_solutions(L.gram, target_norm, [coord_bound] * L.rank))
 
 
 def hyperbolic_partner(L: GramLattice, v):

@@ -42,7 +42,6 @@ __all__ = [
     "negative_pell",
     "pell_general",
     "pell_solvable",
-    "pell_unit",
 ]
 
 # partial quotients multiplied by a linear walk before the product tree merges
@@ -142,14 +141,6 @@ def cf_sqrt(m: int) -> tuple[int, list[int]]:
     """Continued fraction sqrt(m) = [a0; period...], minimal period."""
     period = _period(m)
     return isqrt(m), [a for a, _ in period]
-
-
-def pell_unit(m: int) -> tuple[int, int]:
-    """Fundamental solution (x1, y1) of x^2 - m*y^2 = 1, m >= 2 non-square:
-    the first convergent of norm 1."""
-    x, y = next((h, q) for h, q, norm in _convergents(m, _period(m)) if norm == 1)
-    assert x * x - m * y * y == 1
-    return x, y
 
 
 def negative_pell(m: int) -> PellSolution | None:

@@ -128,16 +128,16 @@ STABLE_LATTICES = {
 # sha256 of `lattice <sub> --json`: snf prints the Smith transforms U and V,
 # so a change to the elimination order shows here
 STABLE_LATTICE_OUTPUTS = {
-    ("d12", "snf"): "4c3e01f7958f36038c0f623d6cc0eb22eab855d8ab3059eeb92a2ab16711fcea",
+    ("d12", "snf"): "9c029d33760ac4e0bacbb1534096127ee15c85e5759093d682801906fd697615",
     ("d12", "disc-group"): "ab4d909e2679fe1a98b37d7f6d404083d42f16669576f548ddab736107bca571",
     ("d12", "saturate"): "f777a56e719047544c9b734b578521843ee843daab832c870661764f26f6b81b",
     ("d12", "complement"): "1b4be7bf8533e84cba64adb6de0034fd37bc9220e445d30d18cbd9f1ce08552c",
-    ("Lambda", "snf"): "8d7ea22b0284ce9c8c7f3c6852fe7cea6e7cacd3031a90830e531239480bfa66",
+    ("Lambda", "snf"): "1e396b806384e4a8f1cbca17f8cf87efe32e205172e012e74c908e49d5af1ddd",
     ("Lambda", "disc-group"): "e8cb64d68cd7e446aa3c2a5969c4e0518b8087c9bca17105fa6b5158be66eacc",
     ("Lambda", "saturate"): "56e31021b145423ea23e36322355506ca1cff36f92252956bc155889e74e72c0",
     ("Lambda", "complement"): "85c49b02bfd0080e9a782c653b734061e70366dbb082196adaa4b3a79eb9bce8",
-    ("rank4", "snf"): "212ed756ef32d45f4ab9830e03fbc9fb35b92ab9c312fad0a18a1397657fdc93",
-    ("rank4", "disc-group"): "89bbd92dbd5a27fb260885bb6a9f158846fd11d9e306b5fb3a1d7de7e5840146",
+    ("rank4", "snf"): "afec18fe2e05b53556cfdcb22945ae1533697fa276f28ddb56738c5366511b8e",
+    ("rank4", "disc-group"): "380f1b41738b4450a141fd2947ba63b887737adb85cb22ef22178e15d06f14c4",
     ("rank4", "saturate"): "6590724fe8bc5facdc48d1ae843e8c67716a2836198ca209fc57115d5d1941a8",
     ("rank4", "complement"): "ffab855319867a9e33b9c500365ecb50d08d5b3f8e679b8f45c163d3f2decc23",
 }
@@ -377,6 +377,17 @@ def test_lattice_rejects_bad_files(tmp_path, capsys):
     assert "symmetric" in err
     code, _, err = run(capsys, "lattice", "det", str(tmp_path / "missing.gram"))
     assert code == 1
+    # a Gram past the rank limit is refused before any elimination
+    from gmlattice.cli import LATTICE_RANK_MAX
+    from gmlattice.lattice import format_gram_text, standard_lattice
+
+    for n, want in ((LATTICE_RANK_MAX, 0), (LATTICE_RANK_MAX + 1, 1)):
+        big = tmp_path / f"i{n}.gram"
+        big.write_text(format_gram_text(standard_lattice(f"I({n},0)")))
+        code, out, err = run(capsys, "lattice", "det", str(big))
+        assert code == want
+        assert out.strip() == ("1" if want == 0 else "")
+        assert ("LATTICE_RANK_MAX" in err) == (want == 1)
 
 
 def test_verify_paper_list_and_run(capsys):

@@ -1,7 +1,8 @@
 """Exact linear algebra against independent oracles."""
 
+import time
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 from hypothesis import given, settings
@@ -71,26 +72,50 @@ def test_smith_normal_form_examples():
     assert (D[0][0], D[1][1], D[2][2]) == (1, 1, 10)
 
 
+def random_even_gram(rng, n, hi=9):
+    """Symmetric; off-diagonal entries in [-hi, hi], diagonal in 2*[-hi, hi]."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randint(-hi, hi) * (2 if i == j else 1)
+    return intmat.to_matrix(g)
+
+
+# (rank, seed, entry bound): an unreduced Euclid elimination took 25 s on
+# the rank-12 seed-3 Gram and grew U and V to 298300 bits for a 48-bit det
+EVEN_GRAM_CASES = [(11, 1, 9), (12, 3, 9), (24, 0, 1000)] + [(n, n, 9) for n in range(10, 25)]
+
+
 def test_smith_normal_form_properties_random():
     rng = Random(3)
-    for _ in range(80):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        M = random_matrix(rng, m, n)
+    cases = [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(80)]
+    cases += [random_even_gram(Random(seed), n, hi) for n, seed, hi in EVEN_GRAM_CASES]
+    for M in cases:
+        m, n = len(M), len(M[0])
+        start = time.perf_counter()
         D, U, V = intmat.smith_normal_form_full(M)
+        assert time.perf_counter() - start < 1.0
         assert intmat.mat_mul(intmat.mat_mul(U, M), V) == D
         assert abs(intmat.bareiss_det(U)) == 1
         assert abs(intmat.bareiss_det(V)) == 1
+        diag = [D[i][i] for i in range(min(m, n))]
+        for a, b in zip(diag, diag[1:]):
+            if b != 0:
+                assert a != 0 and b % a == 0
         if m == n and intmat.bareiss_det(M):
+            det = intmat.bareiss_det(M)
+            assert prod(diag) == abs(det)
+            # the transforms stay near the size of det M (measured: at most
+            # about twice its bits on these draws)
+            bits = max(abs(x).bit_length() for T in (U, V) for row in T for x in row)
+            assert bits <= 3 * abs(det).bit_length() + 64
             # row i of U*M is d_i times row i of V^-1
             UM = intmat.mat_mul(U, M)
             assert all(x % D[i][i] == 0 for i in range(n) for x in UM[i])
             Vinv = [[x // D[i][i] for x in UM[i]] for i in range(n)]
             assert intmat.mat_mul(V, Vinv) == intmat.identity(n)
-        diag = [D[i][i] for i in range(min(m, n))]
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        assert [d for d in diag if d] == minor_gcd_invariants([list(r) for r in M])
+        if m <= 4 and n <= 4:
+            assert [d for d in diag if d] == minor_gcd_invariants([list(r) for r in M])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -119,10 +144,17 @@ def test_smith_normal_form_hypothesis(m, n, data):
 
 def test_hermite_row_basis_is_canonical():
     rng = Random(4)
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
-        M = random_matrix(rng, m, n)
+    for t in range(61):
+        # the last draw is a 34 x 32 matrix that an unreduced Euclid loop did
+        # not finish in 5 s
+        if t < 60:
+            M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+        else:
+            M = random_matrix(Random(4), 34, 32)
+        m = len(M)
+        start = time.perf_counter()
         H = intmat.hermite_row_basis(M)
+        assert time.perf_counter() - start < 1.0
         # unimodular row mixing does not change the canonical basis
         mixed = [list(r) for r in M]
         for _ in range(6):
@@ -131,9 +163,10 @@ def test_hermite_row_basis_is_canonical():
                 q = rng.randint(-3, 3)
                 mixed[i] = [a + q * b for a, b in zip(mixed[i], mixed[j])]
         assert intmat.hermite_row_basis(mixed) == H
-        for row in H:
-            lead = next(x for x in row if x)
-            assert lead > 0
+        for k, row in enumerate(H):
+            c = next(c for c, x in enumerate(row) if x)
+            assert row[c] > 0
+            assert all(0 <= above[c] < row[c] for above in H[:k])
 
 
 def test_kernel_basis_annihilates_and_is_primitive():

@@ -17,7 +17,6 @@ from gmlattice import (
     UnsupportedRankError,
     determinant,
     direct_sum,
-    enumerate_vectors,
     find_hyperbolic_plane,
     format_gram_text,
     hyperbolic_partner,
@@ -31,7 +30,7 @@ from gmlattice import (
     twist,
 )
 from gmlattice import intmat
-from gmlattice.lattice import HYPERBOLIC_BOX_MAX
+from gmlattice.lattice import HYPERBOLIC_BOX_MAX, _norm_solutions
 
 
 def random_symmetric(rng, n, lo=-5, hi=5):
@@ -375,30 +374,35 @@ def oracle_enumerate(L, target, bound):
     return out
 
 
+def box_vectors(L, target, bound):
+    """Every vector of norm target with |coords| <= bound, lexicographically."""
+    return list(_norm_solutions(L.gram, target, [bound] * L.rank))
+
+
 def test_enumerate_u_isotropic():
-    got = enumerate_vectors(standard_lattice("U"), 0, 1)
+    got = box_vectors(standard_lattice("U"), 0, 1)
     assert got == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
 
 def test_enumerate_d12_has_no_isotropic():
     L = GramLattice(((-2, 0, 1), (0, -2, 1), (1, 1, 2)))
-    assert enumerate_vectors(L, 0, 30) == [(0, 0, 0)]
+    assert box_vectors(L, 0, 30) == [(0, 0, 0)]
 
 
 def test_enumerate_d10_isotropic_includes_111():
     L = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
-    vecs = enumerate_vectors(L, 0, 2)
+    vecs = box_vectors(L, 0, 2)
     assert (1, 1, 1) in vecs
     assert L.norm((1, 1, 1)) == 0
 
 
 def test_enumerate_edge_ranks():
     one = GramLattice(((2,),))
-    assert enumerate_vectors(one, 8, 3) == [(-2,), (2,)]
-    assert enumerate_vectors(one, 3, 3) == []
+    assert box_vectors(one, 8, 3) == [(-2,), (2,)]
+    assert box_vectors(one, 3, 3) == []
     zero = GramLattice(())
-    assert enumerate_vectors(zero, 0, 1) == [()]
-    assert enumerate_vectors(zero, 1, 1) == []
+    assert box_vectors(zero, 0, 1) == [()]
+    assert box_vectors(zero, 1, 1) == []
 
 
 def test_enumerate_matches_oracle_on_random_instances():
@@ -408,7 +412,7 @@ def test_enumerate_matches_oracle_on_random_instances():
         L = random_symmetric(rng, n, -4, 4)
         bound = rng.randint(1, 6 if n < 4 else 4)
         target = rng.randint(-8, 8)
-        got = enumerate_vectors(L, target, bound)
+        got = box_vectors(L, target, bound)
         assert got == oracle_enumerate(L, target, bound)
         assert got == sorted(got)
 
@@ -500,7 +504,7 @@ def test_hyperbolic_partner_exists_iff_content_1():
     seen = {True: 0, False: 0}
     for _ in range(200):
         L = random_even_gram(rng, rng.randint(2, 4))
-        for v in enumerate_vectors(L, 0, 2):
+        for v in box_vectors(L, 0, 2):
             if not any(v):
                 continue
             w = hyperbolic_partner(L, v)

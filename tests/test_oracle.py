@@ -532,7 +532,7 @@ def test_k3_witness_rank3_requires_labelling_basis():
 def test_exact_isotropy_certificate_vs_enumeration():
     # for labelling-shaped Grams, nonzero isotropic vectors exist iff d/2
     # is a sum of two squares; cross-check both directions by enumeration
-    from gmlattice import enumerate_vectors
+    from gmlattice.lattice import _norm_solutions
     from gmlattice.arith import sum_of_two_squares
 
     rng = Random(55)
@@ -546,7 +546,7 @@ def test_exact_isotropy_certificate_vs_enumeration():
         if d == 0:
             continue
         predicted = sum_of_two_squares(abs(d) // 2) if d > 0 else False
-        hits = [v for v in enumerate_vectors(G, 0, 40) if any(v)]
+        hits = [v for v in _norm_solutions(G.gram, 0, [40] * 3) if any(v)]
         if predicted:
             assert hits, (a, b, c, d)
         else:

@@ -1,5 +1,6 @@
 """Continued fractions and Pell-type equations."""
 
+from itertools import islice
 from math import isqrt
 from random import Random
 
@@ -13,10 +14,14 @@ from gmlattice import (
     negative_pell,
     pell_general,
     pell_solvable,
-    pell_unit,
 )
 from gmlattice.arith import factorize, is_square
 from gmlattice.pell import _LEAF, _continuant, _convergents, _half_period, _period
+
+
+def fundamental_unit(m):
+    """Fundamental solution of x^2 - m y^2 = 1: the first convergent of norm 1."""
+    return next((h, q) for h, q, norm in _convergents(m, _period(m)) if norm == 1)
 
 
 def brute_negative_pell(m, limit):
@@ -70,7 +75,10 @@ def test_cf_convergents_satisfy_pell_parity():
     # after a full period the convergent solves x^2 - m y^2 = (-1)^period
     for m in (2, 3, 7, 13, 19, 29, 31, 61):
         a0, period = cf_sqrt(m)
-        x, y = pell_unit(m)
+        for h, q, norm in islice(_convergents(m, _period(m)), len(period)):
+            assert norm == h * h - m * q * q
+        assert norm == (-1) ** len(period)
+        x, y = fundamental_unit(m)
         assert x * x - m * y * y == 1
 
 
@@ -228,7 +236,7 @@ def test_pell_solvable_matches_pell_general():
     for m in range(2, 600):
         if is_square(m):
             continue
-        x1, _ = pell_unit(m)
+        x1, _ = fundamental_unit(m)
         for c in range(-isqrt(m - 1), isqrt(m - 1) + 1):
             if c == 0 or any(e > 1 for e in factorize(abs(c)).values()):
                 continue
