@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("witness", help="print one witness with a verification transcript")
     w.add_argument("kind", choices=["k3", "twisted", "hilb2", "counterexample"])
-    w.add_argument("d", type=int, nargs="?", help="discriminant (not used by counterexample)")
+    w.add_argument("d", type=int, nargs="?", help="discriminant (counterexample takes --n instead)")
     w.add_argument("--n", type=int, default=None, help="family parameter for counterexample")
     w.add_argument("--json", action="store_true")
 
@@ -274,9 +274,9 @@ def _witness_k3(args) -> int:
 
 
 def _witness_counterexample(args) -> int:
-    n = args.n if args.n is not None else (args.d if args.d is not None else None)
-    if n is None:
-        raise DomainError("counterexample witness needs --n")
+    n = args.n
+    if n is None or args.d is not None:
+        raise DomainError("counterexample witness takes its family parameter from --n only")
     rep = counterexample_family(n)
     if args.json:
         print(json.dumps(rep.to_summary()))

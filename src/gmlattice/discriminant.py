@@ -16,7 +16,7 @@ divisibility test, and one Fraction is built per value stored.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import (
@@ -37,10 +37,6 @@ __all__ = [
     "glue",
     "glue_extension_check",
 ]
-
-# largest order of d(S) + d(K) that glue_extension_check accepts; its two
-# subgroup walks (H and the image of the H-perp test) stay below it
-GROUP_MAX = 200000
 
 
 def _dot(u, v) -> int:
@@ -139,7 +135,10 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
 
     The Smith decomposition U G V = D identifies L*/L with the cokernel of
     G; the class of column j of V divided by D[j][j] is a generator of
-    order D[j][j].  G is singular iff some D[j][j] is 0.
+    order D[j][j].  G is singular iff some D[j][j] is 0.  Each numerator is
+    taken mod D[j][j], so every coordinate of a generator lies in [0, 1);
+    that moves the lift by a vector of L, which keeps its class, and keeps
+    q mod 2 since L is even.
     """
     if not L.is_even():
         raise LatticeError("discriminant form is defined for even lattices")
@@ -150,7 +149,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
         raise DegenerateLatticeError("degenerate lattice has no discriminant group")
     factors = tuple(d for d in diag if d > 1)
     # generator j is cols[j] / d_j, and G times it is the integer vector gcols[j]
-    cols = [tuple(row[j] for row in V) for j in range(n) if diag[j] > 1]
+    cols = [tuple(row[j] % diag[j] for row in V) for j in range(n) if diag[j] > 1]
     gcols = [_dual_image(L, c, d) for c, d in zip(cols, factors)]
     return DiscriminantData(
         lattice=L,
@@ -283,24 +282,24 @@ class GlueExtensionReport:
 
 def _subgroup_order(gens, moduli) -> int:
     """Order of the subgroup of the sum of the Z/m (m in moduli) generated by
-    gens, by walking it."""
-    zero = tuple(0 for _ in moduli)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((c + x) % m for c, x, m in zip(cur, g, moduli))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen)
+    gens.  The subgroup is A/B for A the span of gens and the m_i e_i in Z^k
+    and B the span of the m_i e_i alone, so its order is the index
+    [Z^k : B] / [Z^k : A]: the product of the m_i over the product of the
+    pivots of the (square, upper triangular) Hermite basis of A.
+    """
+    eye = intmat.identity(len(moduli))
+    H = intmat.hermite_row_basis([*gens, *(tuple(m * x for x in e) for m, e in zip(moduli, eye))])
+    return prod(moduli) // prod(h[i] for i, h in enumerate(H))
 
 
 def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     """Compute H = L/(S + K) as a subgroup of d(S) + d(K), verify that it is
     isotropic, and verify |d(L)| = |H_perp / H| on the (finite) ambient
     discriminant sum, where |d(L)| = |det L|.
+
+    |H| and |H_perp| are indices of lattices read off Hermite pivots
+    (_subgroup_order); no group element is enumerated, so the order of
+    d(S) + d(K) is not bounded.
     """
     L = S.ambient
     if K.ambient != L:
@@ -343,9 +342,6 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     total = 1
     for d in orders:
         total *= d
-    if total > GROUP_MAX:
-        raise LatticeError(f"discriminant sum of order {total} exceeds GROUP_MAX = {GROUP_MAX}")
-
     h_exp = [ds._exponents(ga) + dk._exponents(gb) for _, _, _, ga, gb in lifts]
 
     # b on d(S) + d(K) is C / N: C block diagonal, N the common denominator

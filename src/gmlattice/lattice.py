@@ -47,9 +47,6 @@ __all__ = [
 # RSS through the CLI, since box vectors stream (Python 3.11, 2-vCPU host)
 HYPERBOLIC_BOX_MAX = 5 * 10**5
 
-# largest |det| for which is_isometric_small runs its indefinite box search
-ISOMETRY_DET_MAX = 10**6
-
 # largest rank is_isometric_small accepts
 ISOMETRY_RANK_MAX = 6
 
@@ -466,10 +463,7 @@ def is_isometric_small(L1: GramLattice, L2: GramLattice) -> IsometryResult:
     if n == 0:
         return IsometryResult("isometric", ())
     definite = sig[0] == n or sig[1] == n
-    if not definite and (
-        abs(d1) > ISOMETRY_DET_MAX
-        or n * (2 * ISOMETRY_BOX + 1) ** (n - 1) > ISOMETRY_CHECKS_MAX
-    ):
+    if not definite and n * (2 * ISOMETRY_BOX + 1) ** (n - 1) > ISOMETRY_CHECKS_MAX:
         return IsometryResult("inconclusive")
 
     G1, G2 = L1.gram, L2.gram

@@ -129,7 +129,7 @@ STABLE_LATTICES = {
 # so a change to the elimination order shows here
 STABLE_LATTICE_OUTPUTS = {
     ("d12", "snf"): "9c029d33760ac4e0bacbb1534096127ee15c85e5759093d682801906fd697615",
-    ("d12", "disc-group"): "ab4d909e2679fe1a98b37d7f6d404083d42f16669576f548ddab736107bca571",
+    ("d12", "disc-group"): "2f3060a94cbef69deaf24bb72bab02eb0a2e8a944644577395980c6f1ac5bcc4",
     ("d12", "saturate"): "f777a56e719047544c9b734b578521843ee843daab832c870661764f26f6b81b",
     ("d12", "complement"): "1b4be7bf8533e84cba64adb6de0034fd37bc9220e445d30d18cbd9f1ce08552c",
     ("Lambda", "snf"): "1e396b806384e4a8f1cbca17f8cf87efe32e205172e012e74c908e49d5af1ddd",
@@ -137,7 +137,7 @@ STABLE_LATTICE_OUTPUTS = {
     ("Lambda", "saturate"): "56e31021b145423ea23e36322355506ca1cff36f92252956bc155889e74e72c0",
     ("Lambda", "complement"): "85c49b02bfd0080e9a782c653b734061e70366dbb082196adaa4b3a79eb9bce8",
     ("rank4", "snf"): "afec18fe2e05b53556cfdcb22945ae1533697fa276f28ddb56738c5366511b8e",
-    ("rank4", "disc-group"): "380f1b41738b4450a141fd2947ba63b887737adb85cb22ef22178e15d06f14c4",
+    ("rank4", "disc-group"): "cc2cf406ae3942bed86c22a7c3671c5c75157875a846e42838c01414fb4c1b63",
     ("rank4", "saturate"): "6590724fe8bc5facdc48d1ae843e8c67716a2836198ca209fc57115d5d1941a8",
     ("rank4", "complement"): "ffab855319867a9e33b9c500365ecb50d08d5b3f8e679b8f45c163d3f2decc23",
 }
@@ -253,6 +253,11 @@ def test_witness_counterexample(capsys):
     assert "2x^2 + xy + 2y^2" in out
     assert "U-span ok" in out
     assert "does not represent 1" in out
+    for argv in (("2",), ("2", "--n", "2"), ()):
+        code, out, err = run(capsys, "witness", "counterexample", *argv)
+        assert code == 1
+        assert out == ""
+        assert "--n" in err
 
 
 def test_witness_missing_argument(capsys):

@@ -28,7 +28,7 @@ from gmlattice import (
     standard_lattice,
     twist,
 )
-from gmlattice.discriminant import GROUP_MAX, glue_with_basis
+from gmlattice.discriminant import _subgroup_order, glue_with_basis
 from gmlattice import intmat
 
 H = Fraction(1, 2)
@@ -419,7 +419,7 @@ def test_extension_check_random_orthogonal_pairs():
     # L is an overlattice of S + K, so every coset lift lies in L, the lift
     # orders multiply to [L : S + K], and Nikulin's identities hold
     rng = Random(61)
-    checked = 0
+    checked = enumerated = 0
     for _ in range(400):
         n = rng.randint(2, 4)
         L = random_even(rng, n, -3, 3)
@@ -429,8 +429,6 @@ def test_extension_check_random_orthogonal_pairs():
         try:
             K = Sublattice(L, vecs)
             S = orthogonal_complement(L, K)
-            if abs(determinant(S.gram()) * determinant(K.gram())) > 1000:
-                continue  # keep the enumeration of d(S) + d(K) short
             rep = glue_extension_check(S, K)
         except LatticeError:  # dependent vectors, degenerate L, S or K
             continue
@@ -449,6 +447,9 @@ def test_extension_check_random_orthogonal_pairs():
         assert rep.det_law_holds
         assert rep.quotient_identity_holds
         assert rep.disc_order_ambient == discriminant_group(L).order
+        checked += 1
+        if abs(determinant(S.gram()) * determinant(K.gram())) > 1000:
+            continue  # keep the enumeration of d(S) + d(K) short
         # |H_perp| and |H| against enumerating d(S) + d(K) with Fraction sums
         ds, dk = discriminant_group(S.gram()), discriminant_group(K.gram())
         gens = [g + (0,) * K.rank for g in ds.generators]
@@ -464,28 +465,61 @@ def test_extension_check_random_orthogonal_pairs():
             for cs in product(*(range(f) for f in rep.glue_invariant_factors))
         })
         assert hperp == rep.hperp_mod_h_order * h_order
-        checked += 1
-    assert checked >= 100
+        enumerated += 1
+    assert checked >= 300
+    assert enumerated >= 100
 
 
-def test_extension_check_at_group_max_finishes_within_budget():
-    # U + U with S = <(1, 200, 0, 0)> and K = S-perp: d(S) + d(K) has order
-    # 400 * 400 = 160000 <= GROUP_MAX, glued along H of order 400
+@pytest.mark.parametrize("t", [200, 10**6])
+def test_extension_check_of_a_large_discriminant_sum_finishes_within_budget(t):
+    # U + U with S = <(1, t, 0, 0)> and K = S-perp: d(S) + d(K) has order
+    # 2t * 2t, glued along H of order 2t; at t = 10^6 that is 4 * 10^12
     U = standard_lattice("U")
     L = direct_sum(U, U)
-    S = Sublattice(L, ((1, 200, 0, 0),))
+    S = Sublattice(L, ((1, t, 0, 0),))
     K = orthogonal_complement(L, S)
     total = discriminant_group(S.gram()).order * discriminant_group(K.gram()).order
-    assert total == 160000 <= GROUP_MAX
+    assert total == 4 * t * t
     start = time.perf_counter()
     rep = glue_extension_check(S, K)
     assert time.perf_counter() - start < 1.0
-    assert rep.glue_order == 400
+    assert rep.glue_order == 2 * t
     assert rep.isotropic
     assert rep.disc_order_ambient == 1
     assert rep.hperp_mod_h_order == 1
     assert rep.quotient_identity_holds
     assert rep.det_law_holds
+
+
+def walk_subgroup_order(gens, moduli) -> int:
+    """Reference: order of the subgroup of the sum of the Z/m generated by
+    gens, by walking it one element at a time."""
+    zero = tuple(0 for _ in moduli)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((c + x) % m for c, x, m in zip(cur, g, moduli))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
+def test_subgroup_order_matches_the_walk():
+    rng = Random(13)
+    for _ in range(3000):
+        moduli = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 4)))
+        gens = [
+            tuple(rng.randint(-30, 30) for _ in moduli) for _ in range(rng.randint(0, 4))
+        ]
+        assert _subgroup_order(gens, moduli) == walk_subgroup_order(gens, moduli)
+    assert _subgroup_order([], ()) == 1
+    assert _subgroup_order([(), ()], ()) == 1
+    assert _subgroup_order([], (1, 6)) == 1
+    assert _subgroup_order([(1, 1)], (1, 6)) == 6
+    assert _subgroup_order([(2, 3)], (4, 6)) == 2
 
 
 def test_extension_check_rejects_non_orthogonal():

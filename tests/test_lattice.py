@@ -541,13 +541,23 @@ def test_hyperbolic_box_past_the_limit_is_refused():
 # small isometry search
 
 
-def test_isometry_glued_u():
-    L = GramLattice(((0, 1), (1, 2)))
-    res = is_isometric_small(L, standard_lattice("U"))
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        (((0, 1), (1, 2)), ((0, 1), (1, 0))),
+        (((2, 0), (0, -2000002)), ((2, 0), (0, -2000002))),
+        (((0, 1, 0), (1, 0, 0), (0, 0, 2000000)), ((0, 1, 0), (1, 0, 0), (0, 0, 2000000))),
+    ],
+    ids=["glued-u", "2+-2000002", "u+2000000"],
+)
+def test_isometry_indefinite_finds_t(g1, g2):
+    # the indefinite box search has no determinant cap, so a large
+    # determinant does not stop it from finding a T
+    L1, L2 = GramLattice(g1), GramLattice(g2)
+    res = is_isometric_small(L1, L2)
     assert res.status == "isometric"
     T = res.matrix
-    got = intmat.mat_mul(intmat.mat_mul(intmat.transpose(T), L.gram), T)
-    assert got == standard_lattice("U").gram
+    assert intmat.mat_mul(intmat.mat_mul(intmat.transpose(T), L1.gram), T) == L2.gram
 
 
 def test_isometry_determinant_obstruction():
