@@ -3,8 +3,10 @@ operations and the built-in verification suite.
 
 Exit codes: 0 success, 1 input error, 2 inadmissible discriminant under
 --strict, 3 witness not found (with the reason: condition failed vs search
-bound exhausted).  All searches print the bound they used; every witness is
-printed together with a transcript that recomputes its defining identities.
+bound exhausted).  Text output prints the bound each search used, and every
+witness together with a transcript that recomputes its defining identities.
+Under --json, classify, witness and lattice print exactly one JSON document,
+exit 3 included; a run that exits 1 prints nothing on stdout.
 Integers are printed exactly, in decimal, however many digits they have
 (the Pell solution of classify 2000000018 has about 31000).
 """
@@ -105,7 +107,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# output: classify, witness and lattice return (exit code, JSON payload, text
+# lines) and _emit prints it; scan and verify-paper print as they go
+
+
+def _emit(args, result) -> int:
+    """Print a command's result as one JSON document or as its text lines,
+    and return its exit code.
+
+    The lines are consumed only for text output, so a handler passes a
+    generator where they hold huge integers: --json then never converts
+    them to decimal for text it does not print.
+    """
+    code, payload, lines = result
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return code
+
+
+def _rows(m) -> list:
+    return [list(r) for r in m]
+
+
+def _transcript(values: dict) -> str:
+    return "transcript: " + ", ".join(f"{k} = {v}" for k, v in values.items())
+
+
+def _plane_transcript(L, v, w) -> dict:
+    return {"v.v": L.norm(v), "w.w": L.norm(w), "v.w": L.pairing(v, w)}
 
 
 def _frm_bool(b) -> str:
@@ -114,46 +142,38 @@ def _frm_bool(b) -> str:
     return "yes" if b else "no"
 
 
-def _render_classify(rep) -> str:
-    lines = [f"d: {rep.d}"]
-    lines.append(f"admissible: {_frm_bool(rep.admissible)} (divisor {rep.divisor_label})")
-    lines.append(f"associated K3 surface (star2): {_frm_bool(rep.star2)}")
-    lines.append(f"associated twisted K3 surface (star2_twisted): {_frm_bool(rep.star2_twisted)}")
+def _classify_lines(rep):
+    yield f"d: {rep.d}"
+    yield f"admissible: {_frm_bool(rep.admissible)} (divisor {rep.divisor_label})"
+    yield f"associated K3 surface (star2): {_frm_bool(rep.star2)}"
+    yield f"associated twisted K3 surface (star2_twisted): {_frm_bool(rep.star2_twisted)}"
     if rep.star3 is not None:
         n, a = rep.star3.as_pair()
-        lines.append(f"Hilbert-square condition (star3): yes, (n, a) = ({n}, {a})")
+        yield f"Hilbert-square condition (star3): yes, (n, a) = ({n}, {a})"
     else:
-        lines.append("Hilbert-square condition (star3): no")
-    lines.append(f"double-EPW isomorphism (Pell pair test): {_frm_bool(rep.dm_isomorphic)}")
+        yield "Hilbert-square condition (star3): no"
+    yield f"double-EPW isomorphism (Pell pair test): {_frm_bool(rep.dm_isomorphic)}"
     wt = rep.witnesses.get("twisted")
     if wt:
         x, y, i = wt["x"], wt["y"], wt["i"]
-        lines.append(
-            f"twisted witness: 2*{x}^2 + 2*{y}^2 = {2*x*x + 2*y*y} = {i}^2 * {rep.d}"
-        )
+        yield f"twisted witness: 2*{x}^2 + 2*{y}^2 = {2*x*x + 2*y*y} = {i}^2 * {rep.d}"
     wh = rep.witnesses.get("hilb2")
     if wh:
-        lines.append(f"hilb2 witness: w = {tuple(wh['w'])} in gram {wh['gram']}")
+        yield f"hilb2 witness: w = {tuple(wh['w'])} in gram {wh['gram']}"
     wk = rep.witnesses.get("k3")
     if wk:
-        lines.append(f"k3 hyperbolic plane: {wk['status']}")
+        yield f"k3 hyperbolic plane: {wk['status']}"
         if wk["status"] == "found":
-            lines.append(
+            yield (
                 f"  U basis {tuple(tuple(v) for v in wk['u_basis'])}, "
                 f"complement generator {tuple(wk['complement_gen'])} of norm {wk['gen_norm']}"
             )
-    return "\n".join(lines)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     rep = classify(args.d)
-    if args.json:
-        print(json.dumps(rep.to_dict()))
-    else:
-        print(_render_classify(rep))
-    if args.strict and not rep.admissible:
-        return EXIT_INADMISSIBLE
-    return EXIT_OK
+    code = EXIT_INADMISSIBLE if args.strict and not rep.admissible else EXIT_OK
+    return code, rep.to_dict(), _classify_lines(rep)
 
 
 def _scan_keep(rep, flt) -> bool:
@@ -182,7 +202,8 @@ def cmd_scan(args) -> int:
     for d in range(2, args.max_d + 1):
         if d % 8 not in (0, 2, 4):
             continue
-        rep = classify(d)
+        # a CSV row holds only the flags, so only --json builds the witnesses
+        rep = classify(d, with_witnesses=args.json)
         if not _scan_keep(rep, args.filter):
             continue
         if args.json:
@@ -198,118 +219,93 @@ def cmd_scan(args) -> int:
 # witnesses
 
 
-def _witness_hilb2(args) -> int:
-    d = args.d
+def _condition_failed(d, condition):
+    return (
+        EXIT_NO_WITNESS,
+        {"d": d, "status": "condition-failed"},
+        [f"no witness: the {condition} condition fails for d = {d} (condition failed)"],
+    )
+
+
+def _witness_hilb2(d):
     out = hilb2_witness(d)
     if out is None:
-        print(f"no witness: the Pell condition fails for d = {d} (condition failed)")
-        return EXIT_NO_WITNESS
+        return _condition_failed(d, "Pell")
     L, w = out
-    l1, l2 = (1, 0, 0), (0, 1, 0)
+    l1w, l2w = L.pairing((1, 0, 0), w), L.pairing((0, 1, 0), w)
+    t = {"lambda1.w": l1w, "lambda2.w": l2w, "w.w": L.norm(w)}
     # in both normal forms w = (., ., a) with lambda2.w = -n or +n
-    sol = PellSolution(abs(L.pairing(l2, w)), w[2], d // 2, -1)
-    n, a = sol.as_pair()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": d,
-                    "gram": [list(r) for r in L.gram],
-                    "w": list(w),
-                    "pell": {"n": n, "a": a},
-                    "transcript": {
-                        "lambda1.w": L.pairing(l1, w),
-                        "lambda2.w": L.pairing(l2, w),
-                        "w.w": L.norm(w),
-                    },
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"d = {d}: Pell solution (n, a) = ({n}, {a}); a^2 d = {a*a*d} = 2n^2+2 = {2*n*n+2}")
-    print(f"normal-form gram: {list(list(r) for r in L.gram)}")
-    print(f"w = {w}")
-    print(f"transcript: lambda1.w = {L.pairing(l1, w)}, lambda2.w = {L.pairing(l2, w)}, w.w = {L.norm(w)}")
-    other = L.pairing(l2, w)
-    print(f"det<lambda1, lambda2, w> = {labelling_det(L, w)} = 2*({other})^2 + 2")
-    return EXIT_OK
+    n, a = PellSolution(abs(l2w), w[2], d // 2, -1).as_pair()
+    gram = _rows(L.gram)
+
+    def lines():
+        yield f"d = {d}: Pell solution (n, a) = ({n}, {a}); a^2 d = {a*a*d} = 2n^2+2 = {2*n*n+2}"
+        yield f"normal-form gram: {gram}"
+        yield f"w = {w}"
+        yield _transcript(t)
+        yield f"det<lambda1, lambda2, w> = {labelling_det(L, w)} = 2*({l2w})^2 + 2"
+
+    payload = {"d": d, "gram": gram, "w": list(w), "pell": {"n": n, "a": a}, "transcript": t}
+    return EXIT_OK, payload, lines()
 
 
-def _witness_twisted(args) -> int:
-    d = args.d
+def _witness_twisted(d):
     out = twisted_witness(d)
     if out is None:
-        print(f"no witness: the twisted condition fails for d = {d} (condition failed)")
-        return EXIT_NO_WITNESS
+        return _condition_failed(d, "twisted")
     x, y, i = out
-    if args.json:
-        print(json.dumps({"d": d, "x": x, "y": y, "i": i}))
-        return EXIT_OK
-    print(f"d = {d}: (x, y, i) = ({x}, {y}, {i})")
-    print(f"transcript: 2*{x}^2 + 2*{y}^2 = {2*x*x+2*y*y} = {i}^2 * {d} = {i*i*d}")
-    return EXIT_OK
+    return EXIT_OK, {"d": d, "x": x, "y": y, "i": i}, [
+        f"d = {d}: (x, y, i) = ({x}, {y}, {i})",
+        f"transcript: 2*{x}^2 + 2*{y}^2 = {2*x*x+2*y*y} = {i}^2 * {d} = {i*i*d}",
+    ]
 
 
-def _witness_k3(args) -> int:
-    d = args.d
+def _witness_k3(d):
     L = labelling_lattice(d)
     rep = k3_witness(L)
-    if rep.status == "found":
-        if args.json:
-            print(json.dumps({"d": d, **_k3_report_to_json(rep)}))
-            return EXIT_OK
-        v, w = rep.u_basis
-        print(f"d = {d}: hyperbolic plane found in gram {list(list(r) for r in L.gram)}")
-        print(f"v = {v}, w = {w}")
-        print(
-            f"transcript: v.v = {L.norm(v)}, w.w = {L.norm(w)}, v.w = {L.pairing(v, w)}"
-        )
-        print(f"complement generator g = {rep.complement_gen} with g.g = {rep.gen_norm}")
-        return EXIT_OK
-    print(
-        f"no witness: d = {d} has no hyperbolic plane because the K3 condition "
-        "fails (condition failed)"
-    )
-    return EXIT_NO_WITNESS
+    payload = {"d": d, **_k3_report_to_json(rep)}
+    if rep.status != "found":
+        return EXIT_NO_WITNESS, payload, [
+            f"no witness: d = {d} has no hyperbolic plane because the K3 condition "
+            "fails (condition failed)"
+        ]
+    v, w = rep.u_basis
+    return EXIT_OK, payload, [
+        f"d = {d}: hyperbolic plane found in gram {_rows(L.gram)}",
+        f"v = {v}, w = {w}",
+        _transcript(_plane_transcript(L, v, w)),
+        f"complement generator g = {rep.complement_gen} with g.g = {rep.gen_norm}",
+    ]
 
 
-def _witness_counterexample(args) -> int:
+def _witness_counterexample(args):
     n = args.n
     if n is None or args.d is not None:
         raise DomainError("counterexample witness takes its family parameter from --n only")
     rep = counterexample_family(n)
-    if args.json:
-        print(json.dumps(rep.to_summary()))
-        return EXIT_OK
-    G = rep.lattice
-    k1, k2 = rep.kappa1, rep.kappa2
-    print(f"family parameter n = {n}")
-    print(
-        "transcript: kappa1.kappa1 = %d, kappa2.kappa2 = %d, kappa1.kappa2 = %d (U-span %s)"
-        % (G.norm(k1), G.norm(k2), G.pairing(k1, k2), "ok" if rep.kappa_checks else "FAILED")
-    )
-    print(f"-Q/8 = {rep.form}, reduced: {rep.reduced_form}")
+    G, k1, k2 = rep.lattice, rep.kappa1, rep.kappa2
     if rep.represents_one:
-        print(f"represents 1 at (x, y) = {rep.represents_one} -> in the norm-8 divisor")
+        divisor = f"represents 1 at (x, y) = {rep.represents_one} -> in the norm-8 divisor"
     else:
-        print("does not represent 1 -> not in the norm-8 divisor")
-    print(
+        divisor = "does not represent 1 -> not in the norm-8 divisor"
+    return EXIT_OK, rep.to_summary(), [
+        f"family parameter n = {n}",
+        f"transcript: kappa1.kappa1 = {G.norm(k1)}, kappa2.kappa2 = {G.norm(k2)}, "
+        f"kappa1.kappa2 = {G.pairing(k1, k2)} (U-span {'ok' if rep.kappa_checks else 'FAILED'})",
+        f"-Q/8 = {rep.form}, reduced: {rep.reduced_form}",
+        divisor,
         f"labelling discs: min |disc| = {rep.min_abs_disc}, "
-        f"all divisible by 8: {rep.all_discs_divisible_by_8}"
-    )
-    return EXIT_OK
+        f"all divisible by 8: {rep.all_discs_divisible_by_8}",
+    ]
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args):
     if args.kind == "counterexample":
         return _witness_counterexample(args)
     if args.d is None:
         raise DomainError(f"witness {args.kind} needs a discriminant argument")
-    if args.kind == "hilb2":
-        return _witness_hilb2(args)
-    if args.kind == "twisted":
-        return _witness_twisted(args)
-    return _witness_k3(args)
+    witness = {"hilb2": _witness_hilb2, "twisted": _witness_twisted, "k3": _witness_k3}
+    return witness[args.kind](args.d)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +330,24 @@ def _parse_basis(text: str, rank: int):
     return tuple(vectors)
 
 
-def cmd_lattice(args) -> int:
+def _hyperbolic(L, bound):
+    pair = find_hyperbolic_plane(L, bound)
+    head = f"search bound: {bound}"
+    if pair is None:
+        return EXIT_NO_WITNESS, {"bound": bound, "status": "not-found-within-bound"}, [
+            head,
+            f"no hyperbolic plane found within bound {bound} (bound exhausted)",
+        ]
+    v, w = pair
+    t = _plane_transcript(L, v, w)
+    return EXIT_OK, {"v": list(v), "w": list(w), "transcript": t}, [
+        head,
+        f"v = {v}, w = {w}",
+        _transcript(t),
+    ]
+
+
+def cmd_lattice(args):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             L = parse_gram_text(fh.read())
@@ -346,93 +359,40 @@ def cmd_lattice(args) -> int:
         )
     sub = args.subcommand
     if sub == "det":
-        print(determinant(L))
-        return EXIT_OK
+        det = determinant(L)
+        return EXIT_OK, det, [str(det)]
     if sub == "sig":
         pos, neg, null = signature(L)
-        if args.json:
-            print(json.dumps({"positive": pos, "negative": neg, "null": null}))
-        else:
-            print(f"({pos}, {neg}, {null})")
-        return EXIT_OK
+        payload = {"positive": pos, "negative": neg, "null": null}
+        return EXIT_OK, payload, [f"({pos}, {neg}, {null})"]
     if sub == "snf":
         D, U, V = smith_normal_form_full(L.gram)
         diag = [D[i][i] for i in range(L.rank)]
-        if args.json:
-            print(
-                json.dumps(
-                    {"diag": diag, "U": [list(r) for r in U], "V": [list(r) for r in V]}
-                )
-            )
-        else:
-            print(f"D = diag{tuple(diag)}")
-        return EXIT_OK
+        return EXIT_OK, {"diag": diag, "U": _rows(U), "V": _rows(V)}, [f"D = diag{tuple(diag)}"]
     if sub == "disc-group":
         data = discriminant_group(L)
-        if args.json:
-            print(json.dumps(data.to_dict()))
-        else:
-            qs = ", ".join(str(q) for q in data.qvalues)
-            print(f"{data.group_name()}, q = ({qs})")
-        return EXIT_OK
-    if sub in ("complement", "saturate"):
-        if not args.basis:
-            raise DomainError(f"lattice {sub} needs --basis")
-        S = Sublattice(L, _parse_basis(args.basis, L.rank))
-        if sub == "complement":
-            C = orthogonal_complement(L, S)
-            G = C.gram()
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "basis": [list(v) for v in C.basis],
-                            "gram": [list(r) for r in G.gram],
-                            "det": determinant(G),
-                        }
-                    )
-                )
-            else:
-                print(f"complement basis: {list(list(v) for v in C.basis)}")
-                print(f"induced gram: {list(list(r) for r in G.gram)}")
-                print(f"det: {determinant(G)}")
-        else:
-            sat, idx = saturate(L, S)
-            if args.json:
-                print(
-                    json.dumps(
-                        {"basis": [list(v) for v in sat.basis], "index": idx}
-                    )
-                )
-            else:
-                print(f"saturation basis: {list(list(v) for v in sat.basis)}")
-                print(f"index: {idx}")
-        return EXIT_OK
-    # hyperbolic
-    print(f"search bound: {args.bound}")
-    pair = find_hyperbolic_plane(L, args.bound)
-    if pair is None:
-        print(f"no hyperbolic plane found within bound {args.bound} (bound exhausted)")
-        return EXIT_NO_WITNESS
-    v, w = pair
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "v": list(v),
-                    "w": list(w),
-                    "transcript": {
-                        "v.v": L.norm(v),
-                        "w.w": L.norm(w),
-                        "v.w": L.pairing(v, w),
-                    },
-                }
-            )
-        )
-    else:
-        print(f"v = {v}, w = {w}")
-        print(f"transcript: v.v = {L.norm(v)}, w.w = {L.norm(w)}, v.w = {L.pairing(v, w)}")
-    return EXIT_OK
+        qs = ", ".join(str(q) for q in data.qvalues)
+        return EXIT_OK, data.to_dict(), [f"{data.group_name()}, q = ({qs})"]
+    if sub == "hyperbolic":
+        return _hyperbolic(L, args.bound)
+    if not args.basis:
+        raise DomainError(f"lattice {sub} needs --basis")
+    S = Sublattice(L, _parse_basis(args.basis, L.rank))
+    if sub == "complement":
+        C = orthogonal_complement(L, S)
+        G = C.gram()
+        basis, gram, det = _rows(C.basis), _rows(G.gram), determinant(G)
+        return EXIT_OK, {"basis": basis, "gram": gram, "det": det}, [
+            f"complement basis: {basis}",
+            f"induced gram: {gram}",
+            f"det: {det}",
+        ]
+    sat, idx = saturate(L, S)
+    basis = _rows(sat.basis)
+    return EXIT_OK, {"basis": basis, "index": idx}, [
+        f"saturation basis: {basis}",
+        f"index: {idx}",
+    ]
 
 
 def cmd_verify_paper(args) -> int:
@@ -452,13 +412,8 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
-_DISPATCH = {
-    "classify": cmd_classify,
-    "scan": cmd_scan,
-    "witness": cmd_witness,
-    "lattice": cmd_lattice,
-    "verify-paper": cmd_verify_paper,
-}
+_STREAMS = {"scan": cmd_scan, "verify-paper": cmd_verify_paper}
+_RESULTS = {"classify": cmd_classify, "witness": cmd_witness, "lattice": cmd_lattice}
 
 
 def main(argv=None) -> int:
@@ -478,7 +433,9 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command in _STREAMS:
+            return _STREAMS[args.command](args)
+        return _emit(args, _RESULTS[args.command](args))
     except (ValueError, ArithmeticError) as exc:  # LatticeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -267,7 +267,8 @@ def glue(g: GlueData) -> GramLattice:
 
 @dataclass(frozen=True)
 class GlueExtensionReport:
-    """What glue_extension_check found for S, K inside their ambient L."""
+    """What glue_extension_check found for S, K inside their ambient L;
+    disc_s and disc_k are d(S) and d(K) on the Grams of their bases."""
 
     glue_order: int
     glue_invariant_factors: tuple[int, ...]
@@ -278,6 +279,8 @@ class GlueExtensionReport:
     hperp_mod_h_order: int
     quotient_identity_holds: bool
     det_law_holds: bool
+    disc_s: DiscriminantData = field(repr=False, compare=False)
+    disc_k: DiscriminantData = field(repr=False, compare=False)
 
 
 def _subgroup_order(gens, moduli) -> int:
@@ -328,11 +331,13 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     # U*M*V = D, so row i of U*M is d_i times row i of V^-1, a vector of L
     # whose class generates a cyclic factor of L/(S + K).  Its coordinates
     # on the basis of S followed by the basis of K are U[i]/d_i: the first
-    # rank S entries lift into d(S), the rest into d(K).
+    # rank S entries lift into d(S), the rest into d(K).  Each numerator is
+    # taken mod d_i, as discriminant_group does, which moves the lift by a
+    # vector of S + K and so keeps its class in L/(S + K).
     gen_lifts = []
     for row, d in zip(U, diag):
         if d > 1:
-            x = tuple(Fraction(u, d) for u in row)
+            x = tuple(Fraction(u % d, d) for u in row)
             gen_lifts.append((x[: S.rank], x[S.rank :]))
     lifts = _glue_lifts(SG, KG, gen_lifts)
     qvals = tuple(_q(_dot(na, ga) + _dot(nb, gb), t) for na, nb, t, ga, gb in lifts)
@@ -376,4 +381,6 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
         hperp_mod_h_order=hperp_mod_h,
         quotient_identity_holds=(hperp_mod_h == disc_l),
         det_law_holds=det_law,
+        disc_s=ds,
+        disc_k=dk,
     )

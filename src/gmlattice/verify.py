@@ -54,13 +54,9 @@ class CheckResult:
 
 def check_vanishing_lattice(L: GramLattice | None = None):
     L = L or standard_lattice("Lambda")
-    ok = (
-        L.rank == 22
-        and determinant(L) == 4
-        and L.is_even()
-        and signature(L) == (20, 2, 0)
-    )
-    return ok, f"rank={L.rank} det={determinant(L)} sig={signature(L)}"
+    det, sig = determinant(L), signature(L)
+    ok = L.rank == 22 and det == 4 and L.is_even() and sig == (20, 2, 0)
+    return ok, f"rank={L.rank} det={det} sig={sig}"
 
 
 def check_i20_twist():
@@ -97,11 +93,11 @@ def check_mukai_embedding_complement(M: GramLattice | None = None):
         return False, "embedding vectors do not pair as diag(-2,-2)"
     K = Sublattice(M, (f1, f2))
     comp = orthogonal_complement(M, K)
-    G = comp.gram()
-    det_g, sig_g = determinant(G), signature(G)
-    dg = discriminant_group(G)
     # the unimodular ambient glues the two pieces along a group of order 4
     ext = glue_extension_check(comp, K)
+    dg = ext.disc_s
+    G = dg.lattice
+    det_g, sig_g = determinant(G), signature(G)
     ok = (
         comp.rank == 22
         and det_g == 4

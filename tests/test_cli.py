@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gmlattice.cli import main
-from gmlattice import DivisorReport, oracle
+from gmlattice import DivisorReport, cli, oracle
 
 
 def run(capsys, *argv):
@@ -155,6 +155,91 @@ def test_lattice_output_is_byte_stable(tmp_path, capsys, name, sub):
     assert digest == STABLE_LATTICE_OUTPUTS[(name, sub)]
 
 
+# Gram files for OUTPUT_CONTRACT: the d = 12 labelling, a rank-3 lattice
+# with a hyperbolic plane, and an odd lattice the plane search refuses
+CONTRACT_GRAMS = {
+    "d12": STABLE_LATTICES["d12"][0],
+    "plane": "3\n-2 0 1\n0 -2 0\n1 0 2\n",
+    "odd": "2\n1 0\n0 1\n",
+}
+
+# (argv, exit code) of every command that prints one result: each witness
+# kind with and without a witness, and each lattice subcommand, with the
+# hyperbolic search found, exhausted and refused
+OUTPUT_CONTRACT = [
+    (("classify", "10"), 0),
+    (("classify", "6", "--strict"), 2),
+    (("witness", "k3", "10"), 0),
+    (("witness", "k3", "12"), 3),
+    (("witness", "twisted", "16"), 0),
+    (("witness", "twisted", "12"), 3),
+    (("witness", "hilb2", "10"), 0),
+    (("witness", "hilb2", "50"), 3),
+    (("witness", "counterexample", "--n", "2"), 0),
+    (("lattice", "det", "d12"), 0),
+    (("lattice", "sig", "d12"), 0),
+    (("lattice", "snf", "d12"), 0),
+    (("lattice", "disc-group", "d12"), 0),
+    (("lattice", "complement", "d12", "--basis", STABLE_LATTICES["d12"][1]), 0),
+    (("lattice", "saturate", "d12", "--basis", STABLE_LATTICES["d12"][1]), 0),
+    (("lattice", "hyperbolic", "plane", "--bound", "5"), 0),
+    (("lattice", "hyperbolic", "d12", "--bound", "10"), 3),
+    (("lattice", "hyperbolic", "odd", "--bound", "3"), 1),
+]
+
+# sha256 of the concatenated text stdout of the OUTPUT_CONTRACT runs that do
+# not exit 1, in order
+CONTRACT_TEXT_SHA256 = "b8d0d5394d2d754a5aec54f9b642975de736167b4e3a6a732a8fa58594d34bc0"
+
+
+def _contract_argv(tmp_path, argv):
+    if argv[0] != "lattice":
+        return argv
+    f = tmp_path / f"{argv[2]}.gram"
+    f.write_text(CONTRACT_GRAMS[argv[2]])
+    return argv[:2] + (str(f),) + argv[3:]
+
+
+@pytest.mark.parametrize(
+    "argv,want", OUTPUT_CONTRACT, ids=["-".join(argv[:3]) for argv, _ in OUTPUT_CONTRACT]
+)
+def test_json_run_prints_one_document(tmp_path, capsys, argv, want):
+    argv = _contract_argv(tmp_path, argv)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == want
+        if want == 1:
+            assert out == "" and err.startswith("error: ")
+    if want != 1:
+        json.loads(out)  # raises unless stdout is exactly one JSON document
+
+
+def test_text_output_of_the_contract_is_byte_stable(tmp_path, capsys):
+    outs = []
+    for argv, want in OUTPUT_CONTRACT:
+        if want != 1:
+            code, out, _ = run(capsys, *_contract_argv(tmp_path, argv))
+            assert code == want
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == CONTRACT_TEXT_SHA256
+
+
+def test_scan_builds_witnesses_only_for_json(capsys, monkeypatch):
+    calls = []
+    real = cli.classify
+
+    def recorded(d, with_witnesses=True):
+        calls.append(with_witnesses)
+        return real(d, with_witnesses=with_witnesses)
+
+    monkeypatch.setattr(cli, "classify", recorded)
+    for extra, want in (((), False), (("--filter", "star3"), False), (("--json",), True)):
+        calls.clear()
+        code, _, _ = run(capsys, "scan", "40", *extra)
+        assert code == 0
+        assert calls and set(calls) == {want}
+
+
 def test_scan_star3_filter(capsys):
     code, out, _ = run(capsys, "scan", "50", "--filter", "star3")
     assert code == 0
@@ -281,6 +366,18 @@ def test_witness_json_outputs(capsys):
         '{"d": 10, "status": "found", "u_basis": [[1, 1, 1], [0, 1, 1]], '
         '"complement_gen": [2, 5, 4], "gen_norm": -10}\n'
     )
+    # a missing witness is one JSON object too, with the same exit code 3
+    code, out, _ = run(capsys, "witness", "k3", "12", "--json")
+    assert code == 3
+    assert out == (
+        '{"d": 12, "status": "proven-absent", "u_basis": null, '
+        '"complement_gen": null, "gen_norm": null}\n'
+    )
+    assert out == json.dumps({"d": 12, **oracle.classify(12).witnesses["k3"]}) + "\n"
+    for kind, d in (("twisted", "12"), ("hilb2", "50")):
+        code, out, _ = run(capsys, "witness", kind, d, "--json")
+        assert code == 3
+        assert json.loads(out) == {"d": int(d), "status": "condition-failed"}
 
 
 def test_lattice_det(tmp_path, capsys):
@@ -306,6 +403,9 @@ def test_lattice_hyperbolic_exhausted(tmp_path, capsys):
     code, out, _ = run(capsys, "lattice", "hyperbolic", str(f), "--bound", "10")
     assert code == 3
     assert "bound exhausted" in out
+    code, out, _ = run(capsys, "lattice", "hyperbolic", str(f), "--bound", "10", "--json")
+    assert code == 3
+    assert json.loads(out) == {"bound": 10, "status": "not-found-within-bound"}
 
 
 def test_lattice_hyperbolic_box_past_the_limit(tmp_path, capsys):
