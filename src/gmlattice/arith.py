@@ -3,7 +3,7 @@
 Everything here works on unbounded Python integers.  Discriminants go up
 to ``oracle.D_MAX = 10**11``, so trial division runs to about 3.2 * 10**5
 and the two-squares scan of the K3 witness (n = d/2) to about 1.6 * 10**5
-steps; together with deterministic Miller-Rabin that stays adequate.
+steps.
 """
 
 from math import isqrt
@@ -42,32 +42,11 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by the trial division of ``factorize``: its one caller,
+    ``forms.find_prime_1mod4``, asks about values up to ``forms.PRIME_CAP``,
+    so the division stops at 1000."""
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

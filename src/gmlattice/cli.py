@@ -1,10 +1,12 @@
 """Command-line front end: classification, scans, witnesses, lattice
 operations and the built-in verification suite.
 
-Exit codes: 0 success, 1 input error, 2 inadmissible discriminant under
---strict, 3 witness not found (with the reason: condition failed vs search
-bound exhausted).  Text output prints the bound each search used, and every
-witness together with a transcript that recomputes its defining identities.
+Exit codes: 0 success, 1 input error (an inadmissible d for a witness
+included), 2 inadmissible discriminant under --strict, 3 witness not found
+(with the reason: condition failed vs search bound exhausted), 141 when the
+reader closes stdout early.  Text output prints the bound each search used,
+and every witness together with a transcript that recomputes its defining
+identities.
 Under --json, classify, witness and lattice print exactly one JSON document,
 exit 3 included; a run that exits 1 prints nothing on stdout.
 Integers are printed exactly, in decimal, however many digits they have
@@ -14,6 +16,7 @@ Integers are printed exactly, in decimal, however many digits they have
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .discriminant import discriminant_group
@@ -30,7 +33,10 @@ from .lattice import (
 )
 from .oracle import (
     D_MAX,
+    K3WitnessReport,
+    _check_size,
     _k3_report_to_json,
+    admissible,
     classify,
     counterexample_family,
     hilb2_witness,
@@ -261,8 +267,10 @@ def _witness_twisted(d):
 
 
 def _witness_k3(d):
-    L = labelling_lattice(d)
-    rep = k3_witness(L)
+    # 8 | d has no normal form, and no labelling of it has a plane
+    # ("Absent, 8 | d" in k3_witness)
+    L = labelling_lattice(d) if d % 8 else None
+    rep = k3_witness(L) if L else K3WitnessReport(kind="rank3", status="proven-absent")
     payload = {"d": d, **_k3_report_to_json(rep)}
     if rep.status != "found":
         return EXIT_NO_WITNESS, payload, [
@@ -304,6 +312,9 @@ def cmd_witness(args):
         return _witness_counterexample(args)
     if args.d is None:
         raise DomainError(f"witness {args.kind} needs a discriminant argument")
+    if not admissible(args.d)[0]:
+        raise DomainError(f"d={args.d} is not an admissible discriminant")
+    _check_size(args.d)
     witness = {"hilb2": _witness_hilb2, "twisted": _witness_twisted, "k3": _witness_k3}
     return witness[args.kind](args.d)
 
@@ -439,6 +450,13 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:  # LatticeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout (`scan ... | head -1`): what is still buffered
+        # goes to devnull, and the exit code is SIGPIPE's, 128 + 13
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -26,7 +26,7 @@ from .errors import (
     LatticeError,
 )
 from . import intmat
-from .lattice import GramLattice, Sublattice, determinant
+from .lattice import GramLattice, Sublattice, determinant, direct_sum
 
 __all__ = [
     "DiscriminantData",
@@ -95,10 +95,7 @@ class DiscriminantData:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -223,17 +220,14 @@ def glue_with_basis(g: GlueData):
     express the new basis in the old left+right coordinates, so
     det(out) * index^2 = det(left) * det(right).
     """
-    if not check_isotropic(g):
+    lifts = _glue_lifts(g.left, g.right, g.subgroup_gens)
+    if not _isotropic(lifts):
         raise GlueObstructionError("glue subgroup is not isotropic")
-    n1, n2 = g.left.rank, g.right.rank
-    n = n1 + n2
-    big = [list(row) + [0] * n2 for row in g.left.gram]
-    big += [[0] * n1 + list(row) for row in g.right.gram]
-
-    nums = [_numerators(a + b) for a, b in g.subgroup_gens]
-    t = lcm(*(s for _, s in nums))
+    big = direct_sum(g.left, g.right).gram
+    n = len(big)
+    t = lcm(*(s for _, _, s, _, _ in lifts))
     scaled = [tuple(t if i == j else 0 for j in range(n)) for i in range(n)]
-    scaled += [tuple(x * (t // s) for x in num) for num, s in nums]
+    scaled += [tuple(x * (t // s) for x in na + nb) for na, nb, s, _, _ in lifts]
     H = intmat.hermite_row_basis(scaled)
     if len(H) != n:
         raise GlueObstructionError("glue generators do not span a finite overlattice")
@@ -243,17 +237,10 @@ def glue_with_basis(g: GlueData):
         raise GlueObstructionError("overlattice index is not integral")
 
     t2 = t * t
-    gh = [intmat.mat_vec(big, h) for h in H]
-    new_gram = []
-    for h in H:
-        row_vals = []
-        for w in gh:
-            val, r = divmod(_dot(h, w), t2)
-            if r:
-                raise GlueObstructionError("glued form is not integral")
-            row_vals.append(val)
-        new_gram.append(tuple(row_vals))
-    out = GramLattice(tuple(new_gram))
+    scaled_gram = intmat.mat_mul(intmat.mat_mul(H, big), intmat.transpose(H))
+    if any(x % t2 for row in scaled_gram for x in row):
+        raise GlueObstructionError("glued form is not integral")
+    out = GramLattice(tuple(tuple(x // t2 for x in row) for row in scaled_gram))
     if not out.is_even():
         raise GlueObstructionError("glued lattice is not even")
     basis = tuple(tuple(Fraction(x, t) for x in row) for row in H)
@@ -320,9 +307,7 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     if any(d == 0 for d in diag):
         raise LatticeError("S + K must have finite index in the ambient lattice")
     glue_factors = tuple(d for d in diag if d > 1)
-    glue_order = 1
-    for d in glue_factors:
-        glue_order *= d
+    glue_order = prod(glue_factors)
 
     SG, KG = S.gram(), K.gram()
     ds = discriminant_group(SG)
@@ -344,9 +329,7 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     iso = _isotropic(lifts)
 
     orders = ds.invariant_factors + dk.invariant_factors
-    total = 1
-    for d in orders:
-        total *= d
+    total = ds.order * dk.order
     h_exp = [ds._exponents(ga) + dk._exponents(gb) for _, _, _, ga, gb in lifts]
 
     # b on d(S) + d(K) is C / N: C block diagonal, N the common denominator

@@ -1,17 +1,20 @@
 """Integral binary quadratic forms: Gauss reduction, representability,
 and represented primes.
 
-All searches are exhaustive inside exact ellipse bounds, so a negative
-answer from ``represents`` is a proof of non-representability, while
+Both searches run on the Gram ((2a, b), (b, 2c)) of the form, inside the
+exact ellipse box of the lattice's definite norm search: a negative answer
+from ``represents`` is a proof of non-representability, while
 ``find_prime_1mod4`` reports bound exhaustion rather than absence.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
+from . import intmat
 from .arith import is_prime
 from .errors import DomainError, ImprimitiveFormError, UnsupportedFormError
 from .intmat import Matrix
+from .lattice import _definite_bounds, _definite_norm_vectors
 
 __all__ = ["BinaryForm", "find_prime_1mod4", "reduce_form", "represents"]
 
@@ -75,13 +78,6 @@ class BinaryForm:
         return s or "0"
 
 
-def _mat2_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
 def reduce_form(f: BinaryForm) -> tuple[BinaryForm, Matrix]:
     """Gauss-reduce a positive definite form.
 
@@ -92,66 +88,48 @@ def reduce_form(f: BinaryForm) -> tuple[BinaryForm, Matrix]:
     if not f.is_positive_definite():
         raise UnsupportedFormError("reduction implemented for positive definite forms")
     a, b, c = f.a, f.b, f.c
-    T = ((1, 0), (0, 1))
+    T = intmat.identity(2)
     while True:
         # shift b into (-a, a]
         r = (a - b) // (2 * a)
         if r:
-            b2 = b + 2 * r * a
-            c2 = a * r * r + b * r + c
-            b, c = b2, c2
-            T = _mat2_mul(T, ((1, r), (0, 1)))
+            b, c = b + 2 * r * a, a * r * r + b * r + c
+            T = intmat.mat_mul(T, ((1, r), (0, 1)))
         if a > c:
             a, b, c = c, -b, a
-            T = _mat2_mul(T, ((0, -1), (1, 0)))
+            T = intmat.mat_mul(T, ((0, -1), (1, 0)))
             continue
         break
     if a == c and b < 0:
         a, b, c = c, -b, a
-        T = _mat2_mul(T, ((0, -1), (1, 0)))
+        T = intmat.mat_mul(T, ((0, -1), (1, 0)))
     g = BinaryForm(a, b, c)
     assert g.is_reduced() and g.disc() == f.disc()
     return g, T
 
 
-def _ellipse_bounds(f: BinaryForm, value: int) -> tuple[int, int]:
-    """Exact per-coordinate bounds for f(x, y) <= value, f positive definite.
-
-    From 4a f = (2ax + by)^2 + |disc| y^2 and symmetrically in x:
-    x^2 <= 4c*value/|disc| and y^2 <= 4a*value/|disc|.
-    """
-    adisc = -f.disc()
-    xb = isqrt((4 * f.c * value) // adisc)
-    yb = isqrt((4 * f.a * value) // adisc)
-    return xb, yb
-
-
-def _ordered_range(bound: int):
-    """0, 1, -1, 2, -2, ...: deterministic order preferring small witnesses."""
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
+def _gram(f: BinaryForm) -> Matrix:
+    """Gram of f: (x, y) G (x, y)^t = 2 f(x, y)."""
+    return ((2 * f.a, f.b), (f.b, 2 * f.c))
 
 
 def represents(f: BinaryForm, value: int):
     """A representation f(x, y) = value, or None (a proof of none).
 
-    Exhaustive scan over the exact ellipse bounds, ordered so that small
-    non-negative witnesses are found first.
+    The complete list comes from the lattice's definite norm search for
+    2 value on the Gram of f; the first by x and then y in the order
+    0, 1, -1, 2, -2, ... is returned, so small non-negative witnesses win.
     """
     if not f.is_positive_definite():
         raise UnsupportedFormError("representation search needs a positive definite form")
     if value < 0:
         raise DomainError("positive definite forms represent only non-negative values")
-    if value == 0:
-        return (0, 0)
-    xb, yb = _ellipse_bounds(f, value)
-    for x in _ordered_range(xb):
-        for y in _ordered_range(yb):
-            if f(x, y) == value:
-                return (x, y)
-    return None
+    # 2|k| - (k > 0) ranks k in the order 0, 1, -1, 2, -2, ...
+    return min(
+        _definite_norm_vectors(_gram(f), 2 * value),
+        key=lambda v: tuple(2 * abs(k) - (k > 0) for k in v),
+        default=None,
+    )
 
 
 # largest value find_prime_1mod4 searches, and the values it searches up to
@@ -171,7 +149,7 @@ def find_prime_1mod4(f: BinaryForm):
     if not f.is_primitive():
         raise ImprimitiveFormError("prime search needs a primitive form")
     for stage in _STAGES:
-        xb, yb = _ellipse_bounds(f, stage)
+        xb, yb = _definite_bounds(_gram(f), 2 * stage)
         best = None
         prime_cache: dict[int, bool] = {}
         for x in range(-xb, xb + 1):

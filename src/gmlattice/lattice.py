@@ -9,7 +9,7 @@ function on immutable values.
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 import re
 
 from .errors import (
@@ -273,10 +273,7 @@ def saturate(L: GramLattice, S: Sublattice) -> tuple[Sublattice, int]:
     sat_rows = intmat.hermite_row_basis(
         tuple(x // d for x in row) for row, d in zip(UB, factors)
     )
-    index = 1
-    for d in factors:
-        index *= d
-    return Sublattice(L, sat_rows), index
+    return Sublattice(L, sat_rows), prod(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +418,10 @@ class IsometryResult:
         return self.status == "isometric"
 
 
-def _definite_norm_vectors(G, target):
-    """All v with v.G.v == target for positive definite G (complete)."""
+def _definite_bounds(G, target) -> list[int]:
+    """Exact box of the ellipsoid v.G.v <= target for positive definite G:
+    v_i^2 <= target * (G^-1)_ii, and (G^-1)_ii is the i-th principal minor
+    over det G."""
     n = len(G)
     det = intmat.bareiss_det(G)
     bounds = []
@@ -432,7 +431,13 @@ def _definite_norm_vectors(G, target):
         )
         adj = intmat.bareiss_det(minor)
         bounds.append(isqrt((target * adj) // det))
-    return list(_norm_solutions(G, target, bounds))
+    return bounds
+
+
+def _definite_norm_vectors(G, target):
+    """All v with v.G.v == target for positive definite G (complete), in
+    lexicographic order."""
+    return list(_norm_solutions(G, target, _definite_bounds(G, target)))
 
 
 def is_isometric_small(L1: GramLattice, L2: GramLattice) -> IsometryResult:

@@ -278,10 +278,6 @@ def _check_labelling(L: GramLattice) -> None:
         )
 
 
-def _unit(rank: int, i: int) -> tuple:
-    return tuple(int(j == i) for j in range(rank))
-
-
 def _labelling_det(gram: intmat.Matrix, w) -> int:
     """det of the pairings of (e1, e2, w) under gram."""
     gw = intmat.mat_vec(gram, w)
@@ -318,7 +314,7 @@ def hilb2_criterion(L: GramLattice, w) -> bool:
     """
     _check_labelling(L)
     w = tuple(w)
-    return L.norm(w) == 0 and abs(L.pairing(_unit(L.rank, 0), w)) == 1
+    return L.norm(w) == 0 and abs(L.pairing(intmat.identity(L.rank)[0], w)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +801,13 @@ class DivisorReport:
         expect = self.d > 0 and self.d % 8 in (0, 2, 4)
         if self.admissible != expect:
             raise LatticeError("admissibility flag inconsistent with d mod 8")
+        w = self.witnesses
+        if w.get("twisted") and not self.star2_twisted:
+            raise LatticeError("twisted witness without star2_twisted")
+        if w.get("hilb2") and self.star3 is None:
+            raise LatticeError("hilb2 witness without star3")
+        if w.get("k3") and (w["k3"]["status"] == "found") != self.star2:
+            raise LatticeError("k3 witness status disagrees with star2")
 
     def to_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ corrupted object fails the matching check (fault injection).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 from . import intmat
@@ -39,7 +40,7 @@ from .oracle import (
     lemma_checks,
     qform_rank4,
 )
-from .pell import cf_sqrt, negative_pell, pell_general
+from .pell import negative_pell, pell_general
 
 __all__ = ["CheckResult", "check_list", "run_checks"]
 
@@ -336,6 +337,19 @@ def check_admissibility():
     return True, "labels for 10, 12, 6 and the mod-8 rule to 200"
 
 
+def _period_length(m: int) -> int:
+    """Period of the continued fraction of sqrt(m), m not a square, by the
+    textbook loop run until a_k = 2 a_0: no code shared with ``pell``."""
+    a0 = isqrt(m)
+    p, q, a, length = 0, 1, a0, 0
+    while a != 2 * a0:
+        p = a * q - p
+        q = (m - p * p) // q
+        a = (a0 + p) // q
+        length += 1
+    return length
+
+
 def check_negative_pell_cf():
     expected = {1: (0, 1), 2: (1, 1), 5: (2, 1), 13: (18, 5)}
     for m, pair in expected.items():
@@ -347,7 +361,7 @@ def check_negative_pell_cf():
     for m in range(2, 120):
         if is_square(m):
             continue
-        odd = len(cf_sqrt(m)[1]) % 2 == 1
+        odd = _period_length(m) % 2 == 1
         if (negative_pell(m) is not None) != odd:
             return False, f"m={m}: period parity mismatch"
     return True, "fundamentals for m in {1,2,5,13}; parity rule to 120"

@@ -153,8 +153,17 @@ def test_criterion_07_pell():
         if is_square(m):
             assert negative_pell(m) is None
             continue
-        odd = len(cf_sqrt(m)[1]) % 2 == 1
-        assert (negative_pell(m) is not None) == odd, m
+        # count the period with the textbook loop, run until a_k = 2 a_0,
+        # so that the parity does not come from pell itself
+        a0 = isqrt(m)
+        p, q, a, period = 0, 1, a0, 0
+        while a != 2 * a0:
+            p = a * q - p
+            q = (m - p * p) // q
+            a = (a0 + p) // q
+            period += 1
+        assert len(cf_sqrt(m)[1]) == period, m
+        assert (negative_pell(m) is not None) == (period % 2 == 1), m
     assert negative_pell(25) is None
     assert negative_pell(1).as_pair() == (0, 1)
     assert negative_pell(2).as_pair() == (1, 1)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -378,6 +380,53 @@ def test_witness_json_outputs(capsys):
         code, out, _ = run(capsys, "witness", kind, d, "--json")
         assert code == 3
         assert json.loads(out) == {"d": int(d), "status": "condition-failed"}
+
+
+@pytest.mark.parametrize("kind", ["k3", "twisted", "hilb2"])
+@pytest.mark.parametrize("d", ["5", "6", "0", "-2"])
+def test_witness_refuses_an_inadmissible_discriminant(capsys, kind, d):
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "witness", kind, d, *extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: d={d} is not an admissible discriminant\n"
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_witness_k3_is_absent_when_8_divides_d(capsys, d):
+    code, out, err = run(capsys, "witness", "k3", str(d))
+    assert code == 3 and err == ""
+    assert out == (
+        f"no witness: d = {d} has no hyperbolic plane because the K3 condition "
+        "fails (condition failed)\n"
+    )
+    code, out, err = run(capsys, "witness", "k3", str(d), "--json")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {
+        "d": d,
+        "status": "proven-absent",
+        "u_basis": None,
+        "complement_gen": None,
+        "gen_norm": None,
+    }
+    assert oracle.classify(d).star2 is False
+
+
+def test_scan_into_a_closed_pipe_prints_no_traceback():
+    # `gmlattice scan 20000 | head -1`: the reader takes one line and leaves
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gmlattice.cli", "scan", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"d,divisor,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_lattice_det(tmp_path, capsys):

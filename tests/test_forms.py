@@ -134,6 +134,41 @@ def test_represents_none_agrees_with_independent_scan():
         done += 1
 
 
+def ordered_scan(f, value):
+    """The reference representation search: x, then y, each in the order
+    0, 1, -1, 2, -2, ... inside the ellipse box x^2 <= 4c value/|disc|,
+    y^2 <= 4a value/|disc|; the first hit, or None."""
+    adisc = -f.disc()
+
+    def ordered(bound):
+        yield 0
+        for k in range(1, bound + 1):
+            yield k
+            yield -k
+
+    for x in ordered(isqrt(4 * f.c * value // adisc)):
+        for y in ordered(isqrt(4 * f.a * value // adisc)):
+            if f(x, y) == value:
+                return (x, y)
+    return None
+
+
+def test_represents_returns_the_first_witness_of_the_ordered_scan():
+    rng = Random(7)
+    done = 0
+    while done < 150:
+        f = BinaryForm(rng.randint(1, 30), rng.randint(-30, 30), rng.randint(1, 30))
+        if not f.is_positive_definite():
+            continue
+        for v in range(60):
+            assert represents(f, v) == ordered_scan(f, v), (f, v)
+        done += 1
+    # several witnesses, of which the scan order picks one
+    assert represents(BinaryForm(1, 0, 1), 25) == (0, 5)
+    assert represents(BinaryForm(1, 1, 1), 7) == (1, 2)
+    assert represents(BinaryForm(2, 1, 3), 6) == (1, 1)
+
+
 def test_represents_rejects_bad_inputs():
     with pytest.raises(UnsupportedFormError):
         represents(BinaryForm(1, 4, 1), 3)

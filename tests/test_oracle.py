@@ -669,3 +669,38 @@ def test_divisor_report_enforces_chain():
             star3=None,
             dm_isomorphic=None,
         )
+
+
+@pytest.mark.parametrize(
+    "flags,witnesses,message",
+    [
+        # d = 12 has no two-squares decomposition, yet a twisted witness
+        (
+            {"d": 12, "star2": False, "star2_twisted": False},
+            {"twisted": {"x": 1, "y": 2, "i": 1}},
+            "twisted witness without star2_twisted",
+        ),
+        # d = 50 fails P_25(-1), yet a Hilbert-square witness
+        (
+            {"d": 50, "star2": True, "star2_twisted": True},
+            {"hilb2": {"gram": [[-2, 0, 1], [0, -2, 0], [1, 0, 12]], "w": [0, 1, 1]}},
+            "hilb2 witness without star3",
+        ),
+        # d = 10 satisfies the K3 condition, yet the plane is "proven-absent"
+        (
+            {"d": 10, "star2": True, "star2_twisted": True},
+            {"k3": {"status": "proven-absent"}},
+            "k3 witness status disagrees with star2",
+        ),
+    ],
+)
+def test_divisor_report_flags_agree_with_witnesses(flags, witnesses, message):
+    with pytest.raises(LatticeError, match=message):
+        DivisorReport(
+            admissible=True,
+            divisor_label="D_d",
+            star3=None,
+            dm_isomorphic=None,
+            witnesses=witnesses,
+            **flags,
+        )

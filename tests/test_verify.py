@@ -1,10 +1,11 @@
 """The named verification suite, including fault injection."""
 
-from gmlattice import standard_lattice, twist
+from gmlattice import pell, standard_lattice, twist
 from gmlattice.verify import (
     check_list,
     check_mukai_embedding_complement,
     check_mukai_lattice,
+    check_negative_pell_cf,
     check_vanishing_lattice,
     run_checks,
 )
@@ -48,3 +49,21 @@ def test_fault_injection_embedding():
     M = standard_lattice("LambdaTilde")
     ok, _ = check_mukai_embedding_complement(M)  # wrong sign convention
     assert not ok
+
+
+def test_fault_injection_pell_parity(monkeypatch):
+    # flip the period parity that pell derives for m = 29: negative_pell and
+    # cf_sqrt then agree with each other, and both are wrong, since
+    # 70^2 - 29 * 13^2 = -1; the check counts the period on its own
+    real = pell._half_period
+
+    def flipped(m):
+        half, odd = real(m)
+        return half, odd != (m == 29)
+
+    monkeypatch.setattr(pell, "_half_period", flipped)
+    assert pell.negative_pell(29) is None
+    assert pell.cf_sqrt(29) == (5, [2, 1, 2, 10])
+    ok, detail = check_negative_pell_cf()
+    assert not ok
+    assert detail == "m=29: period parity mismatch"
