@@ -2,12 +2,17 @@
 
 Each check recomputes one of the arithmetic identities the package is built
 on, from scratch, and reports pass/fail with the identity as its anchor.
-Check functions accept overrides for their inputs so a deliberately
-corrupted object fails the matching check (fault injection).
+An identity stated for many instances is written once, as a per-instance
+predicate (``normal_form_failure(k)``, ``pell_parity_failure(m)``, ...)
+that returns None or the failure detail; its check sweeps it over a few
+instances, and the acceptance criteria sweep the same predicate over a
+wider range.  The lattice checks accept overrides for their inputs so a
+deliberately corrupted object fails the matching check (fault injection).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from math import isqrt
 from random import Random
 
@@ -20,7 +25,7 @@ from .lattice import (
     Sublattice,
     determinant,
     direct_sum,
-    is_isometric_small,
+    find_hyperbolic_plane,
     mukai_sign_reversed,
     orthogonal_complement,
     signature,
@@ -35,6 +40,7 @@ from .oracle import (
     counterexample_family,
     counterexample_general,
     dm_isomorphism_check,
+    hilb2_criterion,
     hilb2_witness,
     labelling_det,
     lemma_checks,
@@ -53,6 +59,28 @@ class CheckResult:
     detail: str
 
 
+_CHECKS = []
+
+
+def _check(name: str, anchor: str):
+    """Register the decorated function as the check ``name`` with its anchor."""
+
+    def register(fn):
+        _CHECKS.append((name, anchor, fn))
+        return fn
+
+    return register
+
+
+def _sweep(details, summary):
+    """(False, the first failure detail) in a lazy sweep of a per-instance
+    predicate, whose None is a pass, or (True, summary) if none fails."""
+    detail = next(filter(None, details), None)
+    return (True, summary) if detail is None else (False, detail)
+
+
+@_check("vanishing-lattice",
+        "Lambda = E8^2 + U^2 + I(2,0)(2): rank 22, det 4, even, signature (20,2)")
 def check_vanishing_lattice(L: GramLattice | None = None):
     L = L or standard_lattice("Lambda")
     det, sig = determinant(L), signature(L)
@@ -60,12 +88,14 @@ def check_vanishing_lattice(L: GramLattice | None = None):
     return ok, f"rank={L.rank} det={det} sig={sig}"
 
 
+@_check("i20-twist", "I(2,0) twisted by 2 is diag(2,2)")
 def check_i20_twist():
     L = twist(standard_lattice("I(2,0)"), 2)
     ok = L.gram == ((2, 0), (0, 2))
     return ok, f"gram={L.gram}"
 
 
+@_check("mukai-lattice", "LambdaTilde = U^4 + E8(-1)^2: rank 24, unimodular, signature (4,20)")
 def check_mukai_lattice(L: GramLattice | None = None):
     L = L or standard_lattice("LambdaTilde")
     M = mukai_sign_reversed()
@@ -87,6 +117,8 @@ def _mukai_embedding_vectors():
     return f1, f2
 
 
+@_check("mukai-embedding-complement",
+        "u1-v1, u2-v2 pair as diag(-2,-2); complement has det 4, signature (20,2), discriminant group (Z/2)^2")
 def check_mukai_embedding_complement(M: GramLattice | None = None):
     M = M or mukai_sign_reversed()
     f1, f2 = _mukai_embedding_vectors()
@@ -116,38 +148,52 @@ def check_mukai_embedding_complement(M: GramLattice | None = None):
     )
 
 
+def _det_failure(gram, formula, label):
+    """None when the Gram has determinant formula, else label with the determinant."""
+    det = intmat.bareiss_det(gram)
+    return None if det == formula else f"{label}: det={det}"
+
+
+def normal_form_failure(k: int):
+    """None when the three labelling normal forms at k have det 2+8k, 2+8k, 4+8k."""
+    return (
+        _det_failure(((-2, 0, 1), (0, -2, 0), (1, 0, 2 * k)), 2 + 8 * k, f"first form k={k}")
+        or _det_failure(((-2, 0, 0), (0, -2, 1), (0, 1, 2 * k)), 2 + 8 * k, f"second form k={k}")
+        or _det_failure(((-2, 0, 1), (0, -2, 1), (1, 1, 2 * k)), 4 + 8 * k, f"third form k={k}")
+    )
+
+
+def isotropic_det_failure(x: int, y: int):
+    """None when det(-2,0,x|0,-2,y|x,y,0) = 2x^2 + 2y^2."""
+    gram = ((-2, 0, x), (0, -2, y), (x, y, 0))
+    return _det_failure(gram, 2 * x * x + 2 * y * y, f"(x,y)=({x},{y})")
+
+
+def hilb2_det_failure(n: int):
+    """None when det(-2,0,1|0,-2,n|1,n,0) = 2n^2 + 2."""
+    return _det_failure(((-2, 0, 1), (0, -2, n), (1, n, 0)), 2 * n * n + 2, f"n={n}")
+
+
+@_check("normal-form-determinants",
+        "det(-2,0,1|0,-2,0|1,0,2k) = 2+8k and det(-2,0,1|0,-2,1|1,1,2k) = 4+8k")
 def check_normal_form_determinants():
-    for k in range(-2, 8):
-        l1 = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2 * k)))
-        if determinant(l1) != 2 + 8 * k:
-            return False, f"first form k={k}: det={determinant(l1)}"
-        l2 = GramLattice(((-2, 0, 0), (0, -2, 1), (0, 1, 2 * k)))
-        if determinant(l2) != 2 + 8 * k:
-            return False, f"second form k={k}: det={determinant(l2)}"
-        l3 = GramLattice(((-2, 0, 1), (0, -2, 1), (1, 1, 2 * k)))
-        if determinant(l3) != 4 + 8 * k:
-            return False, f"third form k={k}: det={determinant(l3)}"
-    return True, "k in [-2, 7]"
+    return _sweep(map(normal_form_failure, range(-2, 8)), "k in [-2, 7]")
 
 
+@_check("isotropic-labelling-det", "det(-2,0,x|0,-2,y|x,y,0) = 2x^2 + 2y^2")
 def check_isotropic_labelling_det():
     rng = Random(20260810)
-    for _ in range(50):
-        x, y = rng.randint(-40, 40), rng.randint(-40, 40)
-        L = GramLattice(((-2, 0, x), (0, -2, y), (x, y, 0)))
-        if determinant(L) != 2 * x * x + 2 * y * y:
-            return False, f"(x,y)=({x},{y})"
-    return True, "50 random (x, y)"
+    pairs = ((rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(50))
+    return _sweep(starmap(isotropic_det_failure, pairs), "50 random (x, y)")
 
 
+@_check("hilb2-labelling-det", "det(-2,0,1|0,-2,n|1,n,0) = 2n^2 + 2")
 def check_hilb2_shape_det():
-    for n in range(-10, 11):
-        L = GramLattice(((-2, 0, 1), (0, -2, n), (1, n, 0)))
-        if determinant(L) != 2 * n * n + 2:
-            return False, f"n={n}"
-    return True, "n in [-10, 10]"
+    return _sweep(map(hilb2_det_failure, range(-10, 11)), "n in [-10, 10]")
 
 
+@_check("discriminant-form-classes",
+        "d(diag(-2,-2)) = (Z/2)^2 with q = (3/2, 3/2); d(<2>) = Z/2 with q = 1/2")
 def check_disc_group_classes():
     dg = discriminant_group(GramLattice(((-2, 0), (0, -2))))
     if dg.invariant_factors != (2, 2) or set(dg.qvalues) != {Fraction(3, 2)}:
@@ -160,6 +206,8 @@ def check_disc_group_classes():
     return True, "diag(-2,-2) -> (Z/2)^2 with q=(3/2,3/2); <2> -> Z/2 with q=1/2"
 
 
+@_check("glue-isotropy-cases",
+        "q((1,1,1)) = 1/2 + 1/2 - 1/2 != 0: only two of three order-2 glue candidates are isotropic")
 def check_glue_case_analysis():
     # q-values (1/2, 1/2) on d(S), -1/2 on d(K): of the three candidate
     # order-2 glue groups only (1,0,1) and (0,1,1) are isotropic.
@@ -186,23 +234,37 @@ def check_glue_case_analysis():
     return ok, f"isotropy {iso}; model |H|={rep.glue_order} identity={rep.quotient_identity_holds}"
 
 
+@_check("glue-hyperbolic-plane",
+        "<2> + <-2> glued along the diagonal is U; det = det(S) det(K) / |H|^2")
 def check_glue_u():
     half = Fraction(1, 2)
-    g = GlueData(
-        GramLattice(((2,),)), GramLattice(((-2,),)), (((half,), (half,)),)
+    out = glue(GlueData(GramLattice(((2,),)), GramLattice(((-2,),)), (((half,), (half,)),)))
+    det = determinant(out)
+    # an even rank-2 lattice of det -1 is U, certified by the plane's basis T:
+    # T is unimodular and T^t G T = U, both recomputed here
+    T = find_hyperbolic_plane(out, 1) if out.rank == 2 and out.is_even() else None
+    ok = (
+        det == (2 * -2) // 4
+        and T is not None
+        and abs(intmat.bareiss_det(T)) == 1
+        and [[out.pairing(u, v) for v in T] for u in T] == [[0, 1], [1, 0]]
     )
-    out = glue(g)
-    det_ok = determinant(out) == (2 * -2) // 4
-    iso = is_isometric_small(out, standard_lattice("U"))
-    return bool(iso) and det_ok, f"glued gram {out.gram}, det {determinant(out)}, {iso.status}"
+    return ok, f"glued gram {out.gram}, det {det}, T = {T}"
 
 
+def d50_failure(star2, star2_twisted, star3):
+    """None when the flags of d = 50 hold: star2 and star2' true, P_25(-1) unsolvable."""
+    ok = star2 is True and star2_twisted is True and star3 is None
+    return None if ok else "star2 true, star2' true, P_25(-1) unsolvable"
+
+
+@_check("d50-separates-conditions", "d = 50 satisfies the K3 condition but P_25(-1) is unsolvable")
 def check_d50():
-    s3 = cond_star3(50)
-    ok = cond_star2(50) and cond_star2_twisted(50) and s3 is None
-    return ok, "star2 true, star2' true, P_25(-1) unsolvable"
+    detail = d50_failure(cond_star2(50), cond_star2_twisted(50), cond_star3(50))
+    return detail is None, "star2 true, star2' true, P_25(-1) unsolvable"
 
 
+@_check("hilbert-square-pell", "a^2 d = 2n^2 + 2 iff n^2 - (d/2) a^2 = -1")
 def check_star3_pell_identity():
     for d in (2, 4, 10, 20, 26, 34):
         sol = cond_star3(d)
@@ -214,62 +276,79 @@ def check_star3_pell_identity():
     return True, "a^2 d = 2n^2+2 and n^2 - (d/2)a^2 = -1 on d in {2,4,10,20,26,34}"
 
 
+def q_identity_failure(k: int, l: int, m: int, n: int, x: int, y: int):
+    """None when Q(x, y) is the det of the labelling by x tau1 + y tau2 and
+    A = 2k^2+2l^2, B = 8+4km+4ln, C = 2m^2+2n^2."""
+    qa = qform_rank4(k, l, m, n)
+    p, r = k * x + m * y, l * x + n * y
+    gram = ((-2, 0, p), (0, -2, r), (p, r, 2 * x * y))
+    abc = (2 * k * k + 2 * l * l, 8 + 4 * k * m + 4 * l * n, 2 * m * m + 2 * n * n)
+    if (qa.A, qa.B, qa.C) != abc:
+        return "coefficient formulas"
+    return _det_failure(gram, qa.Q(x, y), f"(k,l,m,n,x,y)=({k},{l},{m},{n},{x},{y})")
+
+
+@_check("rank4-q-identity",
+        "Q(x,y) = 8xy + 2(kx+my)^2 + 2(lx+ny)^2; A = 2k^2+2l^2, B = 8+4km+4ln, C = 2m^2+2n^2")
 def check_q_rank4_identity():
     rng = Random(4242)
-    for _ in range(200):
-        k, l, m, n = (rng.randint(-50, 50) for _ in range(4))
-        x, y = rng.randint(-50, 50), rng.randint(-50, 50)
-        qa = qform_rank4(k, l, m, n)
-        p, r = k * x + m * y, l * x + n * y
-        direct = intmat.bareiss_det(((-2, 0, p), (0, -2, r), (p, r, 2 * x * y)))
-        if qa.Q(x, y) != direct:
-            return False, f"(k,l,m,n,x,y)=({k},{l},{m},{n},{x},{y})"
-        if (qa.A, qa.B, qa.C) != (
-            2 * k * k + 2 * l * l,
-            8 + 4 * k * m + 4 * l * n,
-            2 * m * m + 2 * n * n,
-        ):
-            return False, "coefficient formulas"
-    return True, "200 random instances"
+    draws = ([rng.randint(-50, 50) for _ in range(6)] for _ in range(200))
+    return _sweep(starmap(q_identity_failure, draws), "200 random instances")
 
 
+def lemma_failure(k: int, l: int, m: int, n: int):
+    """None when the content lemma holds at (k, l, m, n); a positive-definite
+    q with an odd pairing must represent a prime 1 (mod 4)."""
+    qa = qform_rank4(k, l, m, n)
+    rep = lemma_checks(qa)
+    if not rep.conclusions_hold() or (rep.all_even and qa.h % 8):
+        return f"{(k, l, m, n)}: residue conclusions fail"
+    if rep.all_even or not qa.q.is_positive_definite():
+        return None
+    p, x, y = rep.prime if rep.prime_status == "found" else (0, 0, 0)
+    if p % 4 != 1 or qa.q(x, y) != p:
+        return f"{(k, l, m, n)}: prime search {rep.prime_status} {rep.prime}"
+    return None
+
+
+@_check("content-lemma-suite",
+        "odd primes dividing h are 1 (mod 4); 8 | h iff all pairings even; a, c != 3 (mod 4), b even; q represents a prime 1 (mod 4)")
 def check_lemma_suite_instances():
     qa = qform_rank4(2, 1, -1, 1)
-    rep = lemma_checks(qa)
-    if not (qa.h == 2 and qa.q == BinaryForm(5, 2, 2) and rep.conclusions_hold()):
+    if not (qa.h == 2 and qa.q == BinaryForm(5, 2, 2)):
         return False, f"(2,1,-1,1): h={qa.h} q={qa.q}"
+    rep = lemma_checks(qa)
     if rep.prime_status != "found" or rep.prime[0] != 5:
         return False, f"(2,1,-1,1): prime search {rep.prime_status} {rep.prime}"
-    all_even = lemma_checks(qform_rank4(2, 2, 2, 2))
-    if not all_even.all_even or all_even.h % 8 != 0:
-        return False, "(2,2,2,2) should hit 8 | h"
-    for probe in ((1, 0, 0, 1), (3, 1, 1, 0), (0, 1, 2, 1)):
-        qa2 = qform_rank4(*probe)
-        rep2 = lemma_checks(qa2)
-        if not rep2.conclusions_hold():
-            return False, f"{probe}: residue conclusions fail"
-    return True, "h, residues and represented prime on probe instances"
+    probes = ((2, 1, -1, 1), (2, 2, 2, 2), (1, 0, 0, 1), (3, 1, 1, 0), (0, 1, 2, 1))
+    return _sweep(starmap(lemma_failure, probes), "h, residues and represented prime on probe instances")
 
 
+def family_failure(n: int):
+    """None when the counterexample family at n passes: kappa1, kappa2 span U,
+    discs are 0 (mod 8), and it represents 1 exactly for n <= 1."""
+    rep = counterexample_family(n)
+    if not (rep.kappa_checks and rep.all_discs_divisible_by_8):
+        return f"n={n} family"
+    if n == 2 and rep.reduced_form != BinaryForm(2, 1, 2):
+        return f"n={n} family"
+    one = rep.represents_one
+    if not (one is not None) == rep.d8_member == (n <= 1) or (one and rep.form(*one) != 1):
+        return f"n={n} family rep {one}"
+    return None
+
+
+@_check("counterexample-family",
+        "kappa1, kappa2 span U; -Q/8 at n=2 reduces to 2x^2+xy+2y^2 with minimum 2; labelling discs are 0 (mod 8)")
 def check_counterexample_family():
-    r2 = counterexample_family(2)
-    if not (
-        r2.kappa_checks
-        and r2.reduced_form == BinaryForm(2, 1, 2)
-        and r2.represents_one is None
-        and r2.all_discs_divisible_by_8
-        and not r2.d8_member
-    ):
-        return False, "n=2 family"
-    r0 = counterexample_family(0)
-    r1 = counterexample_family(1)
-    if not (r0.d8_member and r0.represents_one == (0, 1)):
-        return False, f"n=0 family rep {r0.represents_one}"
-    if not (r1.d8_member and r1.represents_one in ((1, -1), (-1, 1))):
-        return False, f"n=1 family rep {r1.represents_one}"
-    return True, "n in {0, 1, 2}: reduction, representing 1, discs mod 8"
+    r0, r1 = (counterexample_family(n).represents_one for n in (0, 1))
+    if r0 != (0, 1) or r1 not in ((1, -1), (-1, 1)):
+        return False, f"n=0, 1 family reps {r0}, {r1}"
+    return _sweep(map(family_failure, (2, 0, 1)), "n in {0, 1, 2}: reduction, representing 1, discs mod 8")
 
 
+@_check("counterexample-general",
+        "N_(k,l,m,n) has even pairings, so every labelling disc is 0 (mod 8); N_(1,1,1,n) is the one-parameter family")
 def check_counterexample_general():
     for klmn in ((2, 1, 0, 1), (1, 1, 0, 0), (1, 1, 1, 3), (3, 2, 1, 1)):
         rep = counterexample_general(*klmn)
@@ -287,27 +366,37 @@ def check_counterexample_general():
     return True, "kappa span, doubled-row basis change, discs 0 mod 8"
 
 
+def hilb2_witness_failure(d: int):
+    """None when admissible d has a Hilbert-square witness iff P_{d/2}(-1) has
+    a solution (n, a), with the parities and identities of the anchor."""
+    sol, wit = cond_star3(d), hilb2_witness(d)
+    if (sol is None) != (wit is None):
+        return f"d={d}: witness iff P_(d/2)(-1) solvable"
+    if sol is None:
+        return None
+    n, a = sol.as_pair()
+    if d % 8 == 2 and n % 2 != 0:
+        return f"d={d}: n odd"
+    if d % 8 != 2 and (d % 8, n % 2, a % 4) != (4, 1, 1):
+        return f"d={d}: parity of (n,a)=({n},{a})"
+    L, w = wit
+    if L.norm(w) != 0 or L.pairing((1, 0, 0), w) != 1 or not hilb2_criterion(L, w):
+        return f"d={d}: witness identities"
+    other = L.pairing((0, 1, 0), w)
+    if not labelling_det(L, w) == 2 * other * other + 2 == a * a * d:
+        return f"d={d}: labelling determinant"
+    return None
+
+
+@_check("hilbert-square-witness",
+        "w = (a-1)/2 lambda1 + n/2 lambda2 + a tau: isotropic, unit pairing, labelling det 2n^2+2; n even iff d = 2 (mod 8), a = 1 (mod 4)")
 def check_hilb2_witness_parity():
-    for d in range(2, 203, 2):
-        if not admissible(d)[0]:
-            continue
-        sol = cond_star3(d)
-        if sol is None:
-            continue
-        n, a = sol.as_pair()
-        if d % 8 == 2 and n % 2 != 0:
-            return False, f"d={d}: n odd"
-        if d % 8 == 4 and (n % 2 != 1 or a % 4 != 1):
-            return False, f"d={d}: parity of (n,a)=({n},{a})"
-        L, w = hilb2_witness(d)
-        if L.norm(w) != 0 or L.pairing((1, 0, 0), w) != 1:
-            return False, f"d={d}: witness identities"
-        other = L.pairing((0, 1, 0), w)
-        if labelling_det(L, w) != 2 * other * other + 2:
-            return False, f"d={d}: labelling determinant"
-    return True, "all Pell-solvable admissible d <= 202"
+    ds = (d for d in range(2, 203, 2) if admissible(d)[0])
+    return _sweep(map(hilb2_witness_failure, ds), "all Pell-solvable admissible d <= 202")
 
 
+@_check("double-epw-isomorphism",
+        "isomorphic to a double EPW sextic iff P_{d/2}(-1) solvable and P_{2d}(5) not")
 def check_dm_values():
     p4 = [s.as_pair() for s in pell_general(4, 5)]
     p20 = [s.as_pair() for s in pell_general(20, 5)]
@@ -324,6 +413,13 @@ def check_dm_values():
     return ok, f"P_4(5)={p4} P_20(5)={p20} P_52(5)={p52}"
 
 
+def admissibility_failure(d: int):
+    """None when d >= 1 is admissible exactly when d = 0, 2, 4 (mod 8)."""
+    return None if admissible(d)[0] == (d % 8 in (0, 2, 4)) else f"d={d}"
+
+
+@_check("admissible-discriminants",
+        "admissible iff d > 0 and d = 0, 2, 4 (mod 8); D_d for 4 | d, a two-component divisor for d = 2 (mod 8)")
 def check_admissibility():
     if admissible(10) != (True, "Dprime_union"):
         return False, "d=10"
@@ -331,13 +427,10 @@ def check_admissibility():
         return False, "d=12"
     if admissible(6) != (False, "inadmissible"):
         return False, "d=6"
-    for d in range(1, 200):
-        if admissible(d)[0] != (d % 8 in (0, 2, 4)):
-            return False, f"d={d}"
-    return True, "labels for 10, 12, 6 and the mod-8 rule to 200"
+    return _sweep(map(admissibility_failure, range(1, 200)), "labels for 10, 12, 6 and the mod-8 rule to 200")
 
 
-def _period_length(m: int) -> int:
+def period_length(m: int) -> int:
     """Period of the continued fraction of sqrt(m), m not a square, by the
     textbook loop run until a_k = 2 a_0: no code shared with ``pell``."""
     a0 = isqrt(m)
@@ -350,121 +443,26 @@ def _period_length(m: int) -> int:
     return length
 
 
+def pell_parity_failure(m: int):
+    """None when, for m >= 2, P_m(-1) is solvable exactly when m is not a
+    square and the period of sqrt(m) is odd."""
+    solvable = negative_pell(m) is not None
+    if is_square(m):
+        return f"m={m} should be unsolvable" if solvable else None
+    if solvable != (period_length(m) % 2 == 1):
+        return f"m={m}: period parity mismatch"
+    return None
+
+
+@_check("negative-pell-continued-fractions",
+        "P_m(-1) solvable iff the period of sqrt(m) is odd; fundamentals for m = 1, 2, 5, 13")
 def check_negative_pell_cf():
     expected = {1: (0, 1), 2: (1, 1), 5: (2, 1), 13: (18, 5)}
     for m, pair in expected.items():
         sol = negative_pell(m)
         if sol is None or sol.as_pair() != pair:
             return False, f"m={m}"
-    if negative_pell(25) is not None:
-        return False, "m=25 should be unsolvable"
-    for m in range(2, 120):
-        if is_square(m):
-            continue
-        odd = _period_length(m) % 2 == 1
-        if (negative_pell(m) is not None) != odd:
-            return False, f"m={m}: period parity mismatch"
-    return True, "fundamentals for m in {1,2,5,13}; parity rule to 120"
-
-
-_CHECKS = (
-    (
-        "vanishing-lattice",
-        "Lambda = E8^2 + U^2 + I(2,0)(2): rank 22, det 4, even, signature (20,2)",
-        check_vanishing_lattice,
-    ),
-    ("i20-twist", "I(2,0) twisted by 2 is diag(2,2)", check_i20_twist),
-    (
-        "mukai-lattice",
-        "LambdaTilde = U^4 + E8(-1)^2: rank 24, unimodular, signature (4,20)",
-        check_mukai_lattice,
-    ),
-    (
-        "mukai-embedding-complement",
-        "u1-v1, u2-v2 pair as diag(-2,-2); complement has det 4, signature (20,2), discriminant group (Z/2)^2",
-        check_mukai_embedding_complement,
-    ),
-    (
-        "normal-form-determinants",
-        "det(-2,0,1|0,-2,0|1,0,2k) = 2+8k and det(-2,0,1|0,-2,1|1,1,2k) = 4+8k",
-        check_normal_form_determinants,
-    ),
-    (
-        "isotropic-labelling-det",
-        "det(-2,0,x|0,-2,y|x,y,0) = 2x^2 + 2y^2",
-        check_isotropic_labelling_det,
-    ),
-    (
-        "hilb2-labelling-det",
-        "det(-2,0,1|0,-2,n|1,n,0) = 2n^2 + 2",
-        check_hilb2_shape_det,
-    ),
-    (
-        "discriminant-form-classes",
-        "d(diag(-2,-2)) = (Z/2)^2 with q = (3/2, 3/2); d(<2>) = Z/2 with q = 1/2",
-        check_disc_group_classes,
-    ),
-    (
-        "glue-isotropy-cases",
-        "q((1,1,1)) = 1/2 + 1/2 - 1/2 != 0: only two of three order-2 glue candidates are isotropic",
-        check_glue_case_analysis,
-    ),
-    (
-        "glue-hyperbolic-plane",
-        "<2> + <-2> glued along the diagonal is U; det = det(S) det(K) / |H|^2",
-        check_glue_u,
-    ),
-    (
-        "d50-separates-conditions",
-        "d = 50 satisfies the K3 condition but P_25(-1) is unsolvable",
-        check_d50,
-    ),
-    (
-        "hilbert-square-pell",
-        "a^2 d = 2n^2 + 2 iff n^2 - (d/2) a^2 = -1",
-        check_star3_pell_identity,
-    ),
-    (
-        "rank4-q-identity",
-        "Q(x,y) = 8xy + 2(kx+my)^2 + 2(lx+ny)^2; A = 2k^2+2l^2, B = 8+4km+4ln, C = 2m^2+2n^2",
-        check_q_rank4_identity,
-    ),
-    (
-        "content-lemma-suite",
-        "odd primes dividing h are 1 (mod 4); 8 | h iff all pairings even; a, c != 3 (mod 4), b even; q represents a prime 1 (mod 4)",
-        check_lemma_suite_instances,
-    ),
-    (
-        "counterexample-family",
-        "kappa1, kappa2 span U; -Q/8 at n=2 reduces to 2x^2+xy+2y^2 with minimum 2; labelling discs are 0 (mod 8)",
-        check_counterexample_family,
-    ),
-    (
-        "counterexample-general",
-        "N_(k,l,m,n) has even pairings, so every labelling disc is 0 (mod 8); N_(1,1,1,n) is the one-parameter family",
-        check_counterexample_general,
-    ),
-    (
-        "hilbert-square-witness",
-        "w = (a-1)/2 lambda1 + n/2 lambda2 + a tau: isotropic, unit pairing, labelling det 2n^2+2; n even iff d = 2 (mod 8), a = 1 (mod 4)",
-        check_hilb2_witness_parity,
-    ),
-    (
-        "double-epw-isomorphism",
-        "isomorphic to a double EPW sextic iff P_{d/2}(-1) solvable and P_{2d}(5) not",
-        check_dm_values,
-    ),
-    (
-        "admissible-discriminants",
-        "admissible iff d > 0 and d = 0, 2, 4 (mod 8); D_d for 4 | d, a two-component divisor for d = 2 (mod 8)",
-        check_admissibility,
-    ),
-    (
-        "negative-pell-continued-fractions",
-        "P_m(-1) solvable iff the period of sqrt(m) is odd; fundamentals for m = 1, 2, 5, 13",
-        check_negative_pell_cf,
-    ),
-)
+    return _sweep(map(pell_parity_failure, range(2, 120)), "fundamentals for m in {1,2,5,13}; parity rule to 120")
 
 
 def check_list() -> list[tuple[str, str]]:

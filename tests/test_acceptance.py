@@ -2,6 +2,9 @@
 
 Each test prints a single `[acceptance] ... PASS` line (visible with -s or
 in the captured output); a failing assertion marks the criterion failed.
+A paper identity is stated once, in ``gmlattice.verify``, as the
+per-instance predicate that ``verify-paper`` sweeps over a few instances;
+a criterion sweeps the same predicate over its own, wider range.
 """
 
 import time
@@ -9,26 +12,33 @@ from math import isqrt
 from random import Random
 
 from gmlattice import (
-    BinaryForm,
+    admissible,
     cf_sqrt,
     classify,
     cond_star2_twisted,
     cond_star3,
-    counterexample_family,
-    hilb2_criterion,
-    hilb2_witness,
     k3_witness,
     labelling_lattice,
-    lemma_checks,
     negative_pell,
     pell_general,
     qform_rank4,
 )
 from gmlattice.arith import is_square
-from gmlattice.oracle import labelling_det
-from gmlattice import intmat
 from gmlattice.cli import main as cli_main
-from gmlattice.verify import run_checks
+from gmlattice.verify import (
+    admissibility_failure,
+    d50_failure,
+    family_failure,
+    hilb2_det_failure,
+    hilb2_witness_failure,
+    isotropic_det_failure,
+    lemma_failure,
+    normal_form_failure,
+    pell_parity_failure,
+    period_length,
+    q_identity_failure,
+    run_checks,
+)
 
 
 def report(num, desc, elapsed, budget):
@@ -36,23 +46,30 @@ def report(num, desc, elapsed, budget):
     print(f"[acceptance] criterion {num:2d} ({desc}): PASS in {elapsed:.3f}s (budget {budget}s)")
 
 
+def failures(details):
+    """The failure details in a sweep of per-instance predicate results."""
+    return [x for x in details if x is not None]
+
+
+def passed_checks(names):
+    results = run_checks(names=names)
+    assert [r.name for r in results] == list(names)
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
+
+
 def test_criterion_01_determinant_identities():
     rng = Random(101)
-    cases = []
-    for _ in range(500):
-        x, y = rng.randint(-60, 60), rng.randint(-60, 60)
-        cases.append((((-2, 0, x), (0, -2, y), (x, y, 0)), 2 * x * x + 2 * y * y))
-    for k in range(-5, 30):
-        cases.append((((-2, 0, 1), (0, -2, 0), (1, 0, 2 * k)), 2 + 8 * k))
-        cases.append((((-2, 0, 1), (0, -2, 1), (1, 1, 2 * k)), 4 + 8 * k))
-    for n in range(-15, 16):
-        cases.append((((-2, 0, 1), (0, -2, n), (1, n, 0)), 2 * n * n + 2))
+    pairs = [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(500)]
+    ks, ns = range(-5, 30), range(-15, 16)
     t0 = time.perf_counter()
-    for gram, expected in cases:
-        assert intmat.bareiss_det(gram) == expected
+    assert failures(isotropic_det_failure(x, y) for x, y in pairs) == []
+    assert failures(map(normal_form_failure, ks)) == []  # three forms each
+    assert failures(map(hilb2_det_failure, ns)) == []
     elapsed = time.perf_counter() - t0
-    assert elapsed / len(cases) < 0.001, "each determinant must take < 1 ms"
-    report(1, "determinant identities", elapsed, 0.001 * len(cases))
+    dets = len(pairs) + 3 * len(ks) + len(ns)
+    assert elapsed / dets < 0.001, "each determinant must take < 1 ms"
+    report(1, "determinant identities", elapsed, 0.001 * dets)
 
 
 def test_criterion_02_classify_50():
@@ -60,20 +77,15 @@ def test_criterion_02_classify_50():
     t0 = time.perf_counter()
     rep = classify(50, with_witnesses=False)
     elapsed = time.perf_counter() - t0
-    assert rep.star2 is True
-    assert rep.star2_twisted is True
-    assert rep.star3 is None
+    assert d50_failure(rep.star2, rep.star2_twisted, rep.star3) is None
     full = classify(50)
-    assert (full.star2, full.star2_twisted, full.star3) == (True, True, None)
+    assert d50_failure(full.star2, full.star2_twisted, full.star3) is None
     report(2, "classify(50) decision", elapsed, 0.001)
 
 
 def test_criterion_03_admissibility_and_star3_mod8():
     t0 = time.perf_counter()
-    from gmlattice import admissible
-
-    for d in range(1, 10_001):
-        assert admissible(d)[0] == (d % 8 in (0, 2, 4))
+    assert failures(map(admissibility_failure, range(1, 10_001))) == []
     for d in range(8, 10_001, 8):
         assert cond_star3(d) is None, f"a^2 d = 2n^2+2 must be impossible for 8 | {d}"
     elapsed = time.perf_counter() - t0
@@ -83,12 +95,8 @@ def test_criterion_03_admissibility_and_star3_mod8():
 def test_criterion_04_q_identity_suite():
     rng = Random(104)
     t0 = time.perf_counter()
-    for _ in range(1000):
-        k, l, m, n, x, y = (rng.randint(-50, 50) for _ in range(6))
-        qa = qform_rank4(k, l, m, n)
-        p, r = k * x + m * y, l * x + n * y
-        direct = intmat.bareiss_det(((-2, 0, p), (0, -2, r), (p, r, 2 * x * y)))
-        assert qa.Q(x, y) == direct
+    draws = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(1000)]
+    assert failures(q_identity_failure(*draw) for draw in draws) == []
     elapsed = time.perf_counter() - t0
     report(4, "rank-4 Q polynomial identity, 1000 random", elapsed, 1.0)
 
@@ -102,16 +110,8 @@ def test_criterion_05_lemma_suite():
         klmn = [rng.randint(-50, 50) for _ in range(4)]
         if all(v % 2 == 0 for v in klmn):
             continue
-        qa = qform_rank4(*klmn)
-        rep = lemma_checks(qa)
-        assert rep.h_odd_primes_1mod4, klmn
-        assert rep.h_not_div_8, klmn
-        assert rep.a_not_3mod4 and rep.c_not_3mod4 and rep.b_even, klmn
-        if qa.q.is_positive_definite():
-            assert rep.prime_status == "found", klmn
-            p, x, y = rep.prime
-            assert p % 4 == 1 and qa.q(x, y) == p
-            primes_found += 1
+        assert lemma_failure(*klmn) is None
+        primes_found += qform_rank4(*klmn).q.is_positive_definite()
         done += 1
     assert primes_found > 0
     elapsed = time.perf_counter() - t0
@@ -120,13 +120,7 @@ def test_criterion_05_lemma_suite():
 
 def test_criterion_06_counterexample_family():
     t0 = time.perf_counter()
-    for n in range(0, 21):
-        rep = counterexample_family(n)
-        assert rep.kappa_checks, n
-        assert (rep.represents_one is not None) == (n in (0, 1)), n
-        assert rep.all_discs_divisible_by_8, n
-        if n == 2:
-            assert rep.reduced_form == BinaryForm(2, 1, 2)
+    assert failures(map(family_failure, range(0, 21))) == []
     elapsed = time.perf_counter() - t0
     report(6, "counterexample family n in 0..20", elapsed, 5.0)
 
@@ -149,26 +143,12 @@ def test_criterion_07_pell():
             assert brute == sol.as_pair(), m
         else:
             assert brute is None, m
+    assert failures(map(pell_parity_failure, range(2, 501))) == []
     for m in range(2, 501):
-        if is_square(m):
-            assert negative_pell(m) is None
-            continue
-        # count the period with the textbook loop, run until a_k = 2 a_0,
-        # so that the parity does not come from pell itself
-        a0 = isqrt(m)
-        p, q, a, period = 0, 1, a0, 0
-        while a != 2 * a0:
-            p = a * q - p
-            q = (m - p * p) // q
-            a = (a0 + p) // q
-            period += 1
-        assert len(cf_sqrt(m)[1]) == period, m
-        assert (negative_pell(m) is not None) == (period % 2 == 1), m
-    assert negative_pell(25) is None
-    assert negative_pell(1).as_pair() == (0, 1)
-    assert negative_pell(2).as_pair() == (1, 1)
-    assert negative_pell(5).as_pair() == (2, 1)
-    assert negative_pell(13).as_pair() == (18, 5)
+        if not is_square(m):
+            assert len(cf_sqrt(m)[1]) == period_length(m), m
+    # fundamentals for m in {1, 2, 5, 13}, and m = 25 unsolvable
+    passed_checks(("negative-pell-continued-fractions",))
     elapsed = time.perf_counter() - t0
     report(7, "negative Pell vs brute force and period parity", elapsed, 10.0)
 
@@ -190,40 +170,34 @@ def test_criterion_08_twisted_vs_two_squares():
     report(8, "twisted condition = sum of two squares, d <= 5000", elapsed, 5.0)
 
 
+ADMISSIBLE_TO_2000 = [d for d in range(2, 2001, 2) if admissible(d)[0]]
+
+
+def hilb2_sweep():
+    """Criterion 9's failures over every admissible d <= 2000."""
+    return failures(map(hilb2_witness_failure, ADMISSIBLE_TO_2000))
+
+
 def test_criterion_09_hilb2_witnesses():
     t0 = time.perf_counter()
-    found = 0
-    for d in range(2, 2001, 2):
-        if d % 8 not in (0, 2, 4):
-            continue
-        sol = cond_star3(d)
-        wit = hilb2_witness(d)
-        assert (wit is not None) == (sol is not None), d
-        if sol is None:
-            continue
-        n, a = sol.as_pair()
-        if d % 8 == 2:
-            assert n % 2 == 0, d
-        else:
-            assert d % 8 == 4, d
-            assert n % 2 == 1 and a % 4 == 1, d
-        L, w = wit
-        assert L.norm(w) == 0
-        assert L.pairing((1, 0, 0), w) == 1
-        assert hilb2_criterion(L, w)
-        other = L.pairing((0, 1, 0), w)
-        assert labelling_det(L, w) == 2 * other * other + 2 == a * a * d
-        found += 1
+    assert hilb2_sweep() == []
+    found = sum(cond_star3(d) is not None for d in ADMISSIBLE_TO_2000)
     assert found >= 10
     elapsed = time.perf_counter() - t0
     report(9, f"Hilbert-square witnesses, admissible d <= 2000 ({found} solvable)", elapsed, 30.0)
 
 
-def passed_checks(names):
-    results = run_checks(names=names)
-    assert [r.name for r in results] == list(names)
-    for r in results:
-        assert r.passed, f"{r.name}: {r.detail}"
+def test_criterion_09_sweeps_the_check_predicate(monkeypatch):
+    # a labelling determinant off by one at d = 212, the first Pell-solvable
+    # admissible d past verify-paper's range, passes verify-paper and fails
+    # the criterion's wider sweep of the same predicate
+    from gmlattice import verify
+    from gmlattice.lattice import determinant
+
+    real = verify.labelling_det
+    monkeypatch.setattr(verify, "labelling_det", lambda L, w: real(L, w) + (determinant(L) == 212))
+    assert all(r.passed for r in run_checks())
+    assert hilb2_sweep() == ["d=212: labelling determinant"]
 
 
 def test_criterion_10_mukai_model_invariants():

@@ -1,7 +1,10 @@
 """The named verification suite, including fault injection."""
 
-from gmlattice import pell, standard_lattice, twist
+import pytest
+
+from gmlattice import GramLattice, pell, standard_lattice, twist, verify
 from gmlattice.verify import (
+    check_glue_u,
     check_list,
     check_mukai_embedding_complement,
     check_mukai_lattice,
@@ -67,3 +70,16 @@ def test_fault_injection_pell_parity(monkeypatch):
     ok, detail = check_negative_pell_cf()
     assert not ok
     assert detail == "m=29: period parity mismatch"
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [((2, 0), (0, -2)), ((0, 2), (2, 0)), ((1, 0), (0, -1))],
+    ids=["unglued", "U(2)", "odd-unimodular"],
+)
+def test_fault_injection_glue_u(monkeypatch, wrong):
+    # a gluing that returns the unglued sum, U(2) or an odd unimodular
+    # lattice in place of U must fail the check
+    monkeypatch.setattr(verify, "glue", lambda g: GramLattice(wrong))
+    ok, _ = check_glue_u()
+    assert not ok
