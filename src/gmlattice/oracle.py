@@ -448,10 +448,11 @@ class K3WitnessReport:
     the K3 condition fails for its determinant.
     Rank 4: status "found" carries coprime (x, y), in the sign-normalized
     kappa basis, whose labelling discriminant ``disc_raw`` satisfies the K3
-    condition, plus the form analysis; "proven-absent" means 8 divides the
-    content h, so no labelling discriminant satisfies it;
-    "not-found-within-bound" is only a statement about the box
-    |x|, |y| <= K3_RANK4_BOX.
+    condition; "proven-absent" means 8 divides the content h, so no
+    labelling discriminant satisfies it; "not-found-within-bound" is only a
+    statement about the labellings with |x|, |y| <= K3_RANK4_BOX and
+    discriminant at most D_MAX.  Every rank-4 report carries the form
+    analysis ``qform``; its lemma suite is ``lemma_checks(rep.qform)``.
     """
 
     kind: str
@@ -462,7 +463,6 @@ class K3WitnessReport:
     xy: tuple[int, int] | None = None
     disc_raw: int | None = None
     qform: QFormAnalysis | None = None
-    lemmas: LemmaReport | None = None
 
     def found(self) -> bool:
         return self.status == "found"
@@ -505,6 +505,17 @@ def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
 K3_RANK4_BOX = 20
 
 
+def _shell_pairs(b: int):
+    """Yield the coprime (x, y) with |x|, |y| <= b whose first nonzero
+    coordinate is positive ((x, y) and (-x, -y) span the same labelling),
+    by sup-norm r, then lexicographically."""
+    for r in range(1, b + 1):
+        for x in range(r + 1):
+            for y in range(-r, r + 1) if x == r else (-r, r):
+                if (x or y > 0) and gcd(x, y) == 1:
+                    yield x, y
+
+
 def k3_witness(L: GramLattice) -> K3WitnessReport:
     """Hyperbolic-plane criterion certifying the K3 association on L.
 
@@ -544,15 +555,18 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     Rank 4 (basis lambda1, lambda2, kappa1, kappa2 with unimodular
     hyperbolic kappa-block): analyze the labelling-discriminant form Q and
     return the least coprime (x, y) with |x|, |y| <= K3_RANK4_BOX (by
-    sup-norm, then lexicographically) whose labelling discriminant Q(x, y)
-    satisfies the K3 condition.  For coprime (x, y) the rows lambda1,
+    sup-norm, then lexicographically, first nonzero coordinate positive)
+    whose labelling discriminant Q(x, y) satisfies the K3 condition with
+    0 < Q(x, y) <= D_MAX.  The pairs are generated shell by shell and the
+    scan stops at the first hit.  For coprime (x, y) the rows lambda1,
     lambda2, x kappa1 + y kappa2 are already primitive (they extend to a
     basis), so no saturation is needed.
 
     * Absent, 8 | h: every labelling discriminant Q(x, y) = h q(x, y) is
       0 (mod 8), while the K3 condition needs 8 not to divide it; the
       status is "proven-absent", with no box scan.  Otherwise no exact
-      argument is known, and an empty box is "not-found-within-bound".
+      argument is known, and an empty scan is "not-found-within-bound": a
+      discriminant past D_MAX lies outside the search, it is not refused.
     """
     _check_labelling(L)
     if L.rank == 3:
@@ -573,38 +587,16 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     k, m = g[0][2], g[0][3]
     l, n = g[1][2], g[1][3]
     qa = qform_rank4(k, l, m, n)
-    lemmas = lemma_checks(qa)
     if qa.h % 8 == 0:
-        return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa, lemmas=lemmas)
-
-    b = K3_RANK4_BOX
-    candidates = []
-    for x in range(-b, b + 1):
-        for y in range(-b, b + 1):
-            if (x, y) == (0, 0) or gcd(x, y) != 1:
-                continue
-            if x < 0 or (x == 0 and y < 0):
-                continue  # (x, y) and (-x, -y) span the same labelling
-            candidates.append((x, y))
-    candidates.sort(key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy))
-    for x, y in candidates:
+        return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa)
+    for x, y in _shell_pairs(K3_RANK4_BOX):
         raw = qa.Q(x, y)
         assert _labelling_det(normalized, (0, 0, x, y)) == raw
-        if raw > 0 and cond_star2(raw):
+        if 0 < raw <= D_MAX and _star2(raw, factorize(raw)):
             return K3WitnessReport(
-                kind="rank4",
-                status="found",
-                xy=(x, y),
-                disc_raw=raw,
-                qform=qa,
-                lemmas=lemmas,
+                kind="rank4", status="found", xy=(x, y), disc_raw=raw, qform=qa
             )
-    return K3WitnessReport(
-        kind="rank4",
-        status="not-found-within-bound",
-        qform=qa,
-        lemmas=lemmas,
-    )
+    return K3WitnessReport(kind="rank4", status="not-found-within-bound", qform=qa)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ B = A_1 ... A_s, which gives it from the convergents at s and s - 1:
 
 A_0 B is built by a balanced product tree over a_0, ..., a_s, whose
 leaves are short linear walks, so the big-integer products are between
-numbers of equal size.
+numbers of equal size.  ``pell_general`` reads the norms of the
+convergents off the full period in the same way and builds, by that tree,
+only the convergents whose norm it matches and the fundamental unit.
 """
 
 from dataclasses import dataclass
-from itertools import cycle
 from math import isqrt
 
 from .arith import is_square
@@ -49,6 +50,9 @@ _LEAF = 64
 
 # largest |c| that pell_general accepts
 C_MAX = 10**6
+
+# largest n bound that pell_general scans when c^2 >= m
+SCAN_MAX = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -103,19 +107,6 @@ def _period(m: int) -> list[tuple[int, int]]:
     a square: the half period, its mirror, and (a_l, Q_l) = (2 a_0, 1)."""
     half, odd = _half_period(m)
     return half + list(reversed(half if odd else half[:-1])) + [(2 * isqrt(m), 1)]
-
-
-def _convergents(m: int, period: list[tuple[int, int]]):
-    """Yield (h_j, q_j, h_j^2 - m q_j^2) for the convergents j = 0, 1, ...
-    of sqrt(m), without end; the third entry is read off as
-    (-1)^(j+1) Q_{j+1} from ``period = _period(m)``, never computed."""
-    h_prev, h, q_prev, q = 1, isqrt(m), 0, 1
-    sign = -1
-    for a, big_q in cycle(period):
-        yield h, q, sign * big_q
-        h_prev, h = h, a * h + h_prev
-        q_prev, q = q, a * q + q_prev
-        sign = -sign
 
 
 def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
@@ -225,16 +216,15 @@ def pell_general(m: int, c: int) -> list[PellSolution]:
 
     An empty list means the equation is unsolvable.  The representatives
     satisfy 0 <= n <= sqrt(|c| (x1 + 1) / 2) with (x1, y1) the fundamental
-    unit of P_m(1).  One walk over the convergents of sqrt(m) runs up to
-    that unit.  For c^2 < m every primitive solution is a convergent, so
-    the walk's matches, found by comparing norms read off the (P_k, Q_k)
-    recurrence, are the representatives.  For |c| >= sqrt(m) the walk only
-    supplies x1, and n is scanned up to the bound, which is refused above
-    2*10^6.  The walk still builds big-integer convergents as long as x1,
-    which has thousands of digits when the period is long: callers that
-    need only solvability use ``pell_solvable``.  Perfect-square m reduces
-    to factoring c, which also covers the P_{2d}(5) check at d = 2 where
-    2d = 4.
+    unit of P_m(1), the convergent at the end of one period of sqrt(m), or
+    of two when the period is odd.  For c^2 < m every primitive solution
+    is a convergent before that unit (Lagrange): the norm of convergent j,
+    (-1)^(j+1) Q_{j+1}, is read off the (P_k, Q_k) recurrence, and only the
+    convergents whose norm matches and the unit itself are built, each by
+    the product tree.  For c^2 >= m the unit supplies the bound and n is
+    scanned up to it, which is refused above SCAN_MAX.  Perfect-square m
+    reduces to factoring c, which also covers the P_{2d}(5) check at d = 2
+    where 2d = 4.
     """
     if m < 1:
         raise DomainError("pell_general expects m >= 1")
@@ -244,16 +234,18 @@ def pell_general(m: int, c: int) -> list[PellSolution]:
         raise DomainError(f"|c| = {abs(c)} exceeds the supported limit C_MAX = {C_MAX}")
     if is_square(m):
         return _square_pell(isqrt(m), c)
+    period = _period(m)
+    if len(period) % 2:
+        period += period
+    terms = [isqrt(m)] + [a for a, _ in period[:-1]]
     targets = _primitive_targets(c) if c * c < m else {}
     sols = set()
-    for h, q, norm in _convergents(m, _period(m)):
-        if norm in targets:
-            g = targets[norm]
+    for j, (_, big_q) in enumerate(period):
+        g = targets.get(big_q if j % 2 else -big_q)
+        if g:
+            h, _, q, _ = _continuant(terms[: j + 1])
             sols.add((g * h, g * q))
-        if norm == 1:
-            # for c^2 < m every later convergent has n > x1 >= n_bound
-            x1 = h
-            break
+    x1 = _continuant(terms)[0]
     n_bound = isqrt((abs(c) * (x1 + 1)) // 2) + 1
     if c > 0 and is_square(c):
         sols.add((isqrt(c), 0))
@@ -262,9 +254,10 @@ def pell_general(m: int, c: int) -> list[PellSolution]:
     if c * c < m:
         sols = {s for s in sols if s[0] <= n_bound}
     else:
-        if n_bound > 2 * 10**6:
+        if n_bound > SCAN_MAX:
             raise DomainError(
-                "scan bound too large: |c| >= sqrt(m) with a huge fundamental unit"
+                f"|c| = {abs(c)} >= sqrt({m}) and the fundamental unit puts the scan"
+                f" bound past the supported limit SCAN_MAX = {SCAN_MAX}"
             )
         for n in range(0, n_bound + 1):
             r = n * n - c

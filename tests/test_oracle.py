@@ -1,6 +1,7 @@
 """Decision procedures and witnesses for discriminants."""
 
 import json
+from math import gcd
 from random import Random
 
 import pytest
@@ -35,7 +36,7 @@ from gmlattice import (
     twist,
     twisted_witness,
 )
-from gmlattice.oracle import labelling_det
+from gmlattice.oracle import K3_RANK4_BOX, labelling_det
 from gmlattice import intmat
 
 
@@ -334,7 +335,7 @@ def test_k3_witness_flipped_family_never_finds_k3():
     assert rep.status == "proven-absent"
     assert not rep.found() and rep.xy is None
     assert rep.qform.h % 8 == 0
-    assert rep.lemmas.all_even
+    assert lemma_checks(rep.qform).all_even
 
 
 def test_labelling_input_validation():
@@ -517,6 +518,47 @@ def test_k3_witness_rank4_absence_vs_box_scan():
                 assert rep.found() and rep.disc_raw == qa.Q(*rep.xy), klmn
         seen.add(rep.status)
     assert {"proven-absent", "found"} <= seen
+
+
+def test_k3_witness_rank4_past_d_max_is_outside_the_search():
+    # a discriminant past D_MAX lies outside the bounded search: most of
+    # these Grams have one in the box, and none may raise DomainError
+    rng = Random(1)
+    seen = set()
+    for _ in range(40):
+        qa = qform_rank4(*(rng.randint(-(10**6), 10**6) for _ in range(4)))
+        rep = k3_witness(GramLattice(qa.rank4_gram()))
+        if rep.found():
+            assert 0 < rep.disc_raw <= D_MAX, qa
+            assert cond_star2(rep.disc_raw) and rep.disc_raw == qa.Q(*rep.xy), qa
+        seen.add(rep.status)
+    assert seen == {"found", "proven-absent", "not-found-within-bound"}
+
+
+def test_k3_witness_rank4_returns_the_least_box_pair():
+    # the least coprime pair of the box, by sup-norm then lexicographically
+    # with the first nonzero coordinate positive, whose Q meets the K3 condition
+    b = K3_RANK4_BOX
+    box = sorted(
+        ((x, y) for x in range(-b, b + 1) for y in range(-b, b + 1)
+         if gcd(x, y) == 1 and (x > 0 or (x == 0 and y > 0))),
+        key=lambda xy: (max(abs(xy[0]), abs(xy[1])), xy),
+    )
+    # pairings scaled by 3 or 7 put that prime in Q(1, 0) and Q(0, 1), so
+    # the first hit often lies in a later shell
+    rng = Random(17)
+    for _ in range(150):
+        scale = rng.choice((1, 3, 7))
+        qa = qform_rank4(*(scale * rng.randint(-4, 4) for _ in range(4)))
+        rep = k3_witness(GramLattice(qa.rank4_gram()))
+        if qa.h % 8 == 0:
+            assert rep.status == "proven-absent" and rep.xy is None
+            continue
+        least = next(
+            (xy for xy in box if 0 < qa.Q(*xy) <= D_MAX and cond_star2(qa.Q(*xy))), None
+        )
+        assert rep.xy == least, qa
+        assert rep.status == ("found" if least else "not-found-within-bound"), qa
 
 
 def test_k3_witness_rank3_requires_labelling_basis():

@@ -1,6 +1,6 @@
 """Continued fractions and Pell-type equations."""
 
-from itertools import islice
+from itertools import cycle, islice
 from math import isqrt
 from random import Random
 
@@ -16,12 +16,9 @@ from gmlattice import (
     pell_solvable,
 )
 from gmlattice.arith import factorize, is_square
-from gmlattice.pell import _LEAF, _continuant, _convergents, _half_period, _period
+from gmlattice.pell import _LEAF, SCAN_MAX, _continuant, _half_period, _period
 
 
-def fundamental_unit(m):
-    """Fundamental solution of x^2 - m y^2 = 1: the first convergent of norm 1."""
-    return next((h, q) for h, q, norm in _convergents(m, _period(m)) if norm == 1)
 
 
 def brute_negative_pell(m, limit):
@@ -46,6 +43,52 @@ def full_period(m):
         a = (a0 + p) // q
         out.append((a, q))
     return out
+
+
+def convergents(m):
+    """Yield (h_j, q_j, (-1)^(j+1) Q_{j+1}) for the convergents j = 0, 1, ...
+    of sqrt(m), without end: a big-integer walk over ``full_period``."""
+    h_prev, h, q_prev, q = 1, isqrt(m), 0, 1
+    sign = -1
+    for a, big_q in cycle(full_period(m)):
+        yield h, q, sign * big_q
+        h_prev, h = h, a * h + h_prev
+        q_prev, q = q, a * q + q_prev
+        sign = -sign
+
+
+def fundamental_unit(m):
+    """Fundamental solution of x^2 - m y^2 = 1: the first convergent of norm 1."""
+    return next((h, q) for h, q, norm in convergents(m) if norm == 1)
+
+
+def scan_pell(m, c, n_bound):
+    """Every (n, a) with n, a >= 0, n <= n_bound and n^2 - m a^2 = c."""
+    return [
+        (n, isqrt((n * n - c) // m))
+        for n in range(n_bound + 1)
+        if n * n >= c and (n * n - c) % m == 0 and is_square((n * n - c) // m)
+    ]
+
+
+def reference_pell(m, c):
+    """pell_general's representatives from the convergent walk: for c^2 < m
+    the convergents up to the unit with norm c / g^2, times g, plus
+    (sqrt(c), 0), kept below the unit bound; otherwise a scan up to that
+    bound.  Square m = s^2 has every solution at
+    n <= |c|."""
+    if is_square(m):
+        return scan_pell(m, c, abs(c))
+    x1, _ = fundamental_unit(m)
+    n_bound = isqrt(abs(c) * (x1 + 1) // 2) + 1
+    if c * c >= m:
+        return scan_pell(m, c, n_bound)
+    sols = {(isqrt(c), 0)} if is_square(c) else set()
+    for h, q, norm in convergents(m):
+        sols |= {(g * h, g * q) for g in range(1, isqrt(abs(c)) + 1) if norm * g * g == c}
+        if norm == 1:
+            break
+    return sorted(s for s in sols if s[0] <= n_bound)
 
 
 def linear_negative_pell(m):
@@ -75,7 +118,7 @@ def test_cf_convergents_satisfy_pell_parity():
     # after a full period the convergent solves x^2 - m y^2 = (-1)^period
     for m in (2, 3, 7, 13, 19, 29, 31, 61):
         a0, period = cf_sqrt(m)
-        for h, q, norm in islice(_convergents(m, _period(m)), len(period)):
+        for h, q, norm in islice(convergents(m), len(period)):
             assert norm == h * h - m * q * q
         assert norm == (-1) ** len(period)
         x, y = fundamental_unit(m)
@@ -175,19 +218,38 @@ def test_pell_general_huge_unit_fast():
     assert [s.as_pair() for s in sols] == [(27, 1)]
 
 
+def test_pell_general_matches_the_convergent_walk():
+    # square and non-square m, c^2 < m and c^2 >= m, solvable and not
+    cases = 0
+    for m in range(1, 101):
+        for c in range(-12, 13):
+            if c == 0:
+                continue
+            expected = reference_pell(m, c)
+            assert [s.as_pair() for s in pell_general(m, c)] == expected, (m, c)
+            cases += bool(expected)
+    assert cases > 500
+
+
+def test_pell_general_scan_refusal_names_its_limit():
+    # 11^2 >= 109, whose fundamental unit has 15 digits
+    with pytest.raises(DomainError, match=f"SCAN_MAX = {SCAN_MAX}"):
+        pell_general(109, 11)
+
+
 def test_convergent_norms_are_read_off_the_recurrence():
-    # h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k, recomputed with big integers
-    # over two periods, and the period closes at the first Q_k = 1
+    # h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k with Q_k from _period,
+    # recomputed with big integers over two periods, and the period closes at the first Q_k = 1
     for m in range(2, 600):
         if is_square(m):
             continue
         period = _period(m)
         assert [a for a, _ in period] == cf_sqrt(m)[1]
         assert [q for _, q in period].index(1) == len(period) - 1
-        walk = _convergents(m, period)
-        for _ in range(2 * len(period) + 2):
+        walk = convergents(m)
+        for j in range(2 * len(period) + 2):
             h, q, norm = next(walk)
-            assert h * h - m * q * q == norm
+            assert h * h - m * q * q == norm == (-1) ** (j + 1) * period[j % len(period)][1]
 
 
 def test_half_period_mirrors_to_the_full_period():
@@ -209,7 +271,7 @@ def test_negative_pell_is_the_first_norm_minus_one_convergent():
         if len(_period(m)) % 2 == 0:
             assert sol is None, m
             continue
-        walk = _convergents(m, _period(m))
+        walk = convergents(m)
         first = next((h, q) for h, q, norm in walk if norm == -1)
         assert sol.as_pair() == first, m
 
