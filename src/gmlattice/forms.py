@@ -55,13 +55,6 @@ class BinaryForm:
     def to_text(self) -> str:
         return f"{self.a} {self.b} {self.c}"
 
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryForm":
-        parts = text.split()
-        if len(parts) != 3:
-            raise DomainError("binary form text must be three integers 'a b c'")
-        return cls(*(int(p) for p in parts))
-
     def __str__(self) -> str:
         def term(coeff, var):
             if coeff == 0:

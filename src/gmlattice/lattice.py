@@ -7,7 +7,7 @@ plain tuples of ints in the lattice basis.  Every operation is a pure
 function on immutable values.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
 import re
@@ -63,7 +63,6 @@ class GramLattice:
     """A lattice given by its symmetric integer Gram matrix."""
 
     gram: Matrix
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g = intmat.to_matrix(self.gram)
@@ -93,16 +92,6 @@ class GramLattice:
         gw = intmat.mat_vec(self.gram, w)
         return sum(a * b for a, b in zip(v, gw))
 
-    def to_dict(self) -> dict:
-        d = {"gram": [list(row) for row in self.gram]}
-        if self.name:
-            d["name"] = self.name
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GramLattice":
-        return cls(intmat.to_matrix(d["gram"]), name=d.get("name"))
-
 
 def determinant(L: GramLattice) -> int:
     """Exact determinant of the Gram matrix (fraction-free elimination)."""
@@ -120,8 +109,7 @@ def twist(L: GramLattice, m: int) -> GramLattice:
     """The lattice L(m): same module, form multiplied by m."""
     if m == 0:
         raise InvalidTwistError("twist by 0 is not a lattice")
-    name = f"{L.name}({m})" if L.name else None
-    return GramLattice(tuple(tuple(m * x for x in row) for row in L.gram), name=name)
+    return GramLattice(tuple(tuple(m * x for x in row) for row in L.gram))
 
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:
@@ -167,26 +155,26 @@ def standard_lattice(name: str) -> GramLattice:
     lattice), "Lambda" (E8^2 + U^2 + I(2,0)(2), the rank-22 vanishing
     lattice of signature (20,2)) and "LambdaTilde" (U^4 + E8(-1)^2, the
     rank-24 even unimodular lattice of signature (4,20)).  A twisted copy
-    is ``twist(standard_lattice(name), m)``, named e.g. "I(2,0)(2)".
+    is ``twist(standard_lattice(name), m)``.
     """
     key = name.strip()
     if key == "U":
-        return GramLattice(_U_GRAM, name="U")
+        return GramLattice(_U_GRAM)
     if key == "E8":
-        return GramLattice(_E8_GRAM, name="E8")
+        return GramLattice(_E8_GRAM)
     if key == "Lambda":
         e8 = GramLattice(_E8_GRAM)
         u = GramLattice(_U_GRAM)
-        return GramLattice(direct_sum(e8, e8, u, u, _diag((2, 2))).gram, name="Lambda")
+        return direct_sum(e8, e8, u, u, _diag((2, 2)))
     if key == "LambdaTilde":
         u = GramLattice(_U_GRAM)
         e8m = twist(GramLattice(_E8_GRAM), -1)
-        return GramLattice(direct_sum(u, u, u, u, e8m, e8m).gram, name="LambdaTilde")
+        return direct_sum(u, u, u, u, e8m, e8m)
     m = _I_RS.match(key)
     if not m:
         raise LatticeError(f"unknown standard lattice {name!r}")
     r, s = int(m.group(1)), int(m.group(2))
-    return GramLattice(_diag((1,) * r + (-1,) * s).gram, name=f"I({r},{s})")
+    return _diag((1,) * r + (-1,) * s)
 
 
 def mukai_sign_reversed() -> GramLattice:
@@ -199,8 +187,7 @@ def mukai_sign_reversed() -> GramLattice:
     """
     u = GramLattice(_U_GRAM)
     e8 = GramLattice(_E8_GRAM)
-    L = direct_sum(u, u, u, u, e8, e8)
-    return GramLattice(L.gram, name="LambdaTilde(-1)")
+    return direct_sum(u, u, u, u, e8, e8)
 
 
 # ---------------------------------------------------------------------------

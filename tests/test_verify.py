@@ -27,30 +27,32 @@ def test_check_list_matches_results():
     assert [r.name for r in run_checks()] == names
 
 
-def test_run_checks_subset():
-    got = run_checks(names={"d50-separates-conditions"})
-    assert len(got) == 1 and got[0].passed
+def replace_standard(monkeypatch, name, wrong):
+    """Make verify's standard_lattice(name) return wrong; other names are real."""
+    monkeypatch.setattr(
+        verify, "standard_lattice", lambda key: wrong if key == name else standard_lattice(key)
+    )
 
 
-def test_fault_injection_mukai_sign_error():
+def test_fault_injection_mukai_sign_error(monkeypatch):
     # a sign error in the rank-24 lattice must fail the named check
-    wrong = twist(standard_lattice("LambdaTilde"), -1)
-    ok, _ = check_mukai_lattice(wrong)
+    replace_standard(monkeypatch, "LambdaTilde", twist(standard_lattice("LambdaTilde"), -1))
+    ok, _ = check_mukai_lattice()
     assert not ok
 
 
-def test_fault_injection_vanishing_lattice():
-    wrong = standard_lattice("LambdaTilde")  # rank 24, not 22
-    ok, _ = check_vanishing_lattice(wrong)
-    assert not ok
-    ok2, _ = check_vanishing_lattice(twist(standard_lattice("Lambda"), -1))
-    assert not ok2
+def test_fault_injection_vanishing_lattice(monkeypatch):
+    # rank 24 instead of 22, then the right rank with the sign reversed
+    for wrong in (standard_lattice("LambdaTilde"), twist(standard_lattice("Lambda"), -1)):
+        replace_standard(monkeypatch, "Lambda", wrong)
+        ok, _ = check_vanishing_lattice()
+        assert not ok
 
 
-def test_fault_injection_embedding():
-    # perturbing one pairing breaks the complement invariants
-    M = standard_lattice("LambdaTilde")
-    ok, _ = check_mukai_embedding_complement(M)  # wrong sign convention
+def test_fault_injection_embedding(monkeypatch):
+    # the wrong sign convention breaks the complement invariants
+    monkeypatch.setattr(verify, "mukai_sign_reversed", lambda: standard_lattice("LambdaTilde"))
+    ok, _ = check_mukai_embedding_complement()
     assert not ok
 
 
