@@ -14,9 +14,9 @@ from gmlattice import (
     determinant,
     discriminant_group,
     dm_isomorphism_check,
+    find_hyperbolic_plane,
     glue,
     hilb2_witness,
-    is_isometric_small,
     k3_witness,
     labelling_lattice,
     mukai_sign_reversed,
@@ -24,6 +24,7 @@ from gmlattice import (
     orthogonal_complement,
     signature,
 )
+from gmlattice import intmat
 from fractions import Fraction
 
 
@@ -72,7 +73,10 @@ banner("Gluing <2> and <-2> into the hyperbolic plane")
 half = Fraction(1, 2)
 glued = glue(GlueData(GramLattice(((2,),)), GramLattice(((-2,),)), (((half,), (half,)),)))
 print("glued Gram:", glued.gram, " det:", determinant(glued))
-print("isometric to U:", is_isometric_small(glued, GramLattice(((0, 1), (1, 0)))).status)
+# the basis T of a hyperbolic plane certifies U: det T = +-1 and T G T^t = U
+T = find_hyperbolic_plane(glued, 1)
+print("plane basis T:", T, " det T:", intmat.bareiss_det(T))
+print("T G T^t:", intmat.mat_mul(intmat.mat_mul(T, glued.gram), intmat.transpose(T)))
 
 banner("The counterexample family: U present, no K3 labelling")
 rep = counterexample_family(2)

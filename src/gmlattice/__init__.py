@@ -23,14 +23,12 @@ from .errors import (
 )
 from .lattice import (
     GramLattice,
-    IsometryResult,
     Sublattice,
     determinant,
     direct_sum,
     find_hyperbolic_plane,
     format_gram_text,
     hyperbolic_partner,
-    is_isometric_small,
     mukai_sign_reversed,
     orthogonal_complement,
     parse_gram_text,

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["det", "sig", "snf", "disc-group", "complement", "saturate", "hyperbolic"],
     )
     l.add_argument("file", help="text file: rank, then rank lines of integers")
-    l.add_argument("--bound", type=int, default=20)
+    l.add_argument("--bound", type=int, default=None, help="hyperbolic search box (default 20)")
     l.add_argument("--basis", default=None, help="sublattice basis, e.g. '1 1 1; 0 1 1'")
     l.add_argument("--json", action="store_true")
 
@@ -310,6 +310,8 @@ def _witness_counterexample(args):
 def cmd_witness(args):
     if args.kind == "counterexample":
         return _witness_counterexample(args)
+    if args.n is not None:
+        raise DomainError(f"witness {args.kind} takes no --n")
     if args.d is None:
         raise DomainError(f"witness {args.kind} needs a discriminant argument")
     if not admissible(args.d)[0]:
@@ -359,6 +361,11 @@ def _hyperbolic(L, bound):
 
 
 def cmd_lattice(args):
+    sub = args.subcommand
+    if args.bound is not None and sub != "hyperbolic":
+        raise DomainError(f"lattice {sub} takes no --bound")
+    if args.basis is not None and sub not in ("complement", "saturate"):
+        raise DomainError(f"lattice {sub} takes no --basis")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             L = parse_gram_text(fh.read())
@@ -368,7 +375,6 @@ def cmd_lattice(args):
         raise DomainError(
             f"Gram rank {L.rank} exceeds the supported limit LATTICE_RANK_MAX = {LATTICE_RANK_MAX}"
         )
-    sub = args.subcommand
     if sub == "det":
         det = determinant(L)
         return EXIT_OK, det, [str(det)]
@@ -385,7 +391,7 @@ def cmd_lattice(args):
         qs = ", ".join(str(q) for q in data.qvalues)
         return EXIT_OK, data.to_dict(), [f"{data.group_name()}, q = ({qs})"]
     if sub == "hyperbolic":
-        return _hyperbolic(L, args.bound)
+        return _hyperbolic(L, 20 if args.bound is None else args.bound)
     if not args.basis:
         raise DomainError(f"lattice {sub} needs --basis")
     S = Sublattice(L, _parse_basis(args.basis, L.rank))

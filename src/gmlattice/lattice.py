@@ -1,5 +1,5 @@
-"""Integral lattices presented by Gram matrices: invariants, sublattices,
-bounded vector search, and small-rank isometry testing.
+"""Integral lattices presented by Gram matrices: invariants, sublattices
+and bounded vector search.
 
 A lattice here is a free Z-module of finite rank with an integer-valued
 symmetric bilinear form, carried entirely by its Gram matrix.  Vectors are
@@ -12,26 +12,19 @@ from itertools import product
 from math import gcd, isqrt, prod
 import re
 
-from .errors import (
-    DegenerateLatticeError,
-    InvalidTwistError,
-    LatticeError,
-    UnsupportedRankError,
-)
+from .errors import InvalidTwistError, LatticeError
 from . import intmat
 from .arith import xgcd
 from .intmat import Matrix
 
 __all__ = [
     "GramLattice",
-    "IsometryResult",
     "Sublattice",
     "determinant",
     "direct_sum",
     "find_hyperbolic_plane",
     "format_gram_text",
     "hyperbolic_partner",
-    "is_isometric_small",
     "mukai_sign_reversed",
     "orthogonal_complement",
     "parse_gram_text",
@@ -46,16 +39,6 @@ __all__ = [
 # free; at the limit, U(3) at coord_bound 249999 takes 4.5 s and 37 MB peak
 # RSS through the CLI, since box vectors stream (Python 3.11, 2-vCPU host)
 HYPERBOLIC_BOX_MAX = 5 * 10**5
-
-# largest rank is_isometric_small accepts
-ISOMETRY_RANK_MAX = 6
-
-# candidate checks after which the indefinite box search of
-# is_isometric_small gives up as "inconclusive"
-ISOMETRY_CHECKS_MAX = 2 * 10**5
-
-# |coords| box of the indefinite search of is_isometric_small
-ISOMETRY_BOX = 10
 
 
 @dataclass(frozen=True)
@@ -323,6 +306,28 @@ def _norm_solutions(G, target, bounds):
                 yield prefix + (z,)
 
 
+def _definite_bounds(G, target) -> list[int]:
+    """Exact box of the ellipsoid v.G.v <= target for positive definite G:
+    v_i^2 <= target * (G^-1)_ii, and (G^-1)_ii is the i-th principal minor
+    over det G."""
+    n = len(G)
+    det = intmat.bareiss_det(G)
+    bounds = []
+    for i in range(n):
+        minor = tuple(
+            tuple(G[r][c] for c in range(n) if c != i) for r in range(n) if r != i
+        )
+        adj = intmat.bareiss_det(minor)
+        bounds.append(isqrt((target * adj) // det))
+    return bounds
+
+
+def _definite_norm_vectors(G, target):
+    """All v with v.G.v == target for positive definite G (complete), in
+    lexicographic order."""
+    return list(_norm_solutions(G, target, _definite_bounds(G, target)))
+
+
 def hyperbolic_partner(L: GramLattice, v):
     """A partner w of the isotropic v (w.w = 0, v.w = 1), so that v and w
     span a hyperbolic plane U; None exactly when G v has content > 1, since
@@ -382,126 +387,6 @@ def find_hyperbolic_plane(L: GramLattice, coord_bound: int):
         return None
     v = best[1]
     return (v, hyperbolic_partner(L, v))
-
-
-# ---------------------------------------------------------------------------
-# small-rank isometry search
-
-
-@dataclass(frozen=True)
-class IsometryResult:
-    """Outcome of a bounded isometry search.
-
-    status is "isometric" (with witness matrix T, columns = images of the
-    basis, T^t G1 T = G2), "not-isometric" (proven: invariant mismatch or
-    exhausted complete search), or "inconclusive" (bounded search over an
-    indefinite lattice hit its box without deciding).
-    """
-
-    status: str
-    matrix: Matrix | None = None
-
-    def __bool__(self) -> bool:
-        return self.status == "isometric"
-
-
-def _definite_bounds(G, target) -> list[int]:
-    """Exact box of the ellipsoid v.G.v <= target for positive definite G:
-    v_i^2 <= target * (G^-1)_ii, and (G^-1)_ii is the i-th principal minor
-    over det G."""
-    n = len(G)
-    det = intmat.bareiss_det(G)
-    bounds = []
-    for i in range(n):
-        minor = tuple(
-            tuple(G[r][c] for c in range(n) if c != i) for r in range(n) if r != i
-        )
-        adj = intmat.bareiss_det(minor)
-        bounds.append(isqrt((target * adj) // det))
-    return bounds
-
-
-def _definite_norm_vectors(G, target):
-    """All v with v.G.v == target for positive definite G (complete), in
-    lexicographic order."""
-    return list(_norm_solutions(G, target, _definite_bounds(G, target)))
-
-
-def is_isometric_small(L1: GramLattice, L2: GramLattice) -> IsometryResult:
-    """Search for a unimodular T with T^t G1 T = G2 by backtracking over
-    vectors of matching norms and pairings.
-
-    Complete (hence a proof either way) for definite lattices; for
-    indefinite ones the columns are drawn from |coords| <= ISOMETRY_BOX,
-    each pool tried by sup-norm and then lexicographically, and the search
-    reports "inconclusive" when the box is exhausted or after
-    ISOMETRY_CHECKS_MAX candidate checks.  It reports "inconclusive" at
-    once when building the pools would walk more than ISOMETRY_CHECKS_MAX
-    box prefixes, n*(2*ISOMETRY_BOX+1)^(n-1): at ISOMETRY_BOX = 10, for
-    every indefinite rank above 4.  Ranks above ISOMETRY_RANK_MAX are refused
-    with UnsupportedRankError.
-    """
-    n = L1.rank
-    if n > ISOMETRY_RANK_MAX or L2.rank > ISOMETRY_RANK_MAX:
-        raise UnsupportedRankError(f"isometry search capped at rank {ISOMETRY_RANK_MAX}")
-    if n != L2.rank:
-        return IsometryResult("not-isometric")
-    d1, d2 = determinant(L1), determinant(L2)
-    if d1 == 0 or d2 == 0:
-        raise DegenerateLatticeError("isometry search requires nondegenerate lattices")
-    sig = signature(L1)
-    if d1 != d2 or L1.is_even() != L2.is_even() or sig != signature(L2):
-        return IsometryResult("not-isometric")
-    if n == 0:
-        return IsometryResult("isometric", ())
-    definite = sig[0] == n or sig[1] == n
-    if not definite and n * (2 * ISOMETRY_BOX + 1) ** (n - 1) > ISOMETRY_CHECKS_MAX:
-        return IsometryResult("inconclusive")
-
-    G1, G2 = L1.gram, L2.gram
-    if definite and sig[1] == n:
-        G1 = tuple(tuple(-x for x in row) for row in G1)
-        G2 = tuple(tuple(-x for x in row) for row in G2)
-
-    pools = []
-    for j in range(n):
-        t = G2[j][j]
-        if definite:
-            if t <= 0:
-                return IsometryResult("not-isometric")
-            pools.append(_definite_norm_vectors(G1, t))
-        else:
-            pool = _norm_solutions(G1, t, [ISOMETRY_BOX] * n)
-            pools.append(sorted(pool, key=lambda v: (max(map(abs, v)), v)))
-
-    cols: list[tuple] = []
-    checks = 0
-
-    def pair(x, y):
-        gy = intmat.mat_vec(G1, y)
-        return sum(a * b for a, b in zip(x, gy))
-
-    def extend(j):
-        # True: all columns found; False: none fits; None: check limit hit
-        nonlocal checks
-        for cand in pools[j]:
-            checks += 1
-            if not definite and checks > ISOMETRY_CHECKS_MAX:
-                return None
-            if all(pair(cols[i], cand) == G2[i][j] for i in range(j)):
-                cols.append(cand)
-                if j + 1 == n:
-                    return True
-                found = extend(j + 1)
-                if found is not False:
-                    return found
-                cols.pop()
-        return False
-
-    if extend(0):
-        T = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return IsometryResult("isometric", T)
-    return IsometryResult("not-isometric" if definite else "inconclusive")
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,40 @@ def test_json_run_prints_one_document(tmp_path, capsys, argv, want):
         json.loads(out)  # raises unless stdout is exactly one JSON document
 
 
+_D12_BASIS = ("--basis", STABLE_LATTICES["d12"][1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", kind, d, "--n", "3")
+        for kind, d in (("hilb2", "10"), ("k3", "10"), ("twisted", "16"))
+    ]
+    + [
+        ("lattice", sub, "d12", "--basis", "1 1 1")
+        for sub in ("det", "sig", "snf", "disc-group", "hyperbolic")
+    ]
+    + [
+        ("lattice", sub, "d12", *extra, "--bound", "5")
+        for sub, extra in (
+            ("det", ()),
+            ("sig", ()),
+            ("snf", ()),
+            ("disc-group", ()),
+            ("complement", _D12_BASIS),
+            ("saturate", _D12_BASIS),
+        )
+    ],
+    ids=lambda argv: "-".join(argv[:2] + argv[-2:-1]),
+)
+def test_an_option_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
+    argv = _contract_argv(tmp_path, argv)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 1 and out == ""
+        assert err == f"error: {argv[0]} {argv[1]} takes no {argv[-2]}\n"
+
+
 def test_text_output_of_the_contract_is_byte_stable(tmp_path, capsys):
     outs = []
     for argv, want in OUTPUT_CONTRACT:
@@ -441,6 +475,9 @@ def test_lattice_hyperbolic(tmp_path, capsys):
     code, out, _ = run(capsys, "lattice", "hyperbolic", str(f), "--bound", "5")
     assert code == 0
     assert "search bound: 5" in out
+    code, out, _ = run(capsys, "lattice", "hyperbolic", str(f))
+    assert code == 0
+    assert "search bound: 20" in out
     assert "v.v = 0" in out and "w.w = 0" in out and "v.w = 1" in out
 
 
