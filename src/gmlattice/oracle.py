@@ -752,20 +752,52 @@ def dm_isomorphism_check(d: int) -> bool | None:
     """None when P_{d/2}(-1) is unsolvable; otherwise True iff
     P_{2d}(5): n^2 - 2d a^2 = 5 has no solution.
 
-    Both are decided from the (P_k, Q_k) recurrence of the square roots,
-    with no convergent and no fundamental unit (``pell_solvable``).
+    d is factored first.  P_{d/2}(-1) needs star2 (see ``classify``), so
+    its walk runs only when star2 holds; P_{2d}(5) is refused by a local
+    obstruction where one applies (``_p2d5_obstructed``) and walked only
+    where none does.  Both walks read the (P_k, Q_k) recurrence of the
+    square root, with no convergent and no fundamental unit
+    (``pell_solvable``).
     """
     if d <= 0:
         raise DomainError("check defined for positive d")
     if d % 2:
         raise DomainError("check defined for even d")
     _check_size(d)
-    return _dm_isomorphic(d, pell_solvable(d // 2, -1))
+    factors = factorize(d)
+    star3 = _star2(d, factors) and pell_solvable(d // 2, -1)
+    return _dm_isomorphic(d, factors, star3)
 
 
-def _dm_isomorphic(d: int, star3: bool) -> bool | None:
-    """dm_isomorphism_check for even d > 0 given whether P_{d/2}(-1) holds."""
-    return not pell_solvable(2 * d, 5) if star3 else None
+def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
+    """Whether n^2 - 2d a^2 = 5 has no solution modulo some prime power,
+    for even d > 0 with factors = factorize(d).
+
+    A solution needs, for every prime:
+    * 2: 4 | d would give n^2 = 5 (mod 8);
+    * odd p | d, p != 5: n^2 = 5 (mod p), so (5/p) = 1, i.e. p = +-1 (mod 5);
+    * 5: 25 | d would give 5 | n, so 25 | 5.
+    The remaining 5-adic condition, that 2d (if 5 does not divide d) or
+    2d/5 (if 5 || d) is a square mod 5, adds nothing: once the three above
+    pass, the Hilbert symbols (5, 2d)_v are 1 at every v but 5, so by
+    reciprocity also at 5, and that symbol is the Legendre symbol of 2d,
+    or of 2d/5.  True is a proof of unsolvability; False leaves the answer
+    to the continued-fraction walk.
+    """
+    return (
+        d % 4 == 0
+        or any(p % 5 in (2, 3) for p in factors if p != 2)
+        or factors.get(5, 0) >= 2
+    )
+
+
+def _dm_isomorphic(d: int, factors: dict[int, int], star3: bool) -> bool | None:
+    """dm_isomorphism_check for even d > 0 from factors = factorize(d) and
+    whether P_{d/2}(-1) holds: the P_{2d}(5) walk runs only when star3
+    holds and no local obstruction decides it."""
+    if not star3:
+        return None
+    return _p2d5_obstructed(d, factors) or not pell_solvable(2 * d, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +863,13 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     ``with_witnesses=False`` skips the witness searches and returns the bare
     decision flags (microseconds instead of milliseconds per discriminant).
     Raises DomainError for d > D_MAX.
+
+    d is factored once, and the two Pell flags are read off the factors
+    before any continued-fraction walk.  A solution of P_{d/2}(-1) makes
+    -1 a square mod every odd p | d and rules out 4 | d/2, so star3
+    implies star2, and P_{d/2}(-1) is walked only where star2 holds.
+    P_{2d}(5) is walked only where star3 holds and no local obstruction
+    (``_p2d5_obstructed``) already makes it unsolvable.
     """
     _check_size(d)
     ok, label = admissible(d)
@@ -845,12 +884,13 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             dm_isomorphic=None,
             witnesses={"twisted": None, "hilb2": None, "k3": None},
         )
-    # factor d and solve P_{d/2}(-1) once; every flag and witness reuses them
+    # factor d once and solve P_{d/2}(-1) at most once; every flag and
+    # witness reuses them
     factors = factorize(d)
     s2 = _star2(d, factors)
     s2t = factored_sum_of_two_squares(factors)
-    s3 = cond_star3(d) if d % 2 == 0 else None
-    dm = _dm_isomorphic(d, s3 is not None) if d % 2 == 0 else None
+    s3 = cond_star3(d) if d % 2 == 0 and s2 else None
+    dm = _dm_isomorphic(d, factors, s3 is not None) if d % 2 == 0 else None
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:

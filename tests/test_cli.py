@@ -98,6 +98,7 @@ def test_scan_past_size_limit_fails_at_once(capsys):
 STABLE_OUTPUTS = {
     ("scan", "1000", "--json"): "9fbdb3066bf310879654d20248d12672cdb7c6240fba38dca841d37dae086cc9",
     ("scan", "1000"): "0da0f11d6d1fe4de4fbaf4ca6a40e28b8504c5627fdab51c98eab14860bd28fc",
+    ("scan", "20000"): "5f1555c22a3140a5d34d77c5ff8af3233ee68b9b58cf58c7e313dc74dd41ba33",
     ("verify-paper",): "0c196779073c608c7cd54a55ab91b2b46ef8646fb87b5fc5da1c29e23163e396",
 }
 

@@ -36,7 +36,9 @@ from gmlattice import (
     twist,
     twisted_witness,
 )
+from gmlattice.arith import factorize
 from gmlattice.oracle import K3_RANK4_BOX, labelling_det
+from gmlattice.pell import negative_pell, pell_solvable
 from gmlattice import intmat, oracle
 
 
@@ -659,6 +661,64 @@ def test_dm_examples():
     assert dm_isomorphism_check(50) is None
     with pytest.raises(DomainError):
         dm_isomorphism_check(5)
+
+
+def test_p2d5_obstruction_never_contradicts_the_walk():
+    # each local obstruction is a proof that n^2 - 2d a^2 = 5 is unsolvable;
+    # the walk in pell_solvable is the independent reference
+    for d in range(2, 50_001, 2):
+        factors = factorize(d)
+        if oracle._p2d5_obstructed(d, factors):
+            assert not pell_solvable(2 * d, 5), d
+        else:
+            # the 5-adic condition the helper leaves to reciprocity holds
+            assert (2 * d // 5 ** factors.get(5, 0)) % 5 in (1, 4), d
+    # 4 | d, 3 | d and 25 | d are each the only obstruction of one d
+    assert all(oracle._p2d5_obstructed(d, factorize(d)) for d in (8, 18, 50))
+
+
+def test_classify_pell_flags_match_the_walks():
+    for d in range(1, 20_001):
+        rep = classify(d, with_witnesses=False)
+        if d % 2:
+            assert rep.star3 is None and rep.dm_isomorphic is None, d
+            continue
+        assert rep.star3 == negative_pell(d // 2), d
+        expect = None if rep.star3 is None else not pell_solvable(2 * d, 5)
+        assert rep.dm_isomorphic is expect, d
+
+
+@pytest.mark.parametrize(
+    "d,negative_pells,pell_solvables",
+    [
+        (12, 0, 0),  # 3 | 12: star2 fails, so star3 cannot hold
+        (26, 1, 0),  # 13 = 3 (mod 5): P_52(5) is obstructed
+        (10, 1, 1),  # no obstruction, and P_20(5) is solvable
+    ],
+)
+def test_classify_walks_only_where_factors_leave_the_flags_open(
+    monkeypatch, d, negative_pells, pell_solvables
+):
+    calls = {"negative_pell": 0, "pell_solvable": 0}
+
+    def counted(name):
+        solve = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return solve(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name))
+    classify(d)
+    assert calls == {"negative_pell": negative_pells, "pell_solvable": pell_solvables}
+    # dm_isomorphism_check walks P_{d/2}(-1) with pell_solvable, behind the
+    # same gates
+    calls.update(negative_pell=0, pell_solvable=0)
+    dm_isomorphism_check(d)
+    assert calls == {"negative_pell": 0, "pell_solvable": negative_pells + pell_solvables}
 
 
 def test_classify_d50():
