@@ -8,19 +8,7 @@ every positive answer.  All arithmetic uses unbounded integers and exact
 rationals; no floating point anywhere.
 """
 
-from .errors import (
-    DegenerateLatticeError,
-    DomainError,
-    GlueObstructionError,
-    HypothesisError,
-    ImprimitiveFormError,
-    InvalidElementError,
-    InvalidTwistError,
-    LatticeError,
-    SquareInputError,
-    UnsupportedFormError,
-    UnsupportedRankError,
-)
+from .errors import DomainError, LatticeError
 from .lattice import (
     GramLattice,
     Sublattice,

@@ -19,12 +19,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
-from .errors import (
-    DegenerateLatticeError,
-    GlueObstructionError,
-    InvalidElementError,
-    LatticeError,
-)
+from .errors import LatticeError
 from . import intmat
 from .lattice import GramLattice, Sublattice, determinant, direct_sum
 
@@ -64,12 +59,12 @@ def _dual_image(L: GramLattice, num, t: int) -> tuple[int, ...]:
     """G x for x = num / t, which must lie in the dual lattice, i.e. pair
     integrally with the whole lattice."""
     if len(num) != L.rank:
-        raise InvalidElementError("lift has wrong length")
+        raise LatticeError("lift has wrong length")
     gx = []
     for row in L.gram:
         q, r = divmod(_dot(row, num), t)
         if r:
-            raise InvalidElementError(
+            raise LatticeError(
                 "lift is not in the dual lattice (denominator does not divide the order)"
             )
         gx.append(q)
@@ -143,7 +138,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantData:
     D, U, V = intmat.smith_normal_form_full(L.gram)
     diag = tuple(D[i][i] for i in range(n))
     if 0 in diag:
-        raise DegenerateLatticeError("degenerate lattice has no discriminant group")
+        raise LatticeError("degenerate lattice has no discriminant group")
     factors = tuple(d for d in diag if d > 1)
     # generator j is cols[j] / d_j, and G times it is the integer vector gcols[j]
     cols = [tuple(row[j] % diag[j] for row in V) for j in range(n) if diag[j] > 1]
@@ -222,7 +217,7 @@ def glue_with_basis(g: GlueData):
     """
     lifts = _glue_lifts(g.left, g.right, g.subgroup_gens)
     if not _isotropic(lifts):
-        raise GlueObstructionError("glue subgroup is not isotropic")
+        raise LatticeError("glue subgroup is not isotropic")
     big = direct_sum(g.left, g.right).gram
     n = len(big)
     t = lcm(*(s for _, _, s, _, _ in lifts))
@@ -230,19 +225,19 @@ def glue_with_basis(g: GlueData):
     scaled += [tuple(x * (t // s) for x in na + nb) for na, nb, s, _, _ in lifts]
     H = intmat.hermite_row_basis(scaled)
     if len(H) != n:
-        raise GlueObstructionError("glue generators do not span a finite overlattice")
+        raise LatticeError("glue generators do not span a finite overlattice")
     det_h = intmat.bareiss_det(H)
     index, rem = divmod(t**n, det_h)
     if rem:
-        raise GlueObstructionError("overlattice index is not integral")
+        raise LatticeError("overlattice index is not integral")
 
     t2 = t * t
     scaled_gram = intmat.mat_mul(intmat.mat_mul(H, big), intmat.transpose(H))
     if any(x % t2 for row in scaled_gram for x in row):
-        raise GlueObstructionError("glued form is not integral")
+        raise LatticeError("glued form is not integral")
     out = GramLattice(tuple(tuple(x // t2 for x in row) for row in scaled_gram))
     if not out.is_even():
-        raise GlueObstructionError("glued lattice is not even")
+        raise LatticeError("glued lattice is not even")
     basis = tuple(tuple(Fraction(x, t) for x in row) for row in H)
     return out, basis, index
 

@@ -1,45 +1,17 @@
-"""Exception types shared across the package."""
+"""The two refusals this package raises.
+
+Both are ValueErrors, so one ``except ValueError`` catches either.  The
+rule that picks between them is what the refused argument is.
+"""
 
 
 class LatticeError(ValueError):
-    """Base class for all domain errors raised by this package."""
-
-
-class InvalidTwistError(LatticeError):
-    """Twisting a lattice form by 0 is not a lattice operation."""
-
-
-class DegenerateLatticeError(LatticeError):
-    """Operation requires a nondegenerate Gram matrix."""
-
-
-class UnsupportedRankError(LatticeError):
-    """Rank outside the range the operation supports."""
-
-
-class InvalidElementError(LatticeError):
-    """A rational lift does not lie in the dual lattice it claims to."""
-
-
-class GlueObstructionError(LatticeError):
-    """Glue subgroup is not isotropic, so no even overlattice exists."""
-
-
-class SquareInputError(LatticeError):
-    """Continued-fraction expansion of a perfect square was requested."""
-
-
-class UnsupportedFormError(LatticeError):
-    """Binary-form operation restricted to positive definite forms."""
-
-
-class ImprimitiveFormError(LatticeError):
-    """Binary form must have coprime coefficients."""
-
-
-class HypothesisError(LatticeError):
-    """Input violates the hypothesis under which the operation is defined."""
+    """A Gram, sublattice, vector, binary form or glue datum that the
+    operation cannot take: degenerate, odd, of the wrong rank or shape,
+    imprimitive, not positive definite, or not isotropic."""
 
 
 class DomainError(LatticeError):
-    """Numeric argument outside the operation's domain."""
+    """An integer argument outside the operation's domain: a discriminant
+    past D_MAX or of the wrong residue, a twist by 0, a perfect square
+    without a period, or an excluded family parameter."""

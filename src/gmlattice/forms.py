@@ -12,7 +12,7 @@ from math import gcd
 
 from . import intmat
 from .arith import is_prime
-from .errors import DomainError, ImprimitiveFormError, UnsupportedFormError
+from .errors import DomainError, LatticeError
 from .intmat import Matrix
 from .lattice import _definite_bounds, _definite_norm_vectors
 
@@ -79,7 +79,7 @@ def reduce_form(f: BinaryForm) -> tuple[BinaryForm, Matrix]:
     preserved and g is reduced (|b| <= a <= c, b >= 0 on the boundary).
     """
     if not f.is_positive_definite():
-        raise UnsupportedFormError("reduction implemented for positive definite forms")
+        raise LatticeError("reduction implemented for positive definite forms")
     a, b, c = f.a, f.b, f.c
     T = intmat.identity(2)
     while True:
@@ -114,7 +114,7 @@ def represents(f: BinaryForm, value: int):
     0, 1, -1, 2, -2, ... is returned, so small non-negative witnesses win.
     """
     if not f.is_positive_definite():
-        raise UnsupportedFormError("representation search needs a positive definite form")
+        raise LatticeError("representation search needs a positive definite form")
     if value < 0:
         raise DomainError("positive definite forms represent only non-negative values")
     # 2|k| - (k > 0) ranks k in the order 0, 1, -1, 2, -2, ...
@@ -138,9 +138,9 @@ def find_prime_1mod4(f: BinaryForm):
     finds for p.
     """
     if not f.is_positive_definite():
-        raise UnsupportedFormError("prime search needs a positive definite form")
+        raise LatticeError("prime search needs a positive definite form")
     if not f.is_primitive():
-        raise ImprimitiveFormError("prime search needs a primitive form")
+        raise LatticeError("prime search needs a primitive form")
     for stage in _STAGES:
         xb, yb = _definite_bounds(_gram(f), 2 * stage)
         best = None

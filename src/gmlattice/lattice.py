@@ -12,7 +12,7 @@ from itertools import product
 from math import gcd, isqrt, prod
 import re
 
-from .errors import InvalidTwistError, LatticeError
+from .errors import DomainError, LatticeError
 from . import intmat
 from .arith import xgcd
 from .intmat import Matrix
@@ -91,7 +91,7 @@ def signature(L: GramLattice) -> tuple[int, int, int]:
 def twist(L: GramLattice, m: int) -> GramLattice:
     """The lattice L(m): same module, form multiplied by m."""
     if m == 0:
-        raise InvalidTwistError("twist by 0 is not a lattice")
+        raise DomainError("twist by 0 is not a lattice")
     return GramLattice(tuple(tuple(m * x for x in row) for row in L.gram))
 
 

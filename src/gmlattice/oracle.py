@@ -27,12 +27,7 @@ from .arith import (
     two_square_decomposition,
     two_square_decompositions,
 )
-from .errors import (
-    DomainError,
-    HypothesisError,
-    LatticeError,
-    UnsupportedRankError,
-)
+from .errors import DomainError, LatticeError
 from . import intmat
 from .forms import BinaryForm, reduce_form, represents, find_prime_1mod4
 from .lattice import (
@@ -130,10 +125,7 @@ def cond_star3(d: int) -> PellSolution | None:
     if d % 2:
         raise DomainError("condition defined for even d")
     _check_size(d)
-    sol = negative_pell(d // 2)
-    if sol is not None:
-        assert sol.a * sol.a * d == 2 * sol.n * sol.n + 2
-    return sol
+    return negative_pell(d // 2)
 
 
 def twisted_witness(d: int):
@@ -165,16 +157,6 @@ def _twisted_witness(d: int):
 # labelling normal forms
 
 
-def _labelling_shape(G: GramLattice):
-    """Return (a, b, c) if G has rows ((-2,0,a),(0,-2,b),(a,b,c))."""
-    g = G.gram
-    if len(g) != 3:
-        return None
-    if g[0][0] != -2 or g[1][1] != -2 or g[0][1] != 0:
-        return None
-    return g[0][2], g[1][2], g[2][2]
-
-
 def labelling_normal_form(G: GramLattice) -> tuple[intmat.Matrix, GramLattice]:
     """Reduce a labelling Gram ((-2,0,a),(0,-2,b),(a,b,c)) to normal form.
 
@@ -185,15 +167,13 @@ def labelling_normal_form(G: GramLattice) -> tuple[intmat.Matrix, GramLattice]:
     become (1, 1).  Returns (T, standard) with T unimodular and
     T^t G T = standard; the determinant d = 2+8k or 4+8k is preserved.
     """
-    shape = _labelling_shape(G)
-    if shape is None:
-        raise LatticeError("expected a Gram of shape ((-2,0,a),(0,-2,b),(a,b,c))")
-    a, b, c = shape
-    if c % 2:
-        raise LatticeError("labelling lattice must be even (c odd)")
+    if G.rank != 3:
+        raise LatticeError("normal form is defined for a rank 3 labelling lattice")
+    _check_labelling(G)
+    a, b = G.gram[0][2], G.gram[1][2]
     d = determinant(G)
     if d % 8 == 0:
-        raise HypothesisError("normal form defined for discriminant 2 or 4 (mod 8)")
+        raise LatticeError("normal form defined for discriminant 2 or 4 (mod 8)")
     assert d % 8 in (2, 4), "labelling discriminant is always 0, 2 or 4 mod 8"
     if d % 8 == 2:
         if a % 2 == 1:
@@ -221,7 +201,7 @@ def labelling_lattice(d: int) -> GramLattice:
     if d % 8 == 4:
         k = (d - 4) // 8
         return GramLattice(((-2, 0, 1), (0, -2, 1), (1, 1, 2 * k)))
-    raise HypothesisError("normal form defined for d = 2 or 4 (mod 8)")
+    raise DomainError("normal form defined for d = 2 or 4 (mod 8)")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +248,7 @@ def _check_labelling(L: GramLattice) -> None:
     """Reject a Gram that is not an even lattice of rank 2 to 4 whose first
     two basis vectors are lambda1, lambda2 with Gram diag(-2,-2)."""
     if not 2 <= L.rank <= 4:
-        raise UnsupportedRankError("labelling lattice rank must be between 2 and 4")
+        raise LatticeError("labelling lattice rank must be between 2 and 4")
     if not L.is_even():
         raise LatticeError("labelling lattice must be even")
     g = L.gram
@@ -572,7 +552,7 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     if L.rank == 3:
         return _rank3_k3_witness(L)
     if L.rank != 4:
-        raise UnsupportedRankError("K3 witness search supports rank 3 and 4 lattices")
+        raise LatticeError("K3 witness search supports rank 3 and 4 lattices")
 
     g = [list(row) for row in L.gram]
     if g[2][3] == -1:
@@ -697,7 +677,7 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
     0 (mod 8) exactly when 8 | h.
     """
     if (k, l) in ((1, 0), (0, 1)):
-        raise HypothesisError("family excludes (k, l) = (1,0) and (0,1)")
+        raise DomainError("family excludes (k, l) = (1,0) and (0,1)")
     G = GramLattice(
         (
             (2, 0, 0, 0),

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import is_square
-from .errors import DomainError, SquareInputError
+from .errors import DomainError
 
 __all__ = [
     "PellSolution",
@@ -86,7 +86,7 @@ def _half_period(m: int) -> tuple[list[tuple[int, int]], bool]:
     if m < 2:
         raise DomainError("the continued fraction of sqrt(m) needs m >= 2")
     if is_square(m):
-        raise SquareInputError(f"sqrt({m}) is an integer, no period")
+        raise DomainError(f"sqrt({m}) is an integer, no period")
     a0 = isqrt(m)
     p, q, a = 0, 1, a0
     out = []

@@ -159,16 +159,19 @@ def test_lattice_output_is_byte_stable(tmp_path, capsys, name, sub):
 
 
 # Gram files for OUTPUT_CONTRACT: the d = 12 labelling, a rank-3 lattice
-# with a hyperbolic plane, and an odd lattice the plane search refuses
+# with a hyperbolic plane, an odd lattice the plane search and the
+# discriminant group refuse, and a degenerate one the group refuses
 CONTRACT_GRAMS = {
     "d12": STABLE_LATTICES["d12"][0],
     "plane": "3\n-2 0 1\n0 -2 0\n1 0 2\n",
     "odd": "2\n1 0\n0 1\n",
+    "degenerate": "2\n2 2\n2 2\n",
 }
 
 # (argv, exit code) of every command that prints one result: each witness
 # kind with and without a witness, and each lattice subcommand, with the
-# hyperbolic search found, exhausted and refused
+# hyperbolic search found, exhausted and refused, and the discriminant
+# group refused
 OUTPUT_CONTRACT = [
     (("classify", "10"), 0),
     (("classify", "6", "--strict"), 2),
@@ -188,6 +191,8 @@ OUTPUT_CONTRACT = [
     (("lattice", "hyperbolic", "plane", "--bound", "5"), 0),
     (("lattice", "hyperbolic", "d12", "--bound", "10"), 3),
     (("lattice", "hyperbolic", "odd", "--bound", "3"), 1),
+    (("lattice", "disc-group", "odd"), 1),
+    (("lattice", "disc-group", "degenerate"), 1),
 ]
 
 # sha256 of the concatenated text stdout of the OUTPUT_CONTRACT runs that do

@@ -7,8 +7,8 @@ import pytest
 
 from gmlattice import (
     BinaryForm,
-    ImprimitiveFormError,
-    UnsupportedFormError,
+    DomainError,
+    LatticeError,
     find_prime_1mod4,
     reduce_form,
     represents,
@@ -98,7 +98,7 @@ def test_find_prime_cap_semantics():
 
 
 def test_reduce_rejects_indefinite():
-    with pytest.raises(UnsupportedFormError):
+    with pytest.raises(LatticeError, match="reduction implemented for positive definite forms"):
         reduce_form(BinaryForm(1, 4, 1))
 
 
@@ -170,9 +170,9 @@ def test_represents_returns_the_first_witness_of_the_ordered_scan():
 
 
 def test_represents_rejects_bad_inputs():
-    with pytest.raises(UnsupportedFormError):
+    with pytest.raises(LatticeError, match="representation search needs a positive definite form"):
         represents(BinaryForm(1, 4, 1), 3)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="non-negative"):
         represents(BinaryForm(1, 0, 1), -1)
 
 
@@ -226,9 +226,9 @@ def test_find_prime_reports_exhaustion_not_absence():
 
 
 def test_find_prime_rejects_imprimitive_and_indefinite():
-    with pytest.raises(ImprimitiveFormError):
+    with pytest.raises(LatticeError, match="prime search needs a primitive form"):
         find_prime_1mod4(BinaryForm(2, 0, 2))
-    with pytest.raises(UnsupportedFormError):
+    with pytest.raises(LatticeError, match="prime search needs a positive definite form"):
         find_prime_1mod4(BinaryForm(1, 3, 1))
 
 

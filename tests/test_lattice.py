@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmlattice import (
+    DomainError,
     GramLattice,
-    InvalidTwistError,
     LatticeError,
     Sublattice,
     determinant,
@@ -87,7 +87,7 @@ def test_standard_lambda_tilde():
 
 
 def test_invalid_twist():
-    with pytest.raises(InvalidTwistError):
+    with pytest.raises(DomainError, match="twist by 0 is not a lattice"):
         twist(standard_lattice("U"), 0)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from gmlattice import (
     DomainError,
-    SquareInputError,
     cf_sqrt,
     dm_isomorphism_check,
     negative_pell,
@@ -108,7 +107,7 @@ def test_cf_sqrt_classical_expansions():
 
 
 def test_cf_sqrt_rejects_squares_and_small():
-    with pytest.raises(SquareInputError):
+    with pytest.raises(DomainError, match=r"sqrt\(9\) is an integer, no period"):
         cf_sqrt(9)
     with pytest.raises(DomainError):
         cf_sqrt(1)
