@@ -9,7 +9,6 @@ Run as `python demos/pell_and_forms.py`.
 from gmlattice import (
     BinaryForm,
     cf_sqrt,
-    cond_star3,
     find_prime_1mod4,
     negative_pell,
     pell_general,
@@ -34,7 +33,7 @@ for m in (2, 5, 7, 13, 25, 1621):
 print()
 print("The Hilbert-square condition a^2 d = 2n^2 + 2 for small admissible d:")
 for d in (2, 4, 10, 12, 20, 26, 50):
-    sol = cond_star3(d) if d % 2 == 0 else None
+    sol = negative_pell(d // 2)
     print(f"  d={d}: {sol.as_pair() if sol else 'no'}")
 
 print()

@@ -13,7 +13,6 @@ from gmlattice import (
     counterexample_family,
     determinant,
     discriminant_group,
-    dm_isomorphism_check,
     find_hyperbolic_plane,
     glue,
     hilb2_witness,
@@ -86,5 +85,6 @@ print("so no labelling disc ever escapes 0 (mod 8):", rep.all_discs_divisible_by
 
 banner("Hilbert square vs double EPW sextic")
 for d in (2, 10, 26):
-    print(f"d={d}: isomorphic to a double EPW sextic: {dm_isomorphism_check(d)}")
+    dm = classify(d, with_witnesses=False).dm_isomorphic
+    print(f"d={d}: isomorphic to a double EPW sextic: {dm}")
 print("(d=26: P_13(-1) has (18,5) while 5 is a non-residue mod 13, so P_52(5) is empty)")

@@ -52,12 +52,8 @@ from .oracle import (
     QFormAnalysis,
     admissible,
     classify,
-    cond_star2,
-    cond_star2_twisted,
-    cond_star3,
     counterexample_family,
     counterexample_general,
-    dm_isomorphism_check,
     hilb2_criterion,
     hilb2_witness,
     k3_witness,

@@ -13,7 +13,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "is_square",
-    "sum_of_two_squares",
     "two_square_decomposition",
     "two_square_decompositions",
     "xgcd",
@@ -70,21 +69,9 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def sum_of_two_squares(n: int) -> bool:
-    """True iff n = x**2 + y**2 for some integers x, y.
-
-    Criterion: every prime = 3 (mod 4) divides n to an even power.
-    """
-    if n < 0:
-        return False
-    if n == 0:
-        return True
-    return factored_sum_of_two_squares(factorize(n))
-
-
 def factored_sum_of_two_squares(factors: dict[int, int]) -> bool:
-    """sum_of_two_squares for n > 0 given as its factorization
-    {prime: exponent}."""
+    """True iff n > 0, given as its factorization {prime: exponent}, is a sum
+    of two squares: every prime 3 (mod 4) divides n to an even power."""
     return all(e % 2 == 0 for p, e in factors.items() if p % 4 == 3)
 
 

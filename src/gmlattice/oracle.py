@@ -23,7 +23,6 @@ from math import gcd
 from .arith import (
     factored_sum_of_two_squares,
     factorize,
-    sum_of_two_squares,
     two_square_decomposition,
     two_square_decompositions,
 )
@@ -49,12 +48,8 @@ __all__ = [
     "QFormAnalysis",
     "admissible",
     "classify",
-    "cond_star2",
-    "cond_star2_twisted",
-    "cond_star3",
     "counterexample_family",
     "counterexample_general",
-    "dm_isomorphism_check",
     "hilb2_criterion",
     "hilb2_witness",
     "k3_witness",
@@ -99,32 +94,16 @@ def _star2(d: int, factors: dict[int, int]) -> bool:
     return d % 8 != 0 and all(p % 4 != 3 for p in factors)
 
 
-def cond_star2(d: int) -> bool:
-    """Associated K3 surface: 8 does not divide d and all odd prime factors
-    of d are 1 (mod 4)."""
-    if d <= 0:
-        raise DomainError("condition defined for positive d")
-    _check_size(d)
-    return _star2(d, factorize(d))
+def _star3(d: int, factors: dict[int, int]) -> PellSolution | None:
+    """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
+    for d > 0 with factors = factorize(d), or None.
 
-
-def cond_star2_twisted(d: int) -> bool:
-    """Associated twisted K3 surface: every prime 3 (mod 4) divides d to an
-    even power; equivalently d is a sum of two squares."""
-    if d <= 0:
-        raise DomainError("condition defined for positive d")
-    _check_size(d)
-    return sum_of_two_squares(d)
-
-
-def cond_star3(d: int) -> PellSolution | None:
-    """Hilbert-square condition: fundamental solution of n^2 - (d/2) a^2 = -1
-    when solvable (then a^2 d = 2 n^2 + 2), else None."""
-    if d <= 0:
-        raise DomainError("condition defined for positive d")
-    if d % 2:
-        raise DomainError("condition defined for even d")
-    _check_size(d)
+    A solution makes -1 a square mod every odd p | d and rules out
+    4 | d/2, so star3 implies star2, and the continued fraction of
+    sqrt(d/2) is walked only where star2 holds.
+    """
+    if d % 2 or not _star2(d, factors):
+        return None
     return negative_pell(d // 2)
 
 
@@ -139,7 +118,8 @@ def twisted_witness(d: int):
     """
     if d <= 0:
         return None
-    if not cond_star2_twisted(d):
+    _check_size(d)
+    if not factored_sum_of_two_squares(factorize(d)):
         return None
     return _twisted_witness(d)
 
@@ -221,14 +201,15 @@ def hilb2_witness(d: int):
     ok, _ = admissible(d)
     if not ok:
         raise DomainError(f"d={d} is not an admissible discriminant")
-    sol = cond_star3(d)
+    _check_size(d)
+    sol = _star3(d, factorize(d))
     if sol is None:
         return None
     return _hilb2_witness(d, sol)
 
 
 def _hilb2_witness(d: int, sol: PellSolution):
-    """hilb2_witness for admissible d from its solution sol = cond_star3(d)."""
+    """hilb2_witness for admissible d from its solution sol of P_{d/2}(-1)."""
     n, a = sol.n, sol.a
     assert d % 8 != 0, "a^2 d = 2n^2 + 2 is impossible for 8 | d"
     L = labelling_lattice(d)
@@ -529,7 +510,8 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     Since d = 2 or 4 (mod 8) puts no prime 3 (mod 4) in d/2 exactly when
     the K3 condition holds, and then d/2 (not divisible by 4) has a
     primitive decomposition, whose parities always match a and b in one
-    order, "found" holds iff d > 0 and cond_star2(d): the status is
+    order, "found" holds iff d > 0 and d meets the K3 condition (the
+    ``star2`` flag of ``classify``): the status is
     "found" or "proven-absent", never bounded.
 
     Rank 4 (basis lambda1, lambda2, kappa1, kappa2 with unimodular
@@ -728,27 +710,6 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
 # Hilbert-square vs double EPW sextic (isomorphism rather than birationality)
 
 
-def dm_isomorphism_check(d: int) -> bool | None:
-    """None when P_{d/2}(-1) is unsolvable; otherwise True iff
-    P_{2d}(5): n^2 - 2d a^2 = 5 has no solution.
-
-    d is factored first.  P_{d/2}(-1) needs star2 (see ``classify``), so
-    its walk runs only when star2 holds; P_{2d}(5) is refused by a local
-    obstruction where one applies (``_p2d5_obstructed``) and walked only
-    where none does.  Both walks read the (P_k, Q_k) recurrence of the
-    square root, with no convergent and no fundamental unit
-    (``pell_solvable``).
-    """
-    if d <= 0:
-        raise DomainError("check defined for positive d")
-    if d % 2:
-        raise DomainError("check defined for even d")
-    _check_size(d)
-    factors = factorize(d)
-    star3 = _star2(d, factors) and pell_solvable(d // 2, -1)
-    return _dm_isomorphic(d, factors, star3)
-
-
 def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
     """Whether n^2 - 2d a^2 = 5 has no solution modulo some prime power,
     for even d > 0 with factors = factorize(d).
@@ -769,15 +730,6 @@ def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
         or any(p % 5 in (2, 3) for p in factors if p != 2)
         or factors.get(5, 0) >= 2
     )
-
-
-def _dm_isomorphic(d: int, factors: dict[int, int], star3: bool) -> bool | None:
-    """dm_isomorphism_check for even d > 0 from factors = factorize(d) and
-    whether P_{d/2}(-1) holds: the P_{2d}(5) walk runs only when star3
-    holds and no local obstruction decides it."""
-    if not star3:
-        return None
-    return _p2d5_obstructed(d, factors) or not pell_solvable(2 * d, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +754,8 @@ class DivisorReport:
             raise LatticeError("implication chain violated: star3 without star2")
         if self.star2 and not self.star2_twisted:
             raise LatticeError("implication chain violated: star2 without twisted")
+        if (self.dm_isomorphic is None) != (self.star3 is None):
+            raise LatticeError("dm_isomorphic must be None exactly when star3 is None")
         expect = self.d > 0 and self.d % 8 in (0, 2, 4)
         if self.admissible != expect:
             raise LatticeError("admissibility flag inconsistent with d mod 8")
@@ -844,12 +798,11 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     decision flags (microseconds instead of milliseconds per discriminant).
     Raises DomainError for d > D_MAX.
 
-    d is factored once, and the two Pell flags are read off the factors
-    before any continued-fraction walk.  A solution of P_{d/2}(-1) makes
-    -1 a square mod every odd p | d and rules out 4 | d/2, so star3
-    implies star2, and P_{d/2}(-1) is walked only where star2 holds.
-    P_{2d}(5) is walked only where star3 holds and no local obstruction
-    (``_p2d5_obstructed``) already makes it unsolvable.
+    This is the package's one decider of the four flags.  d is factored
+    once, and the two Pell flags are read off the factors before any
+    continued-fraction walk: P_{d/2}(-1) is walked only where star2 holds
+    (``_star3``), and P_{2d}(5) only where star3 holds and no local
+    obstruction (``_p2d5_obstructed``) already makes it unsolvable.
     """
     _check_size(d)
     ok, label = admissible(d)
@@ -869,8 +822,8 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     factors = factorize(d)
     s2 = _star2(d, factors)
     s2t = factored_sum_of_two_squares(factors)
-    s3 = cond_star3(d) if d % 2 == 0 and s2 else None
-    dm = _dm_isomorphic(d, factors, s3 is not None) if d % 2 == 0 else None
+    s3 = _star3(d, factors)
+    dm = None if s3 is None else _p2d5_obstructed(d, factors) or not pell_solvable(2 * d, 5)
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:

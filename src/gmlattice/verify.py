@@ -34,12 +34,9 @@ from .lattice import (
 )
 from .oracle import (
     admissible,
-    cond_star2,
-    cond_star2_twisted,
-    cond_star3,
+    classify,
     counterexample_family,
     counterexample_general,
-    dm_isomorphism_check,
     hilb2_criterion,
     hilb2_witness,
     labelling_det,
@@ -260,14 +257,15 @@ def d50_failure(star2, star2_twisted, star3):
 
 @_check("d50-separates-conditions", "d = 50 satisfies the K3 condition but P_25(-1) is unsolvable")
 def check_d50():
-    detail = d50_failure(cond_star2(50), cond_star2_twisted(50), cond_star3(50))
+    rep = classify(50, with_witnesses=False)
+    detail = d50_failure(rep.star2, rep.star2_twisted, rep.star3)
     return detail is None, "star2 true, star2' true, P_25(-1) unsolvable"
 
 
 @_check("hilbert-square-pell", "a^2 d = 2n^2 + 2 iff n^2 - (d/2) a^2 = -1")
 def check_star3_pell_identity():
     for d in (2, 4, 10, 20, 26, 34):
-        sol = cond_star3(d)
+        sol = negative_pell(d // 2)
         if sol is None:
             return False, f"d={d} unexpectedly unsolvable"
         n, a = sol.as_pair()
@@ -369,7 +367,7 @@ def check_counterexample_general():
 def hilb2_witness_failure(d: int):
     """None when admissible d has a Hilbert-square witness iff P_{d/2}(-1) has
     a solution (n, a), with the parities and identities of the anchor."""
-    sol, wit = cond_star3(d), hilb2_witness(d)
+    sol, wit = negative_pell(d // 2), hilb2_witness(d)
     if (sol is None) != (wit is None):
         return f"d={d}: witness iff P_(d/2)(-1) solvable"
     if sol is None:
@@ -401,12 +399,13 @@ def check_dm_values():
     p4 = [s.as_pair() for s in pell_general(4, 5)]
     p20 = [s.as_pair() for s in pell_general(20, 5)]
     p52 = [s.as_pair() for s in pell_general(52, 5)]
+    dm = {d: classify(d, with_witnesses=False).dm_isomorphic for d in (2, 10, 26)}
     ok = (
-        dm_isomorphism_check(2) is False
+        dm[2] is False
         and (3, 1) in p4
-        and dm_isomorphism_check(10) is False
+        and dm[10] is False
         and (5, 1) in p20
-        and dm_isomorphism_check(26) is True
+        and dm[26] is True
         and p52 == []
         and negative_pell(13).as_pair() == (18, 5)
     )

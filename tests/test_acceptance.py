@@ -15,8 +15,6 @@ from gmlattice import (
     admissible,
     cf_sqrt,
     classify,
-    cond_star2_twisted,
-    cond_star3,
     k3_witness,
     labelling_lattice,
     negative_pell,
@@ -87,7 +85,7 @@ def test_criterion_03_admissibility_and_star3_mod8():
     t0 = time.perf_counter()
     assert failures(map(admissibility_failure, range(1, 10_001))) == []
     for d in range(8, 10_001, 8):
-        assert cond_star3(d) is None, f"a^2 d = 2n^2+2 must be impossible for 8 | {d}"
+        assert negative_pell(d // 2) is None, f"a^2 d = 2n^2+2 must be impossible for 8 | {d}"
     elapsed = time.perf_counter() - t0
     report(3, "admissibility and 8|d excludes the Pell condition", elapsed, 1.0)
 
@@ -165,7 +163,7 @@ def test_criterion_08_twisted_vs_two_squares():
                 brute = True
                 break
             x += 1
-        assert cond_star2_twisted(d) == brute, d
+        assert classify(d, with_witnesses=False).star2_twisted == brute, d
     elapsed = time.perf_counter() - t0
     report(8, "twisted condition = sum of two squares, d <= 5000", elapsed, 5.0)
 
@@ -181,7 +179,7 @@ def hilb2_sweep():
 def test_criterion_09_hilb2_witnesses():
     t0 = time.perf_counter()
     assert hilb2_sweep() == []
-    found = sum(cond_star3(d) is not None for d in ADMISSIBLE_TO_2000)
+    found = sum(negative_pell(d // 2) is not None for d in ADMISSIBLE_TO_2000)
     assert found >= 10
     elapsed = time.perf_counter() - t0
     report(9, f"Hilbert-square witnesses, admissible d <= 2000 ({found} solvable)", elapsed, 30.0)

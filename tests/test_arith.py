@@ -6,10 +6,10 @@ from random import Random
 import pytest
 
 from gmlattice.arith import (
+    factored_sum_of_two_squares,
     factorize,
     is_prime,
     is_square,
-    sum_of_two_squares,
     two_square_decomposition,
     xgcd,
 )
@@ -51,7 +51,8 @@ def test_sum_of_two_squares_vs_brute():
         brute = any(
             is_square(n - x * x) for x in range(0, isqrt(n) + 1)
         )
-        assert sum_of_two_squares(n) == brute, n
+        if n:
+            assert factored_sum_of_two_squares(factorize(n)) == brute, n
         dec = two_square_decomposition(n)
         assert (dec is not None) == brute
         if dec:

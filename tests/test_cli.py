@@ -345,6 +345,12 @@ def test_witness_hilb2_solves_pell_once(capsys, monkeypatch):
     assert code == 0
     assert "(n, a) = (2, 1)" in out
     assert calls == [5]
+    # 3 | 12 fails the K3 condition, which P_6(-1) needs: no walk at all
+    calls.clear()
+    code, out, _ = run(capsys, "witness", "hilb2", "12")
+    assert code == 3
+    assert "condition failed" in out
+    assert calls == []
 
 
 def test_witness_hilb2_condition_failed(capsys):

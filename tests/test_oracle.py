@@ -16,13 +16,9 @@ from gmlattice import (
     Sublattice,
     admissible,
     classify,
-    cond_star2,
-    cond_star2_twisted,
-    cond_star3,
     counterexample_family,
     counterexample_general,
     determinant,
-    dm_isomorphism_check,
     find_hyperbolic_plane,
     hilb2_criterion,
     hilb2_witness,
@@ -34,10 +30,14 @@ from gmlattice import (
     twist,
     twisted_witness,
 )
-from gmlattice.arith import factorize
+from gmlattice.arith import factored_sum_of_two_squares, factorize
 from gmlattice.oracle import K3_RANK4_BOX, labelling_det
 from gmlattice.pell import negative_pell, pell_solvable
 from gmlattice import intmat, oracle
+
+
+def flags(d):
+    return classify(d, with_witnesses=False)
 
 
 # ---------------------------------------------------------------------------
@@ -53,29 +53,26 @@ def test_admissible_examples():
 
 
 def test_cond_star2_examples():
-    assert cond_star2(50) is True
-    assert cond_star2(12) is False  # prime 3
-    assert cond_star2(16) is False  # 8 | 16
-    assert cond_star2(2) and cond_star2(4) and cond_star2(10)
-    with pytest.raises(DomainError):
-        cond_star2(0)
+    assert flags(50).star2 is True
+    assert flags(12).star2 is False  # prime 3
+    assert flags(16).star2 is False  # 8 | 16
+    assert flags(2).star2 and flags(4).star2 and flags(10).star2
+    assert flags(0).star2 is False
 
 
 def test_cond_star2_twisted_examples():
-    assert cond_star2_twisted(16) is True
-    assert cond_star2_twisted(12) is False
-    assert cond_star2_twisted(50) is True
-    assert cond_star2_twisted(18) is True  # 3^2
-    with pytest.raises(DomainError):
-        cond_star2_twisted(-4)
+    assert flags(16).star2_twisted is True
+    assert flags(12).star2_twisted is False
+    assert flags(50).star2_twisted is True
+    assert flags(18).star2_twisted is True  # 3^2
+    assert flags(-4).star2_twisted is False
 
 
 def test_cond_star3_examples():
-    assert cond_star3(2).as_pair() == (0, 1)
-    assert cond_star3(10).as_pair() == (2, 1)
-    assert cond_star3(50) is None
-    with pytest.raises(DomainError):
-        cond_star3(5)
+    assert flags(2).star3.as_pair() == (0, 1)
+    assert flags(10).star3.as_pair() == (2, 1)
+    assert flags(50).star3 is None
+    assert flags(5).star3 is None  # odd d
 
 
 def test_twisted_witness_examples():
@@ -85,25 +82,17 @@ def test_twisted_witness_examples():
     x, y, i = twisted_witness(50)
     assert 2 * x * x + 2 * y * y == i * i * 50
     for d in range(1, 5001):
-        if cond_star2_twisted(d):
+        if flags(d).star2_twisted:
             x, y, i = twisted_witness(d)
             assert i == (1 if d % 2 == 0 else 2)
             assert 2 * x * x + 2 * y * y == i * i * d
 
 
 def test_size_limit_is_refused_at_once():
-    for check in (
-        classify,
-        cond_star2,
-        cond_star2_twisted,
-        cond_star3,
-        twisted_witness,
-        dm_isomorphism_check,
-        labelling_lattice,
-    ):
+    for check in (classify, twisted_witness, hilb2_witness, labelling_lattice):
         with pytest.raises(DomainError, match="D_MAX"):
             check(D_MAX + 2)
-    assert cond_star2(D_MAX) is False  # the limit itself is accepted
+    assert flags(D_MAX).star2 is False  # the limit itself is accepted
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +306,9 @@ def test_k3_witness_rank4():
     x, y = rep.xy
     assert rep.disc_raw == qa.Q(x, y)
     assert Sublattice(L, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, x, y))).is_primitive()
-    assert cond_star2(rep.disc_raw)
+    assert flags(rep.disc_raw).star2
     # the contract's probe point: (1, 0) labels with discriminant 10
-    assert qa.Q(1, 0) == 10 and cond_star2(10)
+    assert qa.Q(1, 0) == 10 and flags(10).star2
 
 
 def test_k3_witness_rank2_unsupported():
@@ -477,7 +466,7 @@ def test_k3_status_consistency_sweep():
             continue
         L = labelling_lattice(d)
         rep = k3_witness(L)
-        assert rep.status == ("found" if cond_star2(d) else "proven-absent"), d
+        assert rep.status == ("found" if flags(d).star2 else "proven-absent"), d
         if rep.found():
             assert rep.gen_norm == -d, d
         if d <= 800 and find_hyperbolic_plane(L, 20) is not None:
@@ -494,7 +483,7 @@ def test_k3_witness_random_labelling_grams_vs_box_search():
         L = GramLattice(((-2, 0, a), (0, -2, b), (a, b, c)))
         d = determinant(L)
         rep = k3_witness(L)
-        expect = d > 0 and cond_star2(d)
+        expect = d > 0 and flags(d).star2
         assert rep.status == ("found" if expect else "proven-absent"), (a, b, c)
         if rep.found():
             v, w = rep.u_basis
@@ -520,7 +509,7 @@ def test_k3_witness_rank4_absence_vs_box_scan():
             qa.Q(x, y)
             for x in range(-6, 7)
             for y in range(-6, 7)
-            if qa.Q(x, y) > 0 and cond_star2(qa.Q(x, y))
+            if qa.Q(x, y) > 0 and flags(qa.Q(x, y)).star2
         ]
         if qa.h % 8 == 0:
             assert rep.status == "proven-absent" and not k3_discs, klmn
@@ -542,7 +531,7 @@ def test_k3_witness_rank4_past_d_max_is_outside_the_search():
         rep = k3_witness(GramLattice(qa.rank4_gram()))
         if rep.found():
             assert 0 < rep.disc_raw <= D_MAX, qa
-            assert cond_star2(rep.disc_raw) and rep.disc_raw == qa.Q(*rep.xy), qa
+            assert flags(rep.disc_raw).star2 and rep.disc_raw == qa.Q(*rep.xy), qa
         seen.add(rep.status)
     assert seen == {"found", "proven-absent", "not-found-within-bound"}
 
@@ -567,7 +556,7 @@ def test_k3_witness_rank4_returns_the_least_box_pair():
             assert rep.status == "proven-absent" and rep.xy is None
             continue
         least = next(
-            (xy for xy in box if 0 < qa.Q(*xy) <= D_MAX and cond_star2(qa.Q(*xy))), None
+            (xy for xy in box if 0 < qa.Q(*xy) <= D_MAX and flags(qa.Q(*xy)).star2), None
         )
         assert rep.xy == least, qa
         assert rep.status == ("found" if least else "not-found-within-bound"), qa
@@ -587,7 +576,6 @@ def test_exact_isotropy_certificate_vs_enumeration():
     # for labelling-shaped Grams, nonzero isotropic vectors exist iff d/2
     # is a sum of two squares; cross-check both directions by enumeration
     from gmlattice.lattice import _norm_solutions
-    from gmlattice.arith import sum_of_two_squares
 
     rng = Random(55)
     done = 0
@@ -599,7 +587,7 @@ def test_exact_isotropy_certificate_vs_enumeration():
         d = determinant(G)
         if d == 0:
             continue
-        predicted = sum_of_two_squares(abs(d) // 2) if d > 0 else False
+        predicted = d > 0 and factored_sum_of_two_squares(factorize(d // 2))
         hits = [v for v in _norm_solutions(G.gram, 0, [40] * 3) if any(v)]
         if predicted:
             assert hits, (a, b, c, d)
@@ -612,15 +600,16 @@ def test_k3_former_bounded_misses_are_found():
     # the box search of radius 20 missed these K3 discriminants; the exact
     # construction finds each plane by default
     for d in (3578, 3716, 3986):
-        assert cond_star2(d)
-        k3 = classify(d).witnesses["k3"]
+        rep = classify(d)
+        assert rep.star2
+        k3 = rep.witnesses["k3"]
         assert k3["status"] == "found" and k3["gen_norm"] == -d, d
 
 
 def test_hilb2_witness_huge_fundamental_solution():
     # d/2 = 1621 has a 38-digit fundamental solution; every identity must
     # survive the trip through unbounded integers exactly
-    sol = cond_star3(3242)
+    sol = negative_pell(1621)
     assert len(str(sol.n)) == 38 and len(str(sol.a)) == 37
     L, w = hilb2_witness(3242)
     assert L.norm(w) == 0
@@ -643,11 +632,12 @@ def test_classify_is_thread_safe_and_deterministic():
 def test_implication_chain_to_10k():
     # Pell-solvable implies the K3 condition implies the twisted condition
     for d in range(2, 10_001, 2):
-        if cond_star3(d) is not None:
-            assert cond_star2(d), d
+        if negative_pell(d // 2) is not None:
+            assert flags(d).star2, d
     for d in range(1, 10_001):
-        if cond_star2(d):
-            assert cond_star2_twisted(d), d
+        rep = flags(d)
+        if rep.star2:
+            assert rep.star2_twisted, d
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +645,10 @@ def test_implication_chain_to_10k():
 
 
 def test_dm_examples():
-    assert dm_isomorphism_check(2) is False
-    assert dm_isomorphism_check(10) is False
-    assert dm_isomorphism_check(26) is True
-    assert dm_isomorphism_check(50) is None
-    with pytest.raises(DomainError):
-        dm_isomorphism_check(5)
+    assert flags(2).dm_isomorphic is False
+    assert flags(10).dm_isomorphic is False
+    assert flags(26).dm_isomorphic is True
+    assert flags(50).dm_isomorphic is None
 
 
 def test_p2d5_obstruction_never_contradicts_the_walk():
@@ -714,11 +702,6 @@ def test_classify_walks_only_where_factors_leave_the_flags_open(
         monkeypatch.setattr(oracle, name, counted(name))
     classify(d)
     assert calls == {"negative_pell": negative_pells, "pell_solvable": pell_solvables}
-    # dm_isomorphism_check walks P_{d/2}(-1) with pell_solvable, behind the
-    # same gates
-    calls.update(negative_pell=0, pell_solvable=0)
-    dm_isomorphism_check(d)
-    assert calls == {"negative_pell": 0, "pell_solvable": negative_pells + pell_solvables}
 
 
 def test_classify_d50():
@@ -774,6 +757,23 @@ def test_divisor_report_enforces_chain():
             star3=None,
             dm_isomorphic=None,
         )
+
+
+def test_divisor_report_dm_flag_needs_star3():
+    from gmlattice import PellSolution
+
+    sol = PellSolution(2, 1, 5, -1)
+    for star3, dm in ((None, False), (sol, None)):
+        with pytest.raises(LatticeError, match="dm_isomorphic must be None exactly when star3"):
+            DivisorReport(
+                d=10,
+                admissible=True,
+                divisor_label="Dprime_union",
+                star2=True,
+                star2_twisted=True,
+                star3=star3,
+                dm_isomorphic=dm,
+            )
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from gmlattice import (
     DomainError,
     cf_sqrt,
-    dm_isomorphism_check,
+    classify,
     negative_pell,
     pell_general,
     pell_solvable,
@@ -327,7 +327,7 @@ def test_pell_solvable_minus_one_is_the_period_parity():
 def test_dm_isomorphism_check_matches_pell_general():
     for d in range(14, 3001, 2):
         expected = None if negative_pell(d // 2) is None else not pell_general(2 * d, 5)
-        assert dm_isomorphism_check(d) == expected, d
+        assert classify(d, with_witnesses=False).dm_isomorphic == expected, d
 
 
 def test_pell_general_domain_errors():
