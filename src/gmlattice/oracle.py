@@ -29,14 +29,8 @@ from .arith import (
 from .errors import DomainError, LatticeError
 from . import intmat
 from .forms import BinaryForm, reduce_form, represents, find_prime_1mod4
-from .lattice import (
-    GramLattice,
-    Sublattice,
-    determinant,
-    hyperbolic_partner,
-    orthogonal_complement,
-)
-from .pell import PellSolution, negative_pell, pell_solvable
+from .lattice import GramLattice, determinant, hyperbolic_partner
+from .pell import PellSolution, _negative_pell, pell_solvable
 
 __all__ = [
     "D_MAX",
@@ -94,17 +88,18 @@ def _star2(d: int, factors: dict[int, int]) -> bool:
     return d % 8 != 0 and all(p % 4 != 3 for p in factors)
 
 
-def _star3(d: int, factors: dict[int, int]) -> PellSolution | None:
+def _star3(d: int, factors: dict[int, int]) -> tuple[PellSolution | None, list]:
     """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for d > 0 with factors = factorize(d), or None.
+    for d > 0 with factors = factorize(d), or None, and the half period of
+    sqrt(d/2) walked for it (empty where none was).
 
     A solution makes -1 a square mod every odd p | d and rules out
     4 | d/2, so star3 implies star2, and the continued fraction of
     sqrt(d/2) is walked only where star2 holds.
     """
     if d % 2 or not _star2(d, factors):
-        return None
-    return negative_pell(d // 2)
+        return None, []
+    return _negative_pell(d // 2)
 
 
 def twisted_witness(d: int):
@@ -202,7 +197,7 @@ def hilb2_witness(d: int):
     if not ok:
         raise DomainError(f"d={d} is not an admissible discriminant")
     _check_size(d)
-    sol = _star3(d, factorize(d))
+    sol, _ = _star3(d, factorize(d))
     if sol is None:
         return None
     return _hilb2_witness(d, sol)
@@ -449,8 +444,10 @@ def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
     v = ((X + a) // 2, (Y + b) // 2, 1)
     w = hyperbolic_partner(L, v)  # G v = (-X, -Y, t) has content 1
     assert L.norm(v) == 0 and L.norm(w) == 0 and L.pairing(v, w) == 1
-    comp = orthogonal_complement(L, Sublattice(L, (v, w)))
-    g = comp.basis[0]
+    (p, q, r), (s, t, u) = intmat.mat_vec(L.gram, v), intmat.mat_vec(L.gram, w)
+    g = (q * u - r * t, r * s - p * u, p * t - q * s)
+    c = gcd(*g) if next(x for x in g if x) > 0 else -gcd(*g)
+    g = tuple(x // c for x in g)
     gen_norm = L.norm(g)
     assert gen_norm == -determinant(L), "L = U + <g> forces g.g = -det L"
     return K3WitnessReport(
@@ -497,7 +494,8 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
       ``hyperbolic_partner`` completes the plane exactly: xgcd gives
       u = (-p, -q, 0) with Xp + Yq = 1 = v.u, and w = u - (u.u/2) v (u.u is
       even because L is even).  L = U + <g>, so the complement generator
-      has g.g = -d, rechecked through ``orthogonal_complement``.
+      has g.g = -d, rechecked on g = G v x G w over its content (sign
+      making the first nonzero entry positive, the Hermite convention).
     * Absent, prime p = 3 (mod 4) dividing d/2: p | X^2 + Y^2 forces p | X
       and p | Y, so content 1 gives p not dividing t; then p | z t gives
       p | z, hence p | 2x and p | 2y, and p divides G v, a contradiction.
@@ -723,13 +721,30 @@ def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
     pass, the Hilbert symbols (5, 2d)_v are 1 at every v but 5, so by
     reciprocity also at 5, and that symbol is the Legendre symbol of 2d,
     or of 2d/5.  True is a proof of unsolvability; False leaves the answer
-    to the continued-fraction walk.
+    to the continued fraction (``_p2d5_unsolvable``).
     """
     return (
         d % 4 == 0
         or any(p % 5 in (2, 3) for p in factors if p != 2)
         or factors.get(5, 0) >= 2
     )
+
+
+def _p2d5_unsolvable(d: int, factors: dict[int, int], half: list) -> bool:
+    """Whether n^2 - 2d a^2 = 5 has no solution, for even d > 0 with star3,
+    factors = factorize(d) and half the half period of sqrt(m), m = d/2.
+
+    Past the local obstructions m is odd, so m = 1 (mod 4) as P_m(-1) is
+    solvable.  2d a^2 = m (2a)^2, and every solution of x^2 - m y^2 = 5 has
+    y even (y odd gives x^2 = 2 mod 4) and gcd(x, y) = 1 (5 is squarefree).
+    For d > 50, 5 < sqrt(m), so each is a convergent (Lagrange), and as the
+    period is odd, one exists iff 5 is a Q_k of the half period.
+    """
+    if _p2d5_obstructed(d, factors):
+        return True
+    if d <= 50:
+        return not pell_solvable(2 * d, 5)
+    return all(big_q != 5 for _, big_q in half)
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +814,10 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     Raises DomainError for d > D_MAX.
 
     This is the package's one decider of the four flags.  d is factored
-    once, and the two Pell flags are read off the factors before any
-    continued-fraction walk: P_{d/2}(-1) is walked only where star2 holds
-    (``_star3``), and P_{2d}(5) only where star3 holds and no local
-    obstruction (``_p2d5_obstructed``) already makes it unsolvable.
+    once, and sqrt(d/2) is walked at most once: P_{d/2}(-1) only where
+    star2 holds (``_star3``), and for d > 50 P_{2d}(5) is read off the Q_k
+    of that same half period where no local obstruction
+    (``_p2d5_obstructed``) already makes it unsolvable (``_p2d5_unsolvable``).
     """
     _check_size(d)
     ok, label = admissible(d)
@@ -817,13 +832,13 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             dm_isomorphic=None,
             witnesses={"twisted": None, "hilb2": None, "k3": None},
         )
-    # factor d once and solve P_{d/2}(-1) at most once; every flag and
+    # factor d once and walk sqrt(d/2) at most once; every flag and
     # witness reuses them
     factors = factorize(d)
     s2 = _star2(d, factors)
     s2t = factored_sum_of_two_squares(factors)
-    s3 = _star3(d, factors)
-    dm = None if s3 is None else _p2d5_obstructed(d, factors) or not pell_solvable(2 * d, 5)
+    s3, half = _star3(d, factors)
+    dm = None if s3 is None else _p2d5_unsolvable(d, factors, half)
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:

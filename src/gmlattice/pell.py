@@ -17,10 +17,12 @@ So the negative Pell equation P_m(-1) is solvable exactly when the period
 is odd (plus the degenerate case m = 1), and for c^2 < m, where every
 primitive solution is a convergent (Lagrange), P_m(c) is solvable exactly
 when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c.
-``pell_solvable`` decides from the Q_k of the half period alone.  The
-solution of P_m(-1) is the convergent at k = l - 1; with
-A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is (A_0 B) B^T for
-B = A_1 ... A_s, which gives it from the convergents at s and s - 1:
+``pell_solvable`` decides from the Q_k of the half period alone, and the
+walk for P_m(-1) hands its half on, so ``classify`` reads P_{2d}(5) off
+the Q_k of sqrt(d/2).  The solution of P_m(-1) is the convergent at
+k = l - 1; with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1}
+is (A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents
+at s and s - 1:
 
     n = h_s q_s + h_{s-1} q_{s-1},  a = q_s^2 + q_{s-1}^2.
 
@@ -146,17 +148,20 @@ def negative_pell(m: int) -> PellSolution | None:
     n^2 - s^2 a^2 = -1 factors as (n - sa)(n + sa) = -1, solvable only for
     s = 1 with (n, a) = (0, 1).
     """
+    return _negative_pell(m)[0]
+
+
+def _negative_pell(m: int) -> tuple[PellSolution | None, list[tuple[int, int]]]:
+    """(negative_pell(m), the half period of sqrt(m) it walked or [])."""
     if m < 1:
         raise DomainError("negative_pell expects m >= 1")
-    if m == 1:
-        return PellSolution(0, 1, 1, -1)
     if is_square(m):
-        return None
+        return (PellSolution(0, 1, 1, -1) if m == 1 else None), []
     half, odd = _half_period(m)
     if not odd:
-        return None
+        return None, half
     h, h_prev, q, q_prev = _continuant([isqrt(m)] + [a for a, _ in half])
-    return PellSolution(h * q + h_prev * q_prev, q * q + q_prev * q_prev, m, -1)
+    return PellSolution(h * q + h_prev * q_prev, q * q + q_prev * q_prev, m, -1), half
 
 
 def _square_pell(s: int, c: int) -> list[PellSolution]:

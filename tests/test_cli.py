@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from gmlattice.cli import main
-from gmlattice import cli, oracle
+from gmlattice import cli, oracle, pell
 
 
 def run(capsys, *argv):
@@ -333,14 +333,15 @@ def test_witness_hilb2_transcript(capsys):
 
 
 def test_witness_hilb2_solves_pell_once(capsys, monkeypatch):
+    # counts the continued-fraction walks, each of one sqrt(m)
     calls = []
-    solve = oracle.negative_pell
+    walk = pell._half_period
 
     def counted(m):
         calls.append(m)
-        return solve(m)
+        return walk(m)
 
-    monkeypatch.setattr(oracle, "negative_pell", counted)
+    monkeypatch.setattr(pell, "_half_period", counted)
     code, out, _ = run(capsys, "witness", "hilb2", "10")
     assert code == 0
     assert "(n, a) = (2, 1)" in out

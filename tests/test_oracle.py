@@ -1,5 +1,6 @@
 """Decision procedures and witnesses for discriminants."""
 
+import sys
 from dataclasses import replace
 from math import gcd
 from random import Random
@@ -26,6 +27,7 @@ from gmlattice import (
     labelling_lattice,
     labelling_normal_form,
     lemma_checks,
+    orthogonal_complement,
     qform_rank4,
     twist,
     twisted_witness,
@@ -495,6 +497,26 @@ def test_k3_witness_random_labelling_grams_vs_box_search():
     assert seen == {"pos", "8|d", "d<=0"}
 
 
+def test_k3_witness_rank3_complement_is_the_hermite_kernel_row():
+    # the closed-form generator (G v x G w over its content) is the basis
+    # that orthogonal_complement's Hermite elimination gives
+    def check(L):
+        rep = k3_witness(L)
+        if rep.found():
+            S = Sublattice(L, rep.u_basis)
+            assert rep.complement_gen == orthogonal_complement(L, S).basis[0], L.gram
+        return rep.found()
+
+    assert sum(check(labelling_lattice(d)) for d in range(2, 40_001) if d % 8 in (2, 4)) == 3146
+    rng = Random(5)
+    grams = []
+    for _ in range(20_000):
+        a, b = rng.randint(-300, 300), rng.randint(-300, 300)
+        c = 2 * rng.randint(-20_000, 20_000)
+        grams.append(((-2, 0, a), (0, -2, b), (a, b, c)))
+    assert sum(check(GramLattice(g)) for g in grams) == 3833
+
+
 def test_k3_witness_rank4_absence_vs_box_scan():
     # "proven-absent" exactly when 8 | h, and then no labelling in a box has
     # a K3 discriminant; otherwise a K3 discriminant in the box is found
@@ -676,32 +698,52 @@ def test_classify_pell_flags_match_the_walks():
         assert rep.dm_isomorphic is expect, d
 
 
+def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
+    # past the local obstructions, and for d > 50, P_2d(5) is solvable iff
+    # 5 is a Q_k of the half period that star3 walked; pell_solvable walks
+    # sqrt(2d) on its own and is the independent reference
+    present = absent = 0
+    for d in range(52, 50_001, 2):
+        factors = factorize(d)
+        sol, half = oracle._star3(d, factors)
+        if sol is None or oracle._p2d5_obstructed(d, factors):
+            continue
+        five = any(big_q == 5 for _, big_q in half)
+        assert five == pell_solvable(2 * d, 5), d
+        assert flags(d).dm_isomorphic is not five, d
+        present += five
+        absent += not five
+    assert (present, absent) == (541, 257)
+
+
 @pytest.mark.parametrize(
-    "d,negative_pells,pell_solvables",
+    "d,walks",
     [
-        (12, 0, 0),  # 3 | 12: star2 fails, so star3 cannot hold
-        (26, 1, 0),  # 13 = 3 (mod 5): P_52(5) is obstructed
-        (10, 1, 1),  # no obstruction, and P_20(5) is solvable
+        (12, 0),  # 3 | 12: star2 fails, so star3 cannot hold
+        (26, 1),  # 13 = 3 (mod 5): P_52(5) is obstructed
+        (10, 2),  # d <= 50: P_20(5) takes its own walk, and is solvable
+        (58, 1),  # no obstruction; 5 is a Q_k of sqrt(29), so P_116(5) is solvable
+        (202, 1),  # no obstruction; sqrt(101) has no Q_k = 5, so P_404(5) is not
     ],
 )
-def test_classify_walks_only_where_factors_leave_the_flags_open(
-    monkeypatch, d, negative_pells, pell_solvables
-):
-    calls = {"negative_pell": 0, "pell_solvable": 0}
+def test_classify_walks_only_where_factors_leave_the_flags_open(monkeypatch, d, walks):
+    calls = {"_half_period": 0, "orthogonal_complement": 0}
 
-    def counted(name):
-        solve = getattr(oracle, name)
-
+    def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
-            return solve(*args)
+            return fn(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(oracle, name, counted(name))
-    classify(d)
-    assert calls == {"negative_pell": negative_pells, "pell_solvable": pell_solvables}
+    for module in [m for n, m in sys.modules.items() if n.startswith("gmlattice.")]:
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rep = classify(d)
+    assert calls == {"_half_period": walks, "orthogonal_complement": 0}
+    # the rank-3 K3 witness ran, with its complement in closed form
+    assert rep.witnesses["k3"]["status"] == ("found" if rep.star2 else "proven-absent")
 
 
 def test_classify_d50():
