@@ -10,6 +10,7 @@ function on immutable values.
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
+from operator import mul
 import re
 
 from .errors import DomainError, LatticeError
@@ -72,8 +73,7 @@ class GramLattice:
     def pairing(self, v, w) -> int:
         if len(v) != self.rank or len(w) != self.rank:
             raise LatticeError("vector length must equal the lattice rank")
-        gw = intmat.mat_vec(self.gram, w)
-        return sum(a * b for a, b in zip(v, gw))
+        return sum(map(mul, v, intmat.mat_vec(self.gram, w)))
 
 
 def determinant(L: GramLattice) -> int:

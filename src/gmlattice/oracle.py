@@ -200,14 +200,15 @@ def hilb2_witness(d: int):
     sol, _ = _star3(d, factorize(d))
     if sol is None:
         return None
-    return _hilb2_witness(d, sol)
+    L = labelling_lattice(d)
+    return L, _hilb2_witness(d, L, sol)
 
 
-def _hilb2_witness(d: int, sol: PellSolution):
-    """hilb2_witness for admissible d from its solution sol of P_{d/2}(-1)."""
+def _hilb2_witness(d: int, L: GramLattice, sol: PellSolution):
+    """The isotropic class w of hilb2_witness for admissible d, from
+    L = labelling_lattice(d) and the solution sol of P_{d/2}(-1)."""
     n, a = sol.n, sol.a
     assert d % 8 != 0, "a^2 d = 2n^2 + 2 is impossible for 8 | d"
-    L = labelling_lattice(d)
     if d % 8 == 2:
         assert n % 2 == 0, "d = 2 (mod 8) forces n even"
         w = ((a - 1) // 2, n // 2, a)
@@ -217,7 +218,7 @@ def _hilb2_witness(d: int, sol: PellSolution):
         w = ((a - 1) // 2, (a - n) // 2, a)
     assert L.norm(w) == 0
     assert L.pairing((1, 0, 0), w) == 1
-    return L, w
+    return w
 
 
 def _check_labelling(L: GramLattice) -> None:
@@ -846,11 +847,14 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
         if tw is not None:
             x, y, i = tw
             witnesses["twisted"] = {"x": x, "y": y, "i": i}
-        if s3 is not None:
-            L, w = _hilb2_witness(d, s3)
-            witnesses["hilb2"] = {"gram": [list(r) for r in L.gram], "w": list(w)}
         if ok and d % 8 in (2, 4):
-            witnesses["k3"] = _k3_report_to_json(k3_witness(labelling_lattice(d)))
+            # one labelling lattice serves both witnesses (star3 implies
+            # star2, which rules out d = 0, 6 (mod 8))
+            L = labelling_lattice(d)
+            if s3 is not None:
+                w = _hilb2_witness(d, L, s3)
+                witnesses["hilb2"] = {"gram": [list(r) for r in L.gram], "w": list(w)}
+            witnesses["k3"] = _k3_report_to_json(k3_witness(L))
     return DivisorReport(
         d=d,
         admissible=ok,

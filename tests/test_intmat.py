@@ -5,10 +5,13 @@ from itertools import combinations
 from math import gcd, prod
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmlattice import intmat
+from gmlattice.errors import LatticeError
+from gmlattice.lattice import GramLattice
 
 
 def cofactor_det(M):
@@ -51,16 +54,88 @@ def random_matrix(rng, m, n, lo=-9, hi=9):
 
 def test_bareiss_matches_cofactor_expansion():
     rng = Random(1)
+    cases = []
     for t in range(120):
         n = rng.randint(0, 5)
         if t % 2 and n > 1:
             k = rng.randint(1, n - 1)  # a product of rank at most k < n
-            M = intmat.mat_mul(random_matrix(rng, n, k), random_matrix(rng, k, n))
+            cases.append(intmat.mat_mul(random_matrix(rng, n, k), random_matrix(rng, k, n)))
         else:
-            M = random_matrix(rng, n, n)
+            cases.append(random_matrix(rng, n, n))
+    # 3x3 cases for the cofactor path: products of rank 0, 1 and 2, a zero
+    # row, and entries past 10^100
+    rng = Random(24)
+    singular = [((0,) * 3,) * 3, intmat.mat_mul(random_matrix(rng, 3, 1), ((0, 0, 0),))]
+    for k in (1, 2):
+        singular += [intmat.mat_mul(random_matrix(rng, 3, k), random_matrix(rng, k, 3)) for _ in range(20)]
+    for i in range(3):
+        M = [list(r) for r in random_matrix(rng, 3, 3)]
+        M[i] = [0, 0, 0]
+        singular.append(intmat.to_matrix(M))
+    assert not any(map(intmat.bareiss_det, singular))
+    cases += singular
+    cases += [random_matrix(rng, 3, 3, -(10**120), 10**120) for _ in range(20)]
+    cases += [random_matrix(rng, 3, 3, -(10**101), -(10**100)) for _ in range(5)]
+    for M in cases:
+        n = len(M)
         det = intmat.bareiss_det(M)
-        assert det == cofactor_det([list(r) for r in M])
+        # bareiss_det is a cofactor expansion at n = 3, so the elimination's
+        # signed last pivot is checked on its own
+        r, pivot = intmat._bareiss(M)
+        assert det == cofactor_det([list(row) for row in M]) == (pivot if r == n else 0)
         assert (det != 0) == (intmat.rank(M) == n)
+    # a 3x4 matrix keeps the elimination's signed last pivot (the minor on
+    # columns 1-3 here), where an expansion of the first three columns is 0
+    assert intmat.bareiss_det(((0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 10))) == -3
+
+
+def _naive_mat_vec(A, v):
+    return tuple(sum(A[i][j] * v[j] for j in range(min(len(A[i]), len(v)))) for i in range(len(A)))
+
+
+def _naive_mat_mul(A, B):
+    k, n = len(B), len(B[0]) if B else 0
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(min(len(A[i]), k))) for j in range(n))
+        for i in range(len(A))
+    )
+
+
+def _naive_pairing(G, v, w):
+    n = len(G)
+    return sum(v[i] * G[i][j] * w[j] for i in range(n) for j in range(n))
+
+
+def test_kernels_match_index_loops():
+    rng = Random(25)
+
+    def entry():
+        return rng.choice([0, 1, -1, rng.randint(-9, 9), rng.randint(-(10**300), 10**300)])
+
+    def matrix(m, n):
+        return tuple(tuple(entry() for _ in range(n)) for _ in range(m))
+
+    for _ in range(400):
+        m, k, n = (rng.randint(0, 6) for _ in range(3))
+        A, B = matrix(m, k), matrix(k, n)
+        v = tuple(entry() for _ in range(k))
+        assert intmat.mat_vec(A, v) == _naive_mat_vec(A, v)
+        # like zip, the kernel stops at the shorter of a row and the vector
+        assert intmat.mat_vec(A, v[:-1]) == _naive_mat_vec(A, v[:-1])
+        assert intmat.mat_mul(A, B) == _naive_mat_mul(A, B)
+        assert intmat.to_matrix([list(r) for r in A]) == A
+        g = [[entry() for _ in range(n)] for _ in range(n)]
+        L = GramLattice(tuple(tuple(g[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)))
+        v, w = matrix(2, n)
+        assert L.pairing(v, w) == _naive_pairing(L.gram, v, w) == L.pairing(w, v)
+        assert L.norm(v) == _naive_pairing(L.gram, v, v)
+        for bad in ((v + (1,), w), (v, w + (0,))):
+            with pytest.raises(LatticeError):
+                L.pairing(*bad)
+        with pytest.raises(LatticeError):
+            L.norm(v + (0,))
+    with pytest.raises(TypeError):
+        intmat.to_matrix([[1.0]])
 
 
 def test_smith_normal_form_examples():

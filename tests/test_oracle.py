@@ -746,6 +746,18 @@ def test_classify_walks_only_where_factors_leave_the_flags_open(monkeypatch, d, 
     assert rep.witnesses["k3"]["status"] == ("found" if rep.star2 else "proven-absent")
 
 
+@pytest.mark.parametrize(
+    "d,built",
+    [(10, 1), (20, 1), (26, 1), (12, 1), (16, 0), (6, 0)],  # star3 holds at 10, 20 and 26
+)
+def test_classify_builds_one_labelling_lattice(monkeypatch, d, built):
+    calls = []
+    monkeypatch.setattr(oracle, "labelling_lattice", lambda d: calls.append(d) or labelling_lattice(d))
+    rep = classify(d)
+    assert len(calls) == built
+    assert (rep.star3 is not None) == (rep.witnesses["hilb2"] is not None) == (d in (10, 20, 26))
+
+
 def test_classify_d50():
     rep = classify(50)
     assert rep.admissible and rep.divisor_label == "Dprime_union"
