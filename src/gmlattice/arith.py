@@ -1,15 +1,17 @@
 """Elementary exact number theory: factorization, primality, sums of two squares.
 
 Everything here works on unbounded Python integers.  Discriminants go up
-to ``oracle.D_MAX = 10**11``, so trial division runs to about 3.2 * 10**5
-and the two-squares scan of the K3 witness (n = d/2) to about 1.6 * 10**5
-steps.
+to ``oracle.D_MAX = 10**11``, so trial division runs to about 3.2 * 10**5.
+The sums of two squares are built from the factorization in the Gaussian
+integers, with no scan: each prime p = 1 (mod 4) costs one modular power
+and a Euclid of about log p steps.
 """
 
 from math import isqrt
 
 __all__ = [
     "factored_sum_of_two_squares",
+    "factored_two_square_decompositions",
     "factorize",
     "is_prime",
     "is_square",
@@ -75,23 +77,76 @@ def factored_sum_of_two_squares(factors: dict[int, int]) -> bool:
     return all(e % 2 == 0 for p, e in factors.items() if p % 4 == 3)
 
 
-def two_square_decompositions(n: int):
-    """Yield every pair (x, y) with 0 <= x <= y and x**2 + y**2 = n, by
-    increasing x.
+def _prime_two_squares(p: int) -> tuple[int, int]:
+    """(x, y) with x < y and x**2 + y**2 = p, for a prime p = 1 (mod 4).
 
-    Direct scan over x <= isqrt(n/2), so sqrt(n/2) steps: the K3 witness
-    calls it with n = d/2 up to 5 * 10**10 (d <= D_MAX = 10**11), about
-    158000 steps.
+    Hermite-Serret: r = c**((p-1)/4) mod p squares to -1 for the first c
+    that is a non-residue, and Euclid on (p, r) reaches x as its first
+    remainder below sqrt(p).
     """
-    if n < 0:
-        return
-    for x in range(isqrt(n // 2) + 1):
-        r = n - x * x
-        y = isqrt(r)
-        if y * y == r:
-            yield (x, y)
+    c = 2
+    while (r := pow(c, (p - 1) // 4, p)) * r % p != p - 1:
+        c += 1
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    y = isqrt(p - b * b)
+    assert b * b + y * y == p
+    return min(b, y), max(b, y)
+
+
+def _gauss_mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    (a, b), (c, d) = z, w
+    return a * c - b * d, a * d + b * c
+
+
+def factored_two_square_decompositions(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """Every pair (x, y) with 0 <= x <= y and x**2 + y**2 = n, by increasing
+    x, for n >= 1 given as its factorization {prime: exponent} (an exponent
+    may be 0).
+
+    x + yi runs over the Gaussian integers of norm n up to units and
+    conjugation: the product of (1+i)**e for 2, of q**(e/2) for each
+    q = 3 (mod 4) (no pair if some such e is odd), and of one
+    pi**k conj(pi)**(e-k), 0 <= k <= e, for each p = pi conj(pi) = 1 (mod 4).
+    """
+    if not factored_sum_of_two_squares(factors):
+        return []
+    scale = 1
+    zs = [(1, 0)]
+    for p, e in factors.items():
+        if p % 4 == 3:
+            scale *= p ** (e // 2)
+        elif p == 2:
+            # (1+i)**2 = 2i, and a unit changes no pair
+            scale <<= e // 2
+            if e % 2:
+                zs = [_gauss_mul(z, (1, 1)) for z in zs]
+        else:
+            pi = _prime_two_squares(p)
+            powers = [(1, 0)]
+            for _ in range(e):
+                powers.append(_gauss_mul(powers[-1], pi))
+            conj = [(x, -y) for x, y in powers]
+            splits = [_gauss_mul(powers[k], conj[e - k]) for k in range(e + 1)]
+            zs = [_gauss_mul(z, w) for z in zs for w in splits]
+    pairs = set()
+    for u, v in zs:
+        u, v = abs(u) * scale, abs(v) * scale
+        pairs.add((u, v) if u <= v else (v, u))
+    return sorted(pairs)
+
+
+def two_square_decompositions(n: int) -> list[tuple[int, int]]:
+    """Every pair (x, y) with 0 <= x <= y and x**2 + y**2 = n, by increasing
+    x: [(0, 0)] for n = 0, none for n < 0, and otherwise built from
+    ``factorize(n)`` by ``factored_two_square_decompositions``."""
+    if n < 1:
+        return [(0, 0)] if n == 0 else []
+    return factored_two_square_decompositions(factorize(n))
 
 
 def two_square_decomposition(n: int) -> tuple[int, int] | None:
-    """A pair (x, y) with x <= y and x**2 + y**2 = n, or None."""
-    return next(two_square_decompositions(n), None)
+    """A pair (x, y) with x <= y and x**2 + y**2 = n, the one of least x, or None."""
+    pairs = two_square_decompositions(n)
+    return pairs[0] if pairs else None

@@ -19,11 +19,12 @@ against the defining identities before it is returned.
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .arith import (
     factored_sum_of_two_squares,
+    factored_two_square_decompositions,
     factorize,
-    two_square_decomposition,
     two_square_decompositions,
 )
 from .errors import DomainError, LatticeError
@@ -114,16 +115,25 @@ def twisted_witness(d: int):
     if d <= 0:
         return None
     _check_size(d)
-    if not factored_sum_of_two_squares(factorize(d)):
+    factors = factorize(d)
+    if not factored_sum_of_two_squares(factors):
         return None
-    return _twisted_witness(d)
+    return _twisted_witness(d, _twisted_pairs(d, factors))
 
 
-def _twisted_witness(d: int):
+def _twisted_pairs(d: int, factors: dict[int, int]) -> list[tuple[int, int]]:
+    """two_square_decompositions of i^2 d / 2 (d/2 for even d, 2d for odd
+    d), for d > 0 with factors = factorize(d): only the exponent of 2
+    differs."""
+    twos = factors.get(2, 0) + (1 if d % 2 else -1)
+    return factored_two_square_decompositions({**factors, 2: twos})
+
+
+def _twisted_witness(d: int, pairs: list[tuple[int, int]]):
     """twisted_witness for d > 0 already known to satisfy the twisted
-    condition."""
+    condition, from pairs = _twisted_pairs(d, factorize(d))."""
     i = 1 if d % 2 == 0 else 2
-    x, y = two_square_decomposition(i * i * d // 2)
+    x, y = pairs[0]
     assert 2 * x * x + 2 * y * y == i * i * d
     return (x, y, i)
 
@@ -425,9 +435,10 @@ class K3WitnessReport:
         return self.status == "found"
 
 
-def _primitive_two_squares(n: int, a: int, b: int) -> tuple[int, int] | None:
-    """(X, Y) with X^2 + Y^2 = n, gcd(X, Y) = 1, X = a and Y = b (mod 2)."""
-    for s, t in two_square_decompositions(n):
+def _primitive_two_squares(pairs: list[tuple[int, int]], a: int, b: int) -> tuple[int, int] | None:
+    """The first coprime pair of pairs that, taken as (X, Y) in some order,
+    has X = a and Y = b (mod 2), in that order; None if there is none."""
+    for s, t in pairs:
         if gcd(s, t) != 1:
             continue
         for X, Y in ((s, t), (t, s)):
@@ -436,16 +447,19 @@ def _primitive_two_squares(n: int, a: int, b: int) -> tuple[int, int] | None:
     return None
 
 
-def _rank3_k3_witness(L: GramLattice) -> K3WitnessReport:
-    (_, _, a), (_, _, b), (_, _, c) = L.gram
-    found = _primitive_two_squares(a * a + b * b + 2 * c, a, b)
+def _rank3_k3_witness(L: GramLattice, pairs: list[tuple[int, int]]) -> K3WitnessReport:
+    """k3_witness of a rank-3 labelling Gram with d = det L > 0, from
+    pairs = two_square_decompositions(d/2)."""
+    (_, _, a), (_, _, b), _ = L.gram
+    found = _primitive_two_squares(pairs, a, b)
     if found is None:
         return K3WitnessReport(kind="rank3", status="proven-absent")
     X, Y = found
     v = ((X + a) // 2, (Y + b) // 2, 1)
     w = hyperbolic_partner(L, v)  # G v = (-X, -Y, t) has content 1
-    assert L.norm(v) == 0 and L.norm(w) == 0 and L.pairing(v, w) == 1
-    (p, q, r), (s, t, u) = intmat.mat_vec(L.gram, v), intmat.mat_vec(L.gram, w)
+    gv, gw = intmat.mat_vec(L.gram, v), intmat.mat_vec(L.gram, w)
+    assert sum(map(mul, v, gv)) == 0 and sum(map(mul, w, gw)) == 0 and sum(map(mul, v, gw)) == 1
+    (p, q, r), (s, t, u) = gv, gw
     g = (q * u - r * t, r * s - p * u, p * t - q * s)
     c = gcd(*g) if next(x for x in g if x) > 0 else -gcd(*g)
     g = tuple(x // c for x in g)
@@ -489,8 +503,10 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     G v = (-X, -Y, t) with z t = xX + yY (from v.Gv = 0).  A plane U
     through v needs v.w = 1 for some w, i.e. G v of content 1.
 
-    * Found: take z = 1 and a decomposition X^2 + Y^2 = d/2 with
-      gcd(X, Y) = 1 and X = a, Y = b (mod 2); then v = ((X+a)/2, (Y+b)/2, 1)
+    * Found: take z = 1 and the first decomposition X^2 + Y^2 = d/2 (by
+      increasing min(X, Y), built from the factors of d/2 by
+      ``arith.two_square_decompositions``) with gcd(X, Y) = 1 and
+      X = a, Y = b (mod 2); then v = ((X+a)/2, (Y+b)/2, 1)
       is integral and isotropic, G v has content 1, and
       ``hyperbolic_partner`` completes the plane exactly: xgcd gives
       u = (-p, -q, 0) with Xp + Yq = 1 = v.u, and w = u - (u.u/2) v (u.u is
@@ -511,7 +527,9 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     primitive decomposition, whose parities always match a and b in one
     order, "found" holds iff d > 0 and d meets the K3 condition (the
     ``star2`` flag of ``classify``): the status is
-    "found" or "proven-absent", never bounded.
+    "found" or "proven-absent", never bounded.  d <= 0 and 8 | d are
+    answered from d alone, at any size; any other d past D_MAX is refused
+    with LatticeError before d/2 is factored.
 
     Rank 4 (basis lambda1, lambda2, kappa1, kappa2 with unimodular
     hyperbolic kappa-block): analyze the labelling-discriminant form Q and
@@ -531,7 +549,12 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     """
     _check_labelling(L)
     if L.rank == 3:
-        return _rank3_k3_witness(L)
+        d = determinant(L)
+        if d <= 0 or d % 8 == 0:
+            return K3WitnessReport(kind="rank3", status="proven-absent")
+        if d > D_MAX:
+            raise LatticeError(f"det L = {d} exceeds the supported limit D_MAX = {D_MAX}")
+        return _rank3_k3_witness(L, two_square_decompositions(d // 2))
     if L.rank != 4:
         raise LatticeError("K3 witness search supports rank 3 and 4 lattices")
 
@@ -843,9 +866,12 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:
-        tw = _twisted_witness(d) if s2t else None
-        if tw is not None:
-            x, y, i = tw
+        # one list of the pairs X^2 + Y^2 = d/2 (2d for odd d), built from
+        # the factors, serves the twisted and the K3 witness; without the
+        # twisted condition there is none
+        pairs = _twisted_pairs(d, factors) if s2t else []
+        if s2t:
+            x, y, i = _twisted_witness(d, pairs)
             witnesses["twisted"] = {"x": x, "y": y, "i": i}
         if ok and d % 8 in (2, 4):
             # one labelling lattice serves both witnesses (star3 implies
@@ -854,7 +880,7 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             if s3 is not None:
                 w = _hilb2_witness(d, L, s3)
                 witnesses["hilb2"] = {"gram": [list(r) for r in L.gram], "w": list(w)}
-            witnesses["k3"] = _k3_report_to_json(k3_witness(L))
+            witnesses["k3"] = _k3_report_to_json(_rank3_k3_witness(L, pairs))
     return DivisorReport(
         d=d,
         admissible=ok,

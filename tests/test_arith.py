@@ -6,11 +6,13 @@ from random import Random
 import pytest
 
 from gmlattice.arith import (
+    _prime_two_squares,
     factored_sum_of_two_squares,
     factorize,
     is_prime,
     is_square,
     two_square_decomposition,
+    two_square_decompositions,
     xgcd,
 )
 
@@ -58,6 +60,54 @@ def test_sum_of_two_squares_vs_brute():
         if dec:
             x, y = dec
             assert x * x + y * y == n and x <= y
+
+
+def scan_two_squares(n):
+    """The x-scan the pairs were once found by: sqrt(n/2) steps."""
+    if n < 0:
+        return []
+    out = []
+    for x in range(isqrt(n // 2) + 1):
+        y = isqrt(n - x * x)
+        if x * x + y * y == n:
+            out.append((x, y))
+    return out
+
+
+def test_two_square_decompositions_vs_pair_enumeration():
+    N = 2 * 10**5
+    oracle = {}
+    for x in range(isqrt(N // 2) + 1):
+        for y in range(x, isqrt(N - 1 - x * x) + 1):
+            oracle.setdefault(x * x + y * y, []).append((x, y))
+    for n in range(-5, N):
+        assert two_square_decompositions(n) == oracle.get(n, []), n
+    assert two_square_decompositions(0) == [(0, 0)] and two_square_decomposition(-1) is None
+
+
+def test_two_square_decompositions_vs_scan_on_large_n():
+    rng = Random(25)
+    found = 0
+    for _ in range(50):
+        n = rng.randint(10**9, 5 * 10**10)
+        pairs = two_square_decompositions(n)
+        assert pairs == scan_two_squares(n), n
+        found += bool(pairs)
+    assert found > 0
+
+
+def test_prime_two_squares_for_every_prime_1_mod_4_below_10_6():
+    N = 10**6
+    sieve = bytearray([1]) * N
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, N, p)))
+    primes = [p for p in range(5, N, 4) if sieve[p]]
+    assert len(primes) == 39175
+    for p in primes:
+        x, y = _prime_two_squares(p)
+        assert 0 < x < y and x * x + y * y == p, p
 
 
 def test_xgcd():

@@ -1,6 +1,7 @@
 """Decision procedures and witnesses for discriminants."""
 
 import sys
+import time
 from dataclasses import replace
 from math import gcd
 from random import Random
@@ -311,6 +312,20 @@ def test_k3_witness_rank4():
     assert flags(rep.disc_raw).star2
     # the contract's probe point: (1, 0) labels with discriminant 10
     assert qa.Q(1, 0) == 10 and flags(10).star2
+
+
+def test_k3_witness_rank3_large_det_is_answered_or_refused_at_once():
+    # 8 | d and d <= 0 are proven absent from d alone, however large; any
+    # other d past D_MAX is refused before its d/2 is factored
+    start = time.perf_counter()
+    assert k3_witness(GramLattice(((-2, 0, 0), (0, -2, 0), (0, 0, 2 * 10**16)))).status == "proven-absent"
+    assert k3_witness(GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, -2 * 10**16)))).status == "proven-absent"
+    assert time.perf_counter() - start < 1
+    k = D_MAX // 8 + 1
+    with pytest.raises(LatticeError, match=f"D_MAX = {D_MAX}"):
+        k3_witness(GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2 * k))))
+    rep = k3_witness(labelling_lattice(D_MAX - 6))  # the largest d = 2 (mod 8) accepted
+    assert rep.found() and rep.gen_norm == 6 - D_MAX
 
 
 def test_k3_witness_rank2_unsupported():
@@ -756,6 +771,45 @@ def test_classify_builds_one_labelling_lattice(monkeypatch, d, built):
     rep = classify(d)
     assert len(calls) == built
     assert (rep.star3 is not None) == (rep.witnesses["hilb2"] is not None) == (d in (10, 20, 26))
+
+
+@pytest.mark.parametrize("d", [10, 26, 58, 202, 1000, 4004])
+def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
+    # the twisted and the K3 witness read one list of the pairs
+    # X^2 + Y^2 = d/2 (2d for odd d), built from the one factorization of d
+    factored, built = [], []
+    read = {"_twisted_witness": [], "_rank3_k3_witness": []}
+
+    def counted(fn, log):
+        def wrapper(*args):
+            out = fn(*args)
+            log.append(out)
+            return out
+
+        return wrapper
+
+    def reading(name, fn):
+        def wrapper(*args):
+            read[name].append(args[-1])
+            return fn(*args)
+
+        return wrapper
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("gmlattice.")]:
+        for name in ("factorize", "two_square_decompositions", "factored_two_square_decompositions"):
+            if hasattr(module, name):
+                log = factored if name == "factorize" else built
+                monkeypatch.setattr(module, name, counted(getattr(module, name), log))
+    for name in read:
+        monkeypatch.setattr(oracle, name, reading(name, getattr(oracle, name)))
+    rep = classify(d)
+    assert len(factored) == 1
+    assert len(built) == rep.star2_twisted  # 4004 = 4 * 7 * 11 * 13 has no pair
+    pairs = built[0] if built else []
+    assert read["_twisted_witness"] == ([pairs] if rep.star2_twisted else [])
+    assert read["_rank3_k3_witness"] == ([] if d % 8 == 0 else [pairs])
+    for args in read.values():
+        assert all(got is pairs for got in args if pairs)
 
 
 def test_classify_d50():
