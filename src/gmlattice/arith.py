@@ -15,7 +15,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "is_square",
-    "two_square_decomposition",
     "two_square_decompositions",
     "xgcd",
 ]
@@ -144,9 +143,3 @@ def two_square_decompositions(n: int) -> list[tuple[int, int]]:
     if n < 1:
         return [(0, 0)] if n == 0 else []
     return factored_two_square_decompositions(factorize(n))
-
-
-def two_square_decomposition(n: int) -> tuple[int, int] | None:
-    """A pair (x, y) with x <= y and x**2 + y**2 = n, the one of least x, or None."""
-    pairs = two_square_decompositions(n)
-    return pairs[0] if pairs else None

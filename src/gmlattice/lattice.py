@@ -339,9 +339,11 @@ def hyperbolic_partner(L: GramLattice, v):
     """
     if not L.is_even():
         raise LatticeError("hyperbolic plane search requires an even lattice")
-    if L.norm(v) != 0:
-        raise LatticeError("hyperbolic partner needs an isotropic vector")
+    if len(v) != L.rank:
+        raise LatticeError("vector length must equal the lattice rank")
     c = intmat.mat_vec(L.gram, v)
+    if sum(map(mul, v, c)) != 0:
+        raise LatticeError("hyperbolic partner needs an isotropic vector")
     g, u = c[0], [1] + [0] * (len(c) - 1)
     for i in range(1, len(c)):
         if g == 1:

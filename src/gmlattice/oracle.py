@@ -31,7 +31,7 @@ from .errors import DomainError, LatticeError
 from . import intmat
 from .forms import BinaryForm, reduce_form, represents, find_prime_1mod4
 from .lattice import GramLattice, determinant, hyperbolic_partner
-from .pell import PellSolution, _negative_pell, pell_solvable
+from .pell import PellSolution, _negative_pell
 
 __all__ = [
     "D_MAX",
@@ -762,13 +762,12 @@ def _p2d5_unsolvable(d: int, factors: dict[int, int], half: list) -> bool:
     solvable.  2d a^2 = m (2a)^2, and every solution of x^2 - m y^2 = 5 has
     y even (y odd gives x^2 = 2 mod 4) and gcd(x, y) = 1 (5 is squarefree).
     For d > 50, 5 < sqrt(m), so each is a convergent (Lagrange), and as the
-    period is odd, one exists iff 5 is a Q_k of the half period.
+    period is odd, one exists iff 5 is a Q_k of the half period.  Below 51
+    only d = 2 and d = 10 pass star3 and the obstructions, and (3, 1) and
+    (5, 1) solve P_4(5) and P_20(5); the d > 50 guard keeps the empty half
+    period of d = 2 from reading as unsolvable.
     """
-    if _p2d5_obstructed(d, factors):
-        return True
-    if d <= 50:
-        return not pell_solvable(2 * d, 5)
-    return all(big_q != 5 for _, big_q in half)
+    return _p2d5_obstructed(d, factors) or d > 50 and all(big_q != 5 for _, big_q in half)
 
 
 # ---------------------------------------------------------------------------
@@ -839,9 +838,9 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
 
     This is the package's one decider of the four flags.  d is factored
     once, and sqrt(d/2) is walked at most once: P_{d/2}(-1) only where
-    star2 holds (``_star3``), and for d > 50 P_{2d}(5) is read off the Q_k
-    of that same half period where no local obstruction
-    (``_p2d5_obstructed``) already makes it unsolvable (``_p2d5_unsolvable``).
+    star2 holds (``_star3``), and P_{2d}(5) is read off the Q_k of that
+    same half period where no local obstruction (``_p2d5_obstructed``)
+    already makes it unsolvable (``_p2d5_unsolvable``).
     """
     _check_size(d)
     ok, label = admissible(d)

@@ -16,21 +16,22 @@ The full period, where a caller needs it, is that half mirrored.
 So the negative Pell equation P_m(-1) is solvable exactly when the period
 is odd (plus the degenerate case m = 1), and for c^2 < m, where every
 primitive solution is a convergent (Lagrange), P_m(c) is solvable exactly
-when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c.
-``pell_solvable`` decides from the Q_k of the half period alone, and the
-walk for P_m(-1) hands its half on, so ``classify`` reads P_{2d}(5) off
-the Q_k of sqrt(d/2).  The solution of P_m(-1) is the convergent at
-k = l - 1; with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1}
-is (A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents
-at s and s - 1:
+when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c: the walk
+for P_m(-1) hands its half on, so ``classify`` reads P_{2d}(5) off the Q_k
+of sqrt(d/2).  The solution of P_m(-1) is the convergent at k = l - 1;
+with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is
+(A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents at
+s and s - 1:
 
     n = h_s q_s + h_{s-1} q_{s-1},  a = q_s^2 + q_{s-1}^2.
 
 A_0 B is built by a balanced product tree over a_0, ..., a_s, whose
 leaves are short linear walks, so the big-integer products are between
-numbers of equal size.  ``pell_general`` reads the norms of the
-convergents off the full period in the same way and builds, by that tree,
-only the convergents whose norm it matches and the fundamental unit.
+numbers of equal size.  ``pell_solvable`` and ``pell_general`` answer
+every c by the same recurrence started at (z + sqrt(m)) / |c / g^2|, one
+walk per root z of z^2 = m (mod c / g^2) (Lagrange, Matthews and Mollin;
+K. R. Matthews, *Expo. Math.* 18, 2000): the first is the walks alone,
+the second builds by the tree one solution per class they find.
 """
 
 from dataclasses import dataclass
@@ -52,9 +53,6 @@ _LEAF = 64
 
 # largest |c| that pell_general accepts
 C_MAX = 10**6
-
-# largest n bound that pell_general scans when c^2 >= m
-SCAN_MAX = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -189,87 +187,95 @@ def _primitive_targets(c: int) -> dict[int, int]:
     return {c // (g * g): g for g in range(1, isqrt(abs(c)) + 1) if c % (g * g) == 0}
 
 
+def _check(name: str, m: int, c: int) -> None:
+    if m < 1:
+        raise DomainError(f"{name} expects m >= 1")
+    if c == 0:
+        raise DomainError(f"{name} expects c != 0")
+    if abs(c) > C_MAX:
+        raise DomainError(f"|c| = {abs(c)} exceeds the supported limit C_MAX = {C_MAX}")
+
+
+def _classes(m: int, c: int, odd: bool):
+    """(g, |n|, z, [a_0, ..., a_{i-1}], flip) for each solvable class of
+    primitive solutions of x^2 - m y^2 = n = c / g^2, m not a square and
+    odd the parity of the period of sqrt(m).
+
+    Such a solution has x = z y (mod |n|) for one root z of z^2 = m
+    (mod |n|), -|n|/2 < z <= |n|/2.  The (P, Q) recurrence of
+    (z + sqrt(m)) / |n|, a = floor((P + sqrt(m)) / Q) for either sign of Q,
+    reaches Q_i = +-1 at some i >= 1 iff that class is solvable, and then
+    G = |n| A_{i-1} - z B_{i-1} over its convergents A/B has
+    G^2 - m B_{i-1}^2 = (-1)^i Q_i |n|; else it stops where its first
+    reduced (P, Q) recurs.  flip: the norm is -n, which only the solution
+    of P_m(-1) turns into n."""
+    s = isqrt(m)
+    for n, g in _primitive_targets(c).items():
+        k = abs(n)
+        for z in range(-((k - 1) // 2), k // 2 + 1):
+            if (z * z - m) % k:
+                continue
+            p, q, terms, first = z, k, [], None
+            while True:
+                if p <= s and s - p < q <= s + p:  # (p + sqrt(m)) / q is reduced
+                    if (p, q) == first:
+                        break
+                    first = first or (p, q)
+                a = (p + s + (q < 0)) // q
+                terms.append(a)
+                p = a * q - p
+                q = (m - p * p) // q
+                if q * q == 1:
+                    flip = (-1) ** len(terms) * q * k != n
+                    if odd or not flip:
+                        yield g, k, z, terms, flip
+                    break
+
+
 def pell_solvable(m: int, c: int) -> bool:
     """Whether n^2 - m*a^2 = c has an integer solution, as bool(pell_general).
 
-    For non-square m and c^2 < m the answer comes from half a period of
-    the (P_k, Q_k) recurrence alone: the norms of the convergents run
-    through (-1)^k Q_k, with both signs once the period is odd, since the
-    norms repeat with period l and flip sign after an odd l.  The mirrored
-    half adds no new Q_k, and Q_l = 1 adds the norm +1.  Perfect-square m
-    factors c; c^2 >= m falls back to the pell_general scan, which raises
-    DomainError (naming SCAN_MAX) when a huge unit puts its bound past it.
+    For non-square m the answer comes from the (P, Q) walks of
+    ``_classes`` alone, with no convergent built: some class reaches the
+    norm c / g^2, or its negative when the period of sqrt(m) is odd.
+    Perfect-square m factors c.
     """
-    if m < 1:
-        raise DomainError("pell_solvable expects m >= 1")
-    if c == 0:
-        raise DomainError("pell_solvable expects c != 0")
+    _check("pell_solvable", m, c)
     if is_square(m):
         return bool(_square_pell(isqrt(m), c))
-    if c * c >= m:
-        return bool(pell_general(m, c))
-    half, odd = _half_period(m)
-    norms = {big_q if k % 2 == 0 else -big_q for k, (_, big_q) in enumerate(half, 1)}
-    norms.add(1)
-    if odd:
-        norms |= {-v for v in norms}
-    return not norms.isdisjoint(_primitive_targets(c))
+    return any(_classes(m, c, _half_period(m)[1]))
 
 
 def pell_general(m: int, c: int) -> list[PellSolution]:
-    """Fundamental-class representatives of n^2 - m*a^2 = c with n, a >= 0.
+    """Every solution of n^2 - m*a^2 = c with n, a >= 0 and
+    n <= sqrt(|c| (x1 + 1) / 2) + 1, (x1, y1) the fundamental unit of
+    P_m(1), so at least one of each class; [] means unsolvable.
 
-    An empty list means the equation is unsolvable.  The representatives
-    satisfy 0 <= n <= sqrt(|c| (x1 + 1) / 2) with (x1, y1) the fundamental
-    unit of P_m(1), the convergent at the end of one period of sqrt(m), or
-    of two when the period is odd.  For c^2 < m every primitive solution
-    is a convergent before that unit (Lagrange): the norm of convergent j,
-    (-1)^(j+1) Q_{j+1}, is read off the (P_k, Q_k) recurrence, and only the
-    convergents whose norm matches and the unit itself are built, each by
-    the product tree.  For c^2 >= m the unit supplies the bound and n is
-    scanned up to it, which is refused above SCAN_MAX.  Perfect-square m
-    reduces to factoring c, which also covers the P_{2d}(5) check at d = 2
-    where 2d = 4.
+    Each class of ``_classes`` gives one solution by the product tree,
+    times the solution of P_m(-1) where its norm is -c / g^2.  Division by
+    x1 + y1 sqrt(m) steps it down to the least n of its orbit, and the unit
+    multiples of that and of its conjugate are kept up to the bound.
+    Perfect-square m reduces to factoring c, as in P_4(5) at d = 2.
     """
-    if m < 1:
-        raise DomainError("pell_general expects m >= 1")
-    if c == 0:
-        raise DomainError("pell_general expects c != 0")
-    if abs(c) > C_MAX:
-        raise DomainError(f"|c| = {abs(c)} exceeds the supported limit C_MAX = {C_MAX}")
+    _check("pell_general", m, c)
     if is_square(m):
         return _square_pell(isqrt(m), c)
     period = _period(m)
-    if len(period) % 2:
-        period += period
-    terms = [isqrt(m)] + [a for a, _ in period[:-1]]
-    targets = _primitive_targets(c) if c * c < m else {}
-    sols = set()
-    for j, (_, big_q) in enumerate(period):
-        g = targets.get(big_q if j % 2 else -big_q)
-        if g:
-            h, _, q, _ = _continuant(terms[: j + 1])
-            sols.add((g * h, g * q))
-    x1 = _continuant(terms)[0]
+    odd = len(period) % 2 == 1
+    h, _, q, _ = _continuant([isqrt(m)] + [a for a, _ in period[:-1]])
+    x1, y1 = (h * h + m * q * q, 2 * h * q) if odd else (h, q)
     n_bound = isqrt((abs(c) * (x1 + 1)) // 2) + 1
-    if c > 0 and is_square(c):
-        sols.add((isqrt(c), 0))
-    if c < 0 and (-c) % m == 0 and is_square((-c) // m):
-        sols.add((0, isqrt((-c) // m)))
-    if c * c < m:
-        sols = {s for s in sols if s[0] <= n_bound}
-    else:
-        if n_bound > SCAN_MAX:
-            raise DomainError(
-                f"|c| = {abs(c)} >= sqrt({m}) and the fundamental unit puts the scan"
-                f" bound past the supported limit SCAN_MAX = {SCAN_MAX}"
-            )
-        for n in range(0, n_bound + 1):
-            r = n * n - c
-            if r < 0 or r % m:
-                continue
-            q2 = r // m
-            a = isqrt(q2)
-            if a * a == q2:
-                sols.add((n, a))
+    sols = set()
+    for g, k, z, terms, flip in _classes(m, c, odd):
+        big_a, _, big_b, _ = _continuant(terms)
+        x, y = k * big_a - z * big_b, big_b
+        if flip:
+            x, y = x * h + m * y * q, x * q + y * h
+        x, y = abs(x), abs(y)
+        while (u := abs(x * x1 - m * y * y1)) < x:
+            x, y = u, abs(y * x1 - x * y1)
+        for u, v in ((x, y), (x, -y)):
+            while g * abs(u) <= n_bound:
+                sols.add((g * abs(u), g * abs(v)))
+                u, v = u * x1 + m * v * y1, u * y1 + v * x1
     return [PellSolution(n, a, m, c) for n, a in sorted(sols)]

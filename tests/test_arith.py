@@ -11,7 +11,6 @@ from gmlattice.arith import (
     factorize,
     is_prime,
     is_square,
-    two_square_decomposition,
     two_square_decompositions,
     xgcd,
 )
@@ -55,10 +54,9 @@ def test_sum_of_two_squares_vs_brute():
         )
         if n:
             assert factored_sum_of_two_squares(factorize(n)) == brute, n
-        dec = two_square_decomposition(n)
-        assert (dec is not None) == brute
-        if dec:
-            x, y = dec
+        dec = two_square_decompositions(n)[:1]
+        assert bool(dec) == brute
+        for x, y in dec:
             assert x * x + y * y == n and x <= y
 
 
@@ -82,7 +80,7 @@ def test_two_square_decompositions_vs_pair_enumeration():
             oracle.setdefault(x * x + y * y, []).append((x, y))
     for n in range(-5, N):
         assert two_square_decompositions(n) == oracle.get(n, []), n
-    assert two_square_decompositions(0) == [(0, 0)] and two_square_decomposition(-1) is None
+    assert two_square_decompositions(0) == [(0, 0)] and two_square_decompositions(-1)[:1] == []
 
 
 def test_two_square_decompositions_vs_scan_on_large_n():

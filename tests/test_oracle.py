@@ -736,7 +736,7 @@ def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     [
         (12, 0),  # 3 | 12: star2 fails, so star3 cannot hold
         (26, 1),  # 13 = 3 (mod 5): P_52(5) is obstructed
-        (10, 2),  # d <= 50: P_20(5) takes its own walk, and is solvable
+        (10, 1),  # d <= 50 passes the obstructions only at 2 and 10, where P_2d(5) is solvable
         (58, 1),  # no obstruction; 5 is a Q_k of sqrt(29), so P_116(5) is solvable
         (202, 1),  # no obstruction; sqrt(101) has no Q_k = 5, so P_404(5) is not
     ],

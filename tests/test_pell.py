@@ -14,8 +14,8 @@ from gmlattice import (
     pell_general,
     pell_solvable,
 )
-from gmlattice.arith import factorize, is_square
-from gmlattice.pell import _LEAF, SCAN_MAX, _continuant, _half_period, _period
+from gmlattice.arith import is_square
+from gmlattice.pell import _LEAF, C_MAX, _continuant, _half_period, _period
 
 
 
@@ -230,10 +230,15 @@ def test_pell_general_matches_the_convergent_walk():
     assert cases > 500
 
 
-def test_pell_general_scan_refusal_names_its_limit():
-    # 11^2 >= 109, whose fundamental unit has 15 digits
-    with pytest.raises(DomainError, match=f"SCAN_MAX = {SCAN_MAX}"):
-        pell_general(109, 11)
+def test_pell_general_answers_c_squared_past_m_with_a_huge_unit():
+    # 12^2 >= 109, whose fundamental unit has 15 digits, so the n bound is
+    # 30796494; an a-scan up to 2949769 below it finds the same three
+    assert [s.as_pair() for s in pell_general(109, 12)] == [
+        (11, 1),
+        (19064, 1826),
+        (730289, 69949),
+    ]
+    assert pell_general(109, 11) == []
 
 
 def test_convergent_norms_are_read_off_the_recurrence():
@@ -293,13 +298,14 @@ def test_product_tree_matches_linear_walk():
 
 def test_pell_solvable_matches_pell_general():
     # the (P, Q) decision against the representatives pell_general returns,
-    # and against an independent scan wherever the unit bound keeps it short
+    # and against an independent scan wherever the unit bound keeps it short,
+    # for c^2 < m and c^2 >= m alike
     for m in range(2, 600):
         if is_square(m):
             continue
         x1, _ = fundamental_unit(m)
-        for c in range(-isqrt(m - 1), isqrt(m - 1) + 1):
-            if c == 0 or any(e > 1 for e in factorize(abs(c)).values()):
+        for c in range(-40, 41):
+            if c == 0:
                 continue
             got = pell_solvable(m, c)
             assert got == bool(pell_general(m, c)), (m, c)
@@ -312,11 +318,11 @@ def test_pell_solvable_matches_pell_general():
                 assert got == brute, (m, c)
 
 
-def test_pell_solvable_falls_back_to_the_refused_scan():
-    # c^2 >= m goes through pell_general, whose scan bound for m = 109 is
-    # past the limit, so the decision is refused rather than answered
-    with pytest.raises(DomainError, match="SCAN_MAX = 2000000"):
-        pell_solvable(109, 11)
+def test_pell_solvable_decides_c_squared_past_m_by_residues():
+    # 11 is not a square mod 109, so no root z starts a walk; 12 is one
+    assert all(z * z % 109 != 11 for z in range(109))
+    assert pell_solvable(109, 11) is False
+    assert pell_solvable(109, 12) is True
 
 
 def test_pell_solvable_minus_one_is_the_period_parity():
@@ -335,6 +341,10 @@ def test_pell_general_domain_errors():
         pell_general(5, 0)
     with pytest.raises(DomainError):
         pell_general(0, 5)
+    # both refuse |c| past C_MAX, where the loop over residues mod |c| is long
+    for solve in (pell_general, pell_solvable):
+        with pytest.raises(DomainError, match=f"C_MAX = {C_MAX}"):
+            solve(10**13 + 1, C_MAX + 1)
 
 
 def test_pell_solution_validates():
