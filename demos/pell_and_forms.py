@@ -47,7 +47,8 @@ print()
 print("Binary forms from the rank-4 analysis:")
 qa = qform_rank4(2, 1, -1, 1)
 print(f"  pairings (2,1,-1,1): Q = {qa.h} * ({qa.q}), content h = {qa.h}")
-print(f"  q represents the prime {find_prime_1mod4(qa.q)[0]} (witness {find_prime_1mod4(qa.q)[1:]})")
+p, x, y = find_prime_1mod4(qa.q)
+print(f"  q represents the prime {p} (witness {(x, y)})")
 f = BinaryForm(2, 5, 5)
 g, T = reduce_form(f)
 print(f"  reduction: {f} -> {g} via T = {T}")

@@ -1,15 +1,25 @@
 """Elementary exact number theory: factorization, primality, sums of two squares.
 
-Everything here works on unbounded Python integers.  Discriminants go up
-to ``oracle.D_MAX = 10**11``, so trial division runs to about 3.2 * 10**5.
+Everything here works on unbounded Python integers.  Discriminants, and
+the values ``forms.find_prime_1mod4`` tests, go up to ``D_MAX = 10**11``,
+so trial division runs to about 3.2 * 10**5.
 The sums of two squares are built from the factorization in the Gaussian
 integers, with no scan: each prime p = 1 (mod 4) costs one modular power
 and a Euclid of about log p steps.
 """
 
+from itertools import count
 from math import isqrt
 
+# Largest discriminant the deciders accept, and the largest value
+# forms.find_prime_1mod4 searches.  Solving P_{d/2}(-1) walks a period of
+# sqrt(d/2) that grows like sqrt(d), and its solution can run to hundreds
+# of thousands of bits; the README states the time budget measured up to
+# this limit.
+D_MAX = 10**11
+
 __all__ = [
+    "D_MAX",
     "factored_sum_of_two_squares",
     "factored_two_square_decompositions",
     "factorize",
@@ -43,10 +53,19 @@ def is_square(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by the trial division of ``factorize``: its one caller,
-    ``forms.find_prime_1mod4``, asks about values up to ``forms.PRIME_CAP``,
-    so the division stops at 1000."""
-    return n > 1 and factorize(n) == {n: 1}
+    """Primality by trial division over 2, 3 and 6k +- 1, stopping at the
+    first factor: for n up to D_MAX, the largest value
+    ``forms.find_prime_1mod4`` asks about, it runs to about 3.2 * 10**5."""
+    if n < 4:
+        return n > 1
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -80,12 +99,12 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
     """(x, y) with x < y and x**2 + y**2 = p, for a prime p = 1 (mod 4).
 
     Hermite-Serret: r = c**((p-1)/4) mod p squares to -1 for the first c
-    that is a non-residue, and Euclid on (p, r) reaches x as its first
-    remainder below sqrt(p).
+    that is a non-residue, a prime since a product of residues is one, and
+    Euclid on (p, r) reaches x as its first remainder below sqrt(p).
     """
     c = 2
     while (r := pow(c, (p - 1) // 4, p)) * r % p != p - 1:
-        c += 1
+        c = next(n for n in count(c + 1) if is_prime(n))
     a, b = p, r
     while b * b > p:
         a, b = b, a % b

@@ -1,20 +1,22 @@
 """Integral binary quadratic forms: Gauss reduction, representability,
 and represented primes.
 
-Both searches run on the Gram ((2a, b), (b, 2c)) of the form, inside the
-exact ellipse box of the lattice's definite norm search: a negative answer
-from ``represents`` is a proof of non-representability, while
-``find_prime_1mod4`` reports bound exhaustion rather than absence.
+``represents`` runs the lattice's definite norm search on the Gram
+((2a, b), (b, 2c)) of the form, inside its exact ellipse box, so a None
+is a proof of non-representability.  ``find_prime_1mod4`` decides exactly
+whether a primitive positive definite form represents a prime 1 (mod 4),
+from the form mod 4, and finds the least one by walking its values upward.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 
 from . import intmat
-from .arith import is_prime
+from .arith import D_MAX, is_prime
 from .errors import DomainError, LatticeError
 from .intmat import Matrix
-from .lattice import _definite_bounds, _definite_norm_vectors
+from .lattice import _definite_norm_vectors
 
 __all__ = ["BinaryForm", "find_prime_1mod4", "reduce_form", "represents"]
 
@@ -110,52 +112,79 @@ def represents(f: BinaryForm, value: int):
     """A representation f(x, y) = value, or None (a proof of none).
 
     The complete list comes from the lattice's definite norm search for
-    2 value on the Gram of f; the first by x and then y in the order
-    0, 1, -1, 2, -2, ... is returned, so small non-negative witnesses win.
+    2 value on the Gram of the reduced form, mapped back by its transform;
+    the first by x and then y in the order 0, 1, -1, 2, -2, ... is
+    returned, so small non-negative witnesses win.
     """
     if not f.is_positive_definite():
         raise LatticeError("representation search needs a positive definite form")
     if value < 0:
         raise DomainError("positive definite forms represent only non-negative values")
+    # the solutions are T w for the solutions w of the reduced form g, whose
+    # norm search scans its first coordinate: give it y, the shorter axis;
     # 2|k| - (k > 0) ranks k in the order 0, 1, -1, 2, -2, ...
+    g, T = reduce_form(f)
+    (p, q), (r, s) = T
+    vectors = _definite_norm_vectors(_gram(BinaryForm(g.c, g.b, g.a)), 2 * value)
     return min(
-        _definite_norm_vectors(_gram(f), 2 * value),
+        ((p * x + q * y, r * x + s * y) for y, x in vectors),
         key=lambda v: tuple(2 * abs(k) - (k > 0) for k in v),
         default=None,
     )
 
 
-# largest value find_prime_1mod4 searches, and the values it searches up to
-# in turn, so that a small prime is found without scanning the largest box
-PRIME_CAP = 10**6
-_STAGES = (256, 4096, 65536, PRIME_CAP)
-
-
 def find_prime_1mod4(f: BinaryForm):
-    """Smallest prime p = 1 (mod 4) represented by f, at most PRIME_CAP,
-    with a witness (p, x, y); None means the cap was exhausted, never that
-    no such prime exists.  The witness is the first that ``represents``
-    finds for p.
+    """Smallest prime p = 1 (mod 4) represented by the primitive positive
+    definite f, with the witness (p, x, y) that ``represents`` finds for
+    p; None is a proof that f represents no such prime.
+
+    f(x, y) mod 4 depends only on (x, y) mod 4, so None comes back at once
+    iff no f(x, y) with x, y in {0, 1, 2, 3} is 1 (mod 4).  Otherwise f
+    represents infinitely many primes 1 (mod 4).  Take f(x, y) = 1 (mod 4);
+    by CRT, (x, y) can be moved, fixed mod 4, so that f(x, y) is prime to
+    the discriminant D (mod an odd prime of D the primitive f is a nonzero
+    form, so it has a nonzero value), and dividing (x, y) by its gcd g,
+    odd since g^2 divides the odd f(x, y), changes f(x, y) by g^2 = 1
+    (mod 8).  So f properly represents some m = 1 (mod 4) prime to D: m is
+    the norm of an ideal a, prime to 4D, in the class of f in the order of
+    discriminant D in K = Q(sqrt D).  Let L be that order's ring class
+    field.  The Artin symbol of a in the abelian L(i)/K is the class of f
+    on L and the symbol of m, trivial, on Q(i); by Chebotarev infinitely
+    many degree-1 primes of K share it, and their norms are primes
+    p = 1 (mod 4) that f represents (Weber's theorem, refined by Chebotarev
+    density; Cox, *Primes of the Form x^2 + ny^2*, section 9).
+
+    The search walks the values of the Gauss-reduced form g upward.  As
+    g(x, y) = g(-x, -y), it takes y >= 0, and (1, 0) is the one coprime
+    pair with y = 0.  From the vertex of row y, one walker runs each way
+    in each class x = r (mod 4) with g(r, y) = 1 (mod 4), so every value
+    popped is 1 (mod 4) and the values of a walker increase; row y is
+    opened before any value past its least, |D| y^2 / 4a.  Only coprime
+    (x, y) are tested, since only those can give a prime.  Raises
+    DomainError when no such prime is at most D_MAX.
     """
     if not f.is_positive_definite():
         raise LatticeError("prime search needs a positive definite form")
     if not f.is_primitive():
         raise LatticeError("prime search needs a primitive form")
-    for stage in _STAGES:
-        xb, yb = _definite_bounds(_gram(f), 2 * stage)
-        best = None
-        prime_cache: dict[int, bool] = {}
-        for x in range(-xb, xb + 1):
-            for y in range(-yb, yb + 1):
-                v = f(x, y)
-                if v > stage or v % 4 != 1 or v < 5:
-                    continue
-                if best is not None and v >= best:
-                    continue
-                if v not in prime_cache:
-                    prime_cache[v] = is_prime(v)
-                if prime_cache[v]:
-                    best = v
-        if best is not None:
-            return (best, *represents(f, best))
-    return None
+    if all(f(x, y) % 4 != 1 for x in range(4) for y in range(4)):
+        return None
+    g, _ = reduce_form(f)
+    a, b, adisc = g.a, g.b, -g.disc()
+    heap = [(a, 1, 0, 0)] if a % 4 == 1 else []
+    y = 1
+    while True:
+        while not heap or adisc * y * y <= 4 * a * heap[0][0]:
+            vertex = -(b * y // (2 * a))
+            for x in range(vertex, vertex + 4):
+                if g(x, y) % 4 == 1:
+                    heappush(heap, (g(x, y), x, y, 4))
+                    heappush(heap, (g(x - 4, y), x - 4, y, -4))
+            y += 1
+        v, x, row, step = heappop(heap)
+        if v > D_MAX:
+            raise DomainError(f"{f} represents no prime 1 (mod 4) up to the supported limit D_MAX = {D_MAX}")
+        if gcd(x, row) == 1 and is_prime(v):
+            return (v, *represents(f, v))
+        if step:
+            heappush(heap, (g(x + step, row), x + step, row, step))

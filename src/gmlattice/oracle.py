@@ -22,6 +22,7 @@ from math import gcd
 from operator import mul
 
 from .arith import (
+    D_MAX,
     factored_sum_of_two_squares,
     factored_two_square_decompositions,
     factorize,
@@ -58,13 +59,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # admissibility and the three numerical conditions
-
-# Largest discriminant the deciders accept.  Solving P_{d/2}(-1) walks a
-# period of sqrt(d/2) that grows like sqrt(d), and its solution can run to
-# hundreds of thousands of bits; the README states the time budget measured
-# up to this limit.
-D_MAX = 10**11
-
 
 def _check_size(d: int) -> None:
     if d > D_MAX:
@@ -343,7 +337,8 @@ class LemmaReport:
     h_not_div_8 and b_even are None ("hypothesis not met") when all four
     pairings are even, which is exactly the case 8 | h; prime_status is
     "found", "not-positive-definite", "hypothesis-not-met" or
-    "bound-exhausted".
+    "proven-absent", the last a proof that q represents no prime 1 (mod 4)
+    and so a counterexample to the lemma.
     """
 
     all_even: bool
@@ -367,33 +362,31 @@ class LemmaReport:
 
 def lemma_checks(qa: QFormAnalysis) -> LemmaReport:
     """Check the divisor constraints on h = gcd of the coefficients, the
-    residues of the primitive part, and hunt for a represented prime
-    1 (mod 4) when q is positive definite, up to ``forms.PRIME_CAP``
-    ("bound-exhausted" when none is found there)."""
+    residues of the primitive part, and find the least represented prime
+    1 (mod 4) when q is positive definite (``forms.find_prime_1mod4``).
+
+    A positive definite q whose pairings are not all even always reaches
+    "found": the lemma makes b even, so a or c is odd since q is primitive,
+    and the lemma makes it not 3, hence 1 (mod 4); by the argument of
+    ``find_prime_1mod4``, q then represents infinitely many primes
+    1 (mod 4).  Raises DomainError when none is at most D_MAX.
+    """
     all_even = all(v % 2 == 0 for v in (qa.k, qa.l, qa.m, qa.n))
-    h_odd_ok = all(p % 4 != 3 for p in factorize(qa.h) if p % 2)
-    h8 = None if all_even else (qa.h % 8 != 0)
-    a_ok = qa.q.a % 4 != 3
-    c_ok = qa.q.c % 4 != 3
-    b_even = None if all_even else (qa.q.b % 2 == 0)
     if all_even:
         status, prime = "hypothesis-not-met", None
     elif not qa.q.is_positive_definite():
         status, prime = "not-positive-definite", None
     else:
-        hit = find_prime_1mod4(qa.q)
-        if hit is None:
-            status, prime = "bound-exhausted", None
-        else:
-            status, prime = "found", hit
+        prime = find_prime_1mod4(qa.q)
+        status = "proven-absent" if prime is None else "found"
     return LemmaReport(
         all_even=all_even,
         h=qa.h,
-        h_odd_primes_1mod4=h_odd_ok,
-        h_not_div_8=h8,
-        a_not_3mod4=a_ok,
-        c_not_3mod4=c_ok,
-        b_even=b_even,
+        h_odd_primes_1mod4=all(p % 4 != 3 for p in factorize(qa.h) if p % 2),
+        h_not_div_8=None if all_even else qa.h % 8 != 0,
+        a_not_3mod4=qa.q.a % 4 != 3,
+        c_not_3mod4=qa.q.c % 4 != 3,
+        b_even=None if all_even else qa.q.b % 2 == 0,
         prime_status=status,
         prime=prime,
     )
@@ -546,6 +539,13 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
       status is "proven-absent", with no box scan.  Otherwise no exact
       argument is known, and an empty scan is "not-found-within-bound": a
       discriminant past D_MAX lies outside the search, it is not refused.
+    * Present, q positive definite and 8 not dividing h: the witness
+      (x, y) of ``find_prime_1mod4(q)``, of prime value p = 1 (mod 4),
+      is coprime and has Q(x, y) = h p, which meets the K3 condition: 8
+      does not divide h p, and the odd primes of h are 1 (mod 4)
+      (``lemma_checks``).  When
+      h p <= D_MAX, "not-found-within-bound" for such q therefore reflects
+      K3_RANK4_BOX, never absence.
     """
     _check_labelling(L)
     if L.rank == 3:

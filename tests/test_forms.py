@@ -1,11 +1,13 @@
 """Binary quadratic forms: reduction, representability, represented primes."""
 
+import time
 from math import isqrt
 from random import Random
 
 import pytest
 
 from gmlattice import (
+    D_MAX,
     BinaryForm,
     DomainError,
     LatticeError,
@@ -14,7 +16,6 @@ from gmlattice import (
     represents,
 )
 from gmlattice.arith import is_prime
-from gmlattice.forms import PRIME_CAP
 
 
 def apply_transform(f, T, x, y):
@@ -90,11 +91,18 @@ def test_reduce_boundary_sign_convention():
 
 
 def test_find_prime_cap_semantics():
-    # every nonzero value of this primitive form is at least 10**6 + 1, past
-    # PRIME_CAP, so no prime lies below the cap: an honest None
-    f = BinaryForm(10**6 + 1, 1, 10**6 + 1)
-    assert f.is_primitive() and 10**6 + 1 > PRIME_CAP
-    assert find_prime_1mod4(f) is None
+    # every nonzero value of this primitive form is at least 10**6 + 1; the
+    # least prime 1 (mod 4) among them lies at (4, -5)
+    assert find_prime_1mod4(BinaryForm(10**6 + 1, 1, 10**6 + 1)) == (41000021, 4, -5)
+    # no value of this form is at most D_MAX: refused, and at once
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="D_MAX"):
+        find_prime_1mod4(BinaryForm(10**12, 1, 10**12))
+    # x^2 = 1 (mod 4) is no prime, and the first value with y != 0 is
+    # past D_MAX
+    with pytest.raises(DomainError, match="D_MAX"):
+        find_prime_1mod4(BinaryForm(1, 0, 10**14 + 4))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reduce_rejects_indefinite():
@@ -107,6 +115,9 @@ def test_represents_examples():
     assert represents(BinaryForm(2, 1, 1), 1) == (0, 1)
     assert represents(BinaryForm(1, 0, 1), 2) == (1, 1)
     assert represents(BinaryForm(1, 0, 1), 0) == (0, 0)
+    # far from reduced (x^2 + y^2 under a transform of entries near 10^5):
+    # the search runs on the reduced form and maps its solutions back
+    assert represents(BinaryForm(20000200001, 40000000000, 19999800001), 5) == (99998, -99999)
 
 
 def test_represents_none_agrees_with_independent_scan():
@@ -216,13 +227,39 @@ def test_find_prime_witness_verifies():
         done += 1
 
 
-def test_find_prime_reports_exhaustion_not_absence():
-    # (11, 14, 11) only represents odd values 3 (mod 4): the search must
-    # come back empty-handed rather than inventing a witness
+def test_find_prime_proves_absence_from_the_mod_4_table():
+    # (11, 14, 11) only represents odd values 3 (mod 4), and f(x, y) mod 4
+    # depends on (x, y) mod 4 alone: None is a proof, given at once
     f = BinaryForm(11, 14, 11)
+    start = time.perf_counter()
     assert find_prime_1mod4(f) is None
+    assert time.perf_counter() - start < 0.01
     vals = {f(x, y) for x in range(-30, 31) for y in range(-30, 31)}
     assert all(v % 4 == 3 for v in vals if v % 2 == 1 and v > 0)
+
+
+def test_find_prime_equals_a_brute_ellipse_scan():
+    # None iff the ellipse holds no prime 1 (mod 4) at all, which the mod-4
+    # table proves; otherwise the least such prime in the ellipse of its
+    # own size, with a witness that represents it
+    rng = Random(27)
+    done = absent = 0
+    while done < 300:
+        f = BinaryForm(rng.randint(1, 40), rng.randint(-40, 40), rng.randint(1, 40))
+        if not (f.is_positive_definite() and f.is_primitive()):
+            continue
+        got = find_prime_1mod4(f)
+        bound = 2000 if got is None else got[0]
+        primes = sorted(v for v in value_counts(f, bound) if v % 4 == 1 and is_prime(v))
+        table = {f(x, y) % 4 for x in range(4) for y in range(4)}
+        if got is None:
+            assert 1 not in table and not primes, f
+            absent += 1
+        else:
+            p, x, y = got
+            assert 1 in table and primes[0] == p and f(x, y) == p, f
+        done += 1
+    assert 0 < absent < done
 
 
 def test_find_prime_rejects_imprimitive_and_indefinite():

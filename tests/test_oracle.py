@@ -22,6 +22,7 @@ from gmlattice import (
     counterexample_general,
     determinant,
     find_hyperbolic_plane,
+    find_prime_1mod4,
     hilb2_criterion,
     hilb2_witness,
     k3_witness,
@@ -278,6 +279,8 @@ def test_lemma_conclusions_random_not_all_even():
         assert rep.h_odd_primes_1mod4
         assert rep.h_not_div_8
         assert rep.a_not_3mod4 and rep.c_not_3mod4 and rep.b_even
+        if qa.is_positive_definite():
+            assert rep.prime_status == "found" and qa.q(*rep.prime[1:]) == rep.prime[0]
         done += 1
 
 
@@ -571,6 +574,27 @@ def test_k3_witness_rank4_past_d_max_is_outside_the_search():
             assert flags(rep.disc_raw).star2 and rep.disc_raw == qa.Q(*rep.xy), qa
         seen.add(rep.status)
     assert seen == {"found", "proven-absent", "not-found-within-bound"}
+
+
+def test_k3_witness_rank4_prime_witness_meets_the_k3_condition():
+    # for positive definite q with 8 not dividing h, the witness (x, y) of
+    # the least prime p = 1 (mod 4) of q is coprime with Q(x, y) = h p, a
+    # K3 discriminant: a rank-4 miss for such q is a miss of the box
+    rng = Random(27)
+    done = 0
+    while done < 200:
+        size = 10 ** rng.randint(1, 4)
+        qa = qform_rank4(*(rng.randint(-size, size) for _ in range(4)))
+        if qa.h % 8 == 0 or not qa.is_positive_definite():
+            continue
+        p, x, y = find_prime_1mod4(qa.q)
+        if qa.h * p > D_MAX:
+            continue
+        assert gcd(x, y) == 1 and qa.Q(x, y) == qa.h * p, qa
+        assert flags(qa.h * p).star2, qa
+        rep = k3_witness(GramLattice(qa.rank4_gram()))
+        assert rep.found() or max(abs(x), abs(y)) > K3_RANK4_BOX, qa
+        done += 1
 
 
 def test_k3_witness_rank4_returns_the_least_box_pair():
