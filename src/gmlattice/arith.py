@@ -79,10 +79,11 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+        if n % f == 0 or n % (f + 2) == 0:
+            for p in (f, f + 2):
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
         f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -27,11 +27,12 @@ from .arith import (
     factored_two_square_decompositions,
     factorize,
     two_square_decompositions,
+    xgcd,
 )
 from .errors import DomainError, LatticeError
 from . import intmat
 from .forms import BinaryForm, reduce_form, represents, find_prime_1mod4
-from .lattice import GramLattice, determinant, hyperbolic_partner
+from .lattice import GramLattice, determinant
 from .pell import PellSolution, _negative_pell
 
 __all__ = [
@@ -83,10 +84,10 @@ def _star2(d: int, factors: dict[int, int]) -> bool:
     return d % 8 != 0 and all(p % 4 != 3 for p in factors)
 
 
-def _star3(d: int, factors: dict[int, int]) -> tuple[PellSolution | None, list]:
+def _star3(d: int, factors: dict[int, int]) -> tuple[PellSolution | None, list[int]]:
     """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for d > 0 with factors = factorize(d), or None, and the half period of
-    sqrt(d/2) walked for it (empty where none was).
+    for d > 0 with factors = factorize(d), or None, and the Q_k of the half
+    period of sqrt(d/2) walked for it (empty where none was).
 
     A solution makes -1 a square mod every odd p | d and rules out
     4 | d/2, so star3 implies star2, and the continued fraction of
@@ -220,8 +221,9 @@ def _hilb2_witness(d: int, L: GramLattice, sol: PellSolution):
         assert n % 2 == 1, "d = 4 (mod 8) forces n odd"
         assert a % 4 == 1, "a is a product of primes 1 (mod 4)"
         w = ((a - 1) // 2, (a - n) // 2, a)
-    assert L.norm(w) == 0
-    assert L.pairing((1, 0, 0), w) == 1
+    gw = intmat.mat_vec(L.gram, w)
+    assert sum(map(mul, w, gw)) == 0, "w.w = 0"
+    assert gw[0] == 1, "lambda1.w = (G w)_0 = 1"
     return w
 
 
@@ -449,8 +451,13 @@ def _rank3_k3_witness(L: GramLattice, pairs: list[tuple[int, int]]) -> K3Witness
         return K3WitnessReport(kind="rank3", status="proven-absent")
     X, Y = found
     v = ((X + a) // 2, (Y + b) // 2, 1)
-    w = hyperbolic_partner(L, v)  # G v = (-X, -Y, t) has content 1
+    # G v = (-X, -Y, t): u = (p, q, 0) has u.v = 1, and w = u + k v with
+    # k = -u.u / 2 = p^2 + q^2
+    one, p, q = xgcd(-X, -Y)
+    k = p * p + q * q
+    w = (p + k * v[0], q + k * v[1], k)
     gv, gw = intmat.mat_vec(L.gram, v), intmat.mat_vec(L.gram, w)
+    assert one == 1, "gcd(X, Y) = 1"
     assert sum(map(mul, v, gv)) == 0 and sum(map(mul, w, gw)) == 0 and sum(map(mul, v, gw)) == 1
     (p, q, r), (s, t, u) = gv, gw
     g = (q * u - r * t, r * s - p * u, p * t - q * s)
@@ -500,10 +507,13 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
       increasing min(X, Y), built from the factors of d/2 by
       ``arith.two_square_decompositions``) with gcd(X, Y) = 1 and
       X = a, Y = b (mod 2); then v = ((X+a)/2, (Y+b)/2, 1)
-      is integral and isotropic, G v has content 1, and
-      ``hyperbolic_partner`` completes the plane exactly: xgcd gives
-      u = (-p, -q, 0) with Xp + Yq = 1 = v.u, and w = u - (u.u/2) v (u.u is
-      even because L is even).  L = U + <g>, so the complement generator
+      is integral and isotropic, G v has content 1, and the plane is
+      completed in closed form: (1, p, q) = xgcd(-X, -Y) gives
+      u = (p, q, 0) with v.u = -Xp - Yq = 1, and w = u - (u.u/2) v
+      = (p + k v_0, q + k v_1, k) with k = p^2 + q^2 (u.u = -2k).  This is
+      the w of ``lattice.hyperbolic_partner``, whose xgcd fold over
+      G v = (-X, -Y, t) ends after its first step because gcd(X, Y) = 1.
+      L = U + <g>, so the complement generator
       has g.g = -d, rechecked on g = G v x G w over its content (sign
       making the first nonzero entry positive, the Hermite convention).
     * Absent, prime p = 3 (mod 4) dividing d/2: p | X^2 + Y^2 forces p | X
@@ -754,9 +764,10 @@ def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
     )
 
 
-def _p2d5_unsolvable(d: int, factors: dict[int, int], half: list) -> bool:
+def _p2d5_unsolvable(d: int, factors: dict[int, int], qs: list[int]) -> bool:
     """Whether n^2 - 2d a^2 = 5 has no solution, for even d > 0 with star3,
-    factors = factorize(d) and half the half period of sqrt(m), m = d/2.
+    factors = factorize(d) and qs the Q_k of the half period of sqrt(m),
+    m = d/2.
 
     Past the local obstructions m is odd, so m = 1 (mod 4) as P_m(-1) is
     solvable.  2d a^2 = m (2a)^2, and every solution of x^2 - m y^2 = 5 has
@@ -767,7 +778,7 @@ def _p2d5_unsolvable(d: int, factors: dict[int, int], half: list) -> bool:
     (5, 1) solve P_4(5) and P_20(5); the d > 50 guard keeps the empty half
     period of d = 2 from reading as unsolvable.
     """
-    return _p2d5_obstructed(d, factors) or d > 50 and all(big_q != 5 for _, big_q in half)
+    return _p2d5_obstructed(d, factors) or d > 50 and 5 not in qs
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +871,8 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     factors = factorize(d)
     s2 = _star2(d, factors)
     s2t = factored_sum_of_two_squares(factors)
-    s3, half = _star3(d, factors)
-    dm = None if s3 is None else _p2d5_unsolvable(d, factors, half)
+    s3, qs = _star3(d, factors)
+    dm = None if s3 is None else _p2d5_unsolvable(d, factors, qs)
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:

@@ -11,13 +11,15 @@ satisfy
 sqrt(m) is a palindrome, a_k = a_{l-k} and Q_k = Q_{l-k}, closed by
 a_l = 2 a_0 and Q_l = 1, so the recurrence stops at its middle: the first
 Q_{s+1} = Q_s means l = 2s + 1, the first P_{s+1} = P_s means l = 2s.
-The full period, where a caller needs it, is that half mirrored.
+The walk returns the half as two plain int lists, a_1, ..., a_s and
+Q_1, ..., Q_s, with no tuple built per term; the full period, where a
+caller needs it, is that half zipped and mirrored.
 
 So the negative Pell equation P_m(-1) is solvable exactly when the period
 is odd (plus the degenerate case m = 1), and for c^2 < m, where every
 primitive solution is a convergent (Lagrange), P_m(c) is solvable exactly
 when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c: the walk
-for P_m(-1) hands its half on, so ``classify`` reads P_{2d}(5) off the Q_k
+for P_m(-1) hands its Q_k on, so ``classify`` reads P_{2d}(5) off the Q_k
 of sqrt(d/2).  The solution of P_m(-1) is the convergent at k = l - 1;
 with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is
 (A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents at
@@ -77,35 +79,38 @@ class PellSolution:
         return {"n": self.n, "a": self.a}
 
 
-def _half_period(m: int) -> tuple[list[tuple[int, int]], bool]:
-    """([(a_1, Q_1), ..., (a_s, Q_s)], l odd) for the period l of sqrt(m),
-    m >= 2 not a square: P_{k+1} = a_k Q_k - P_k,
+def _half_period(m: int) -> tuple[list[int], list[int], bool]:
+    """([a_1, ..., a_s], [Q_1, ..., Q_s], l odd) for the period l of
+    sqrt(m), m >= 2 not a square: P_{k+1} = a_k Q_k - P_k,
     Q_{k+1} = (m - P_{k+1}^2) / Q_k, a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1},
     stopped at the middle, the first k = s with Q_{s+1} = Q_s (l = 2s + 1)
-    or P_{s+1} = P_s (l = 2s)."""
+    or P_{s+1} = P_s (l = 2s).  The terms and the Q_k go to two int lists,
+    with no tuple built per term."""
     if m < 2:
         raise DomainError("the continued fraction of sqrt(m) needs m >= 2")
     if is_square(m):
         raise DomainError(f"sqrt({m}) is an integer, no period")
     a0 = isqrt(m)
     p, q, a = 0, 1, a0
-    out = []
+    terms, qs = [], []
     while True:
         p_next = a * q - p
         q_next = (m - p_next * p_next) // q
         if q_next == q:
-            return out, True
+            return terms, qs, True
         if p_next == p:
-            return out, False
+            return terms, qs, False
         p, q = p_next, q_next
         a = (a0 + p) // q
-        out.append((a, q))
+        terms.append(a)
+        qs.append(q)
 
 
 def _period(m: int) -> list[tuple[int, int]]:
     """[(a_1, Q_1), ..., (a_l, Q_l)] over one period of sqrt(m), m >= 2 not
     a square: the half period, its mirror, and (a_l, Q_l) = (2 a_0, 1)."""
-    half, odd = _half_period(m)
+    terms, qs, odd = _half_period(m)
+    half = list(zip(terms, qs))
     return half + list(reversed(half if odd else half[:-1])) + [(2 * isqrt(m), 1)]
 
 
@@ -117,7 +122,8 @@ def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
     for i in range(0, len(terms), _LEAF):
         w, x, y, z = 1, 0, 0, 1
         for a in terms[i : i + _LEAF]:
-            w, x, y, z = a * w + x, w, a * y + z, y
+            w, x = a * w + x, w
+            y, z = a * y + z, y
         level.append((w, x, y, z))
     while len(level) > 1:
         merged = [
@@ -149,17 +155,18 @@ def negative_pell(m: int) -> PellSolution | None:
     return _negative_pell(m)[0]
 
 
-def _negative_pell(m: int) -> tuple[PellSolution | None, list[tuple[int, int]]]:
-    """(negative_pell(m), the half period of sqrt(m) it walked or [])."""
+def _negative_pell(m: int) -> tuple[PellSolution | None, list[int]]:
+    """(negative_pell(m), the Q_1, ..., Q_s of the half period of sqrt(m)
+    it walked, or [] where it walked none)."""
     if m < 1:
         raise DomainError("negative_pell expects m >= 1")
     if is_square(m):
         return (PellSolution(0, 1, 1, -1) if m == 1 else None), []
-    half, odd = _half_period(m)
+    terms, qs, odd = _half_period(m)
     if not odd:
-        return None, half
-    h, h_prev, q, q_prev = _continuant([isqrt(m)] + [a for a, _ in half])
-    return PellSolution(h * q + h_prev * q_prev, q * q + q_prev * q_prev, m, -1), half
+        return None, qs
+    h, h_prev, q, q_prev = _continuant([isqrt(m), *terms])
+    return PellSolution(h * q + h_prev * q_prev, q * q + q_prev * q_prev, m, -1), qs
 
 
 def _square_pell(s: int, c: int) -> list[PellSolution]:
@@ -243,7 +250,7 @@ def pell_solvable(m: int, c: int) -> bool:
     _check("pell_solvable", m, c)
     if is_square(m):
         return bool(_square_pell(isqrt(m), c))
-    return any(_classes(m, c, _half_period(m)[1]))
+    return any(_classes(m, c, _half_period(m)[2]))
 
 
 def pell_general(m: int, c: int) -> list[PellSolution]:

@@ -47,6 +47,55 @@ def test_factorize_round_trip():
         factorize(0)
 
 
+def test_factorize_equals_a_smallest_prime_factor_sieve():
+    # every n < 2*10^5, in increasing prime order: factorize skips a 6k +- 1
+    # pair only when neither member divides n
+    hi = 2 * 10**5
+    spf = list(range(hi))
+    for p in range(2, isqrt(hi) + 1):
+        if spf[p] == p:
+            for k in range(p * p, hi, p):
+                if spf[k] == k:
+                    spf[k] = p
+    for n in range(1, hi):
+        expect, m = {}, n
+        while m > 1:
+            expect[spf[m]] = expect.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert list(factorize(n).items()) == list(expect.items()), n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {316223: 2},  # 316223 = 5 (mod 6) sits in the f slot, 316219 = 1 (mod 6) in f + 2
+        {316219: 2},
+        {316219: 1, 316223: 1},
+        {316223: 1, 316259: 1},
+        {2: 1, 316223: 3},
+        {2: 1, 316219: 3},
+        {316241: 1, 316243: 1},  # twin primes straddling sqrt(D_MAX) = 316227.8
+        {315011: 1, 315013: 1},
+        {5: 1, 7: 1},  # the first 6k +- 1 twin pair, both in one step
+        {3: 1, 5: 2, 7: 1, 316223: 1},
+    ],
+)
+def test_factorize_near_sqrt_d_max(factors):
+    assert all(trial_is_prime(p) for p in factors)
+    n = 1
+    for p, e in factors.items():
+        n *= p**e
+    assert list(factorize(n).items()) == sorted(factors.items())
+
+
+def test_factorize_twin_prime_products():
+    twins = [p for p in range(5, 20000, 6) if trial_is_prime(p) and trial_is_prime(p + 2)]
+    assert len(twins) == 341
+    for p in twins:
+        assert factorize(p * (p + 2)) == {p: 1, p + 2: 1}, p
+        assert factorize(p * p * (p + 2) ** 3) == {p: 2, p + 2: 3}, p
+
+
 def test_sum_of_two_squares_vs_brute():
     for n in range(0, 2000):
         brute = any(

@@ -25,6 +25,7 @@ from gmlattice import (
     find_prime_1mod4,
     hilb2_criterion,
     hilb2_witness,
+    hyperbolic_partner,
     k3_witness,
     labelling_lattice,
     labelling_normal_form,
@@ -34,7 +35,7 @@ from gmlattice import (
     twist,
     twisted_witness,
 )
-from gmlattice.arith import factored_sum_of_two_squares, factorize
+from gmlattice.arith import factored_sum_of_two_squares, factorize, two_square_decompositions
 from gmlattice.oracle import K3_RANK4_BOX, labelling_det
 from gmlattice.pell import negative_pell, pell_solvable
 from gmlattice import intmat, oracle
@@ -535,6 +536,50 @@ def test_k3_witness_rank3_complement_is_the_hermite_kernel_row():
     assert sum(check(GramLattice(g)) for g in grams) == 3833
 
 
+def _rank3_generic_route(L, v):
+    """The partner, complement generator and its norm of the isotropic v by
+    the generic lattice routines: the xgcd fold of hyperbolic_partner and
+    the Hermite elimination of orthogonal_complement."""
+    w = hyperbolic_partner(L, v)
+    g = orthogonal_complement(L, Sublattice(L, (v, w))).basis[0]
+    return w, g, L.norm(g)
+
+
+def test_rank3_k3_witness_closed_form_equals_the_generic_route():
+    # every d = 2, 4 (mod 8) up to 10^5 with star2, and the d = 2p of the
+    # pell-large benchmark draws (p = 1 (mod 4) prime in [5*10^4, 2*10^5),
+    # drawn by Random(1))
+    ds = [d for d in range(2, 100_001) if d % 8 in (2, 4) and flags(d).star2]
+    assert len(ds) == 7522
+    sieve = bytearray([1]) * 200_000
+    for p in range(2, 448):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 200_000, p)))
+    pool = [2 * p for p in range(50_000, 200_000) if sieve[p] and p % 4 == 1]
+    rng = Random(1)
+    draws = sorted({rng.choice(pool) for _ in range(8192)})
+    for d in ds + draws:
+        L = labelling_lattice(d)
+        rep = oracle._rank3_k3_witness(L, two_square_decompositions(d // 2))
+        v, w = rep.u_basis
+        assert (w, rep.complement_gen, rep.gen_norm) == _rank3_generic_route(L, v), d
+
+
+def test_rank3_witness_rechecks_catch_a_wrong_gram_or_pair():
+    # d = 10 with the Gram of d = 18: (2, 1) still solves P_5(-1), but
+    # w = (0, 1, 1) is no longer isotropic
+    wrong = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 4)))
+    with pytest.raises(AssertionError):
+        oracle._hilb2_witness(10, wrong, negative_pell(5))
+    # (1, 2) is the pair of d/2 = 5; the others are coprime with matching
+    # parities but do not sum to 5, so v is not isotropic
+    L = labelling_lattice(10)
+    assert oracle._rank3_k3_witness(L, [(1, 2)]).found()
+    for pair in ((1, 4), (3, 2), (1, 0)):
+        with pytest.raises(AssertionError):
+            oracle._rank3_k3_witness(L, [pair])
+
+
 def test_k3_witness_rank4_absence_vs_box_scan():
     # "proven-absent" exactly when 8 | h, and then no labelling in a box has
     # a K3 discriminant; otherwise a K3 discriminant in the box is found
@@ -744,10 +789,10 @@ def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     present = absent = 0
     for d in range(52, 50_001, 2):
         factors = factorize(d)
-        sol, half = oracle._star3(d, factors)
+        sol, qs = oracle._star3(d, factors)
         if sol is None or oracle._p2d5_obstructed(d, factors):
             continue
-        five = any(big_q == 5 for _, big_q in half)
+        five = 5 in qs
         assert five == pell_solvable(2 * d, 5), d
         assert flags(d).dm_isomorphic is not five, d
         present += five

@@ -261,7 +261,8 @@ def test_half_period_mirrors_to_the_full_period():
         if is_square(m):
             continue
         period = full_period(m)
-        half, odd = _half_period(m)
+        terms, qs, odd = _half_period(m)
+        half = list(zip(terms, qs))
         assert odd == (len(period) % 2 == 1), m
         assert len(half) == len(period) // 2, m
         assert _period(m) == period, m
@@ -291,8 +292,8 @@ def test_product_tree_matches_linear_walk():
     # half periods longer than a leaf: a prime near 10^7 (2384 terms) and a
     # prime p from the pell-large range (135 terms), both with odd period
     for m in (10000141, 100049):
-        half, odd = _half_period(m)
-        assert odd and len(half) > _LEAF
+        terms, _, odd = _half_period(m)
+        assert odd and len(terms) > _LEAF
         assert negative_pell(m).as_pair() == linear_negative_pell(m), m
 
 

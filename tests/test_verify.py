@@ -63,8 +63,8 @@ def test_fault_injection_pell_parity(monkeypatch):
     real = pell._half_period
 
     def flipped(m):
-        half, odd = real(m)
-        return half, odd != (m == 29)
+        terms, qs, odd = real(m)
+        return terms, qs, odd != (m == 29)
 
     monkeypatch.setattr(pell, "_half_period", flipped)
     assert pell.negative_pell(29) is None
