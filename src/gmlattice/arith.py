@@ -110,7 +110,8 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
     while b * b > p:
         a, b = b, a % b
     y = isqrt(p - b * b)
-    assert b * b + y * y == p
+    if b * b + y * y != p:
+        raise AssertionError(f"{b}^2 + {y}^2 != {p}")
     return min(b, y), max(b, y)
 
 

@@ -99,7 +99,8 @@ def reduce_form(f: BinaryForm) -> tuple[BinaryForm, Matrix]:
         a, b, c = c, -b, a
         T = intmat.mat_mul(T, ((0, -1), (1, 0)))
     g = BinaryForm(a, b, c)
-    assert g.is_reduced() and g.disc() == f.disc()
+    if not (g.is_reduced() and g.disc() == f.disc()):
+        raise AssertionError(f"{g} is not a reduced form of {f}")
     return g, T
 
 

@@ -129,7 +129,8 @@ def _twisted_witness(d: int, pairs: list[tuple[int, int]]):
     condition, from pairs = _twisted_pairs(d, factorize(d))."""
     i = 1 if d % 2 == 0 else 2
     x, y = pairs[0]
-    assert 2 * x * x + 2 * y * y == i * i * d
+    if 2 * x * x + 2 * y * y != i * i * d:
+        raise AssertionError(f"2 {x}^2 + 2 {y}^2 != {i}^2 {d}")
     return (x, y, i)
 
 
@@ -154,7 +155,8 @@ def labelling_normal_form(G: GramLattice) -> tuple[intmat.Matrix, GramLattice]:
     d = determinant(G)
     if d % 8 == 0:
         raise LatticeError("normal form defined for discriminant 2 or 4 (mod 8)")
-    assert d % 8 in (2, 4), "labelling discriminant is always 0, 2 or 4 mod 8"
+    if d % 8 not in (2, 4):
+        raise AssertionError(f"labelling discriminant {d} is not 2 or 4 (mod 8)")
     if d % 8 == 2:
         if a % 2 == 1:
             alpha, beta = (a - 1) // 2, b // 2
@@ -165,8 +167,10 @@ def labelling_normal_form(G: GramLattice) -> tuple[intmat.Matrix, GramLattice]:
     T = ((1, 0, alpha), (0, 1, beta), (0, 0, 1))
     std = intmat.mat_mul(intmat.mat_mul(intmat.transpose(T), G.gram), T)
     standard = GramLattice(std)
-    assert determinant(standard) == d
-    assert std[2][2] % 2 == 0
+    if determinant(standard) != d:
+        raise AssertionError(f"the normal form {std} does not keep det {d}")
+    if std[2][2] % 2:
+        raise AssertionError(f"the normal form {std} is odd")
     return T, standard
 
 
@@ -213,17 +217,23 @@ def _hilb2_witness(d: int, L: GramLattice, sol: PellSolution):
     """The isotropic class w of hilb2_witness for admissible d, from
     L = labelling_lattice(d) and the solution sol of P_{d/2}(-1)."""
     n, a = sol.n, sol.a
-    assert d % 8 != 0, "a^2 d = 2n^2 + 2 is impossible for 8 | d"
+    if d % 8 == 0:
+        raise AssertionError(f"a^2 d = 2n^2 + 2 is impossible for 8 | d = {d}")
     if d % 8 == 2:
-        assert n % 2 == 0, "d = 2 (mod 8) forces n even"
+        if n % 2:
+            raise AssertionError(f"d = {d} = 2 (mod 8) forces n even, n = {n}")
         w = ((a - 1) // 2, n // 2, a)
     else:
-        assert n % 2 == 1, "d = 4 (mod 8) forces n odd"
-        assert a % 4 == 1, "a is a product of primes 1 (mod 4)"
+        if n % 2 == 0:
+            raise AssertionError(f"d = {d} = 4 (mod 8) forces n odd, n = {n}")
+        if a % 4 != 1:
+            raise AssertionError(f"a = {a} is not 1 (mod 4), as a product of primes 1 (mod 4) is")
         w = ((a - 1) // 2, (a - n) // 2, a)
     gw = intmat.mat_vec(L.gram, w)
-    assert sum(map(mul, w, gw)) == 0, "w.w = 0"
-    assert gw[0] == 1, "lambda1.w = (G w)_0 = 1"
+    if sum(map(mul, w, gw)):
+        raise AssertionError(f"w = {w} is not isotropic")
+    if gw[0] != 1:
+        raise AssertionError(f"lambda1.w = (G w)_0 = {gw[0]}, not 1")
     return w
 
 
@@ -244,7 +254,7 @@ def _check_labelling(L: GramLattice) -> None:
 def _labelling_det(gram: intmat.Matrix, w) -> int:
     """det of the pairings of (e1, e2, w) under gram."""
     gw = intmat.mat_vec(gram, w)
-    ww = sum(a * b for a, b in zip(w, gw))
+    ww = sum(map(mul, w, gw))
     return intmat.bareiss_det(
         ((gram[0][0], gram[0][1], gw[0]), (gram[1][0], gram[1][1], gw[1]), (gw[0], gw[1], ww))
     )
@@ -327,8 +337,10 @@ def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
     q = BinaryForm(A // h, B // h, C // h)
     qa = QFormAnalysis(k=k, l=l, m=m, n=n, A=A, B=B, C=C, h=h, q=q)
     # a binary quadratic is pinned by its values at (1,0), (0,1), (1,1)
+    gram = qa.rank4_gram()
     for x, y in ((1, 0), (0, 1), (1, 1)):
-        assert _labelling_det(qa.rank4_gram(), (0, 0, x, y)) == qa.Q(x, y)
+        if _labelling_det(gram, (0, 0, x, y)) != qa.Q(x, y):
+            raise AssertionError(f"Q({x}, {y}) is not the labelling determinant of {gram}")
     return qa
 
 
@@ -457,14 +469,17 @@ def _rank3_k3_witness(L: GramLattice, pairs: list[tuple[int, int]]) -> K3Witness
     k = p * p + q * q
     w = (p + k * v[0], q + k * v[1], k)
     gv, gw = intmat.mat_vec(L.gram, v), intmat.mat_vec(L.gram, w)
-    assert one == 1, "gcd(X, Y) = 1"
-    assert sum(map(mul, v, gv)) == 0 and sum(map(mul, w, gw)) == 0 and sum(map(mul, v, gw)) == 1
+    if one != 1:
+        raise AssertionError(f"gcd({X}, {Y}) = {one}, not 1")
+    if sum(map(mul, v, gv)) or sum(map(mul, w, gw)) or sum(map(mul, v, gw)) != 1:
+        raise AssertionError(f"({v}, {w}) does not span U")
     (p, q, r), (s, t, u) = gv, gw
     g = (q * u - r * t, r * s - p * u, p * t - q * s)
     c = gcd(*g) if next(x for x in g if x) > 0 else -gcd(*g)
     g = tuple(x // c for x in g)
     gen_norm = L.norm(g)
-    assert gen_norm == -determinant(L), "L = U + <g> forces g.g = -det L"
+    if gen_norm != -determinant(L):
+        raise AssertionError(f"L = U + <g> forces g.g = -det L, g.g = {gen_norm}")
     return K3WitnessReport(
         kind="rank3",
         status="found",
@@ -585,7 +600,8 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
         return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa)
     for x, y in _shell_pairs(K3_RANK4_BOX):
         raw = qa.Q(x, y)
-        assert _labelling_det(normalized, (0, 0, x, y)) == raw
+        if _labelling_det(normalized, (0, 0, x, y)) != raw:
+            raise AssertionError(f"Q({x}, {y}) = {raw} is not the labelling determinant")
         if 0 < raw <= D_MAX and _star2(raw, factorize(raw)):
             return K3WitnessReport(
                 kind="rank4", status="found", xy=(x, y), disc_raw=raw, qform=qa
@@ -643,7 +659,8 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
     gen = counterexample_general(1, 1, 1, n)
     form = BinaryForm(2, 1 + 2 * n, 1 + n * n)
     for x, y in ((1, 0), (0, 1), (1, 1)):
-        assert _labelling_det(gen.lattice.gram, (0, 0, x, y)) == -8 * form(x, y)
+        if _labelling_det(gen.lattice.gram, (0, 0, x, y)) != -8 * form(x, y):
+            raise AssertionError(f"-8 form({x}, {y}) is not the labelling determinant")
     reduced, _ = reduce_form(form)
     rep1 = represents(form, 1)
     return CounterexampleFamilyReport(
@@ -722,7 +739,8 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
     )
     qa = qform_rank4(-2 * k, -2 * l, 2 * m, 2 * n)
     for a, b in ((1, 0), (0, 1), (1, 1)):
-        assert _labelling_det(got, (0, 0, a, b)) == -qa.Q(a, -b)
+        if _labelling_det(got, (0, 0, a, b)) != -qa.Q(a, -b):
+            raise AssertionError(f"-Q({a}, {-b}) is not the labelling determinant")
     return CounterexampleGeneralReport(
         k=k,
         l=l,

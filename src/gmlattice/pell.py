@@ -244,13 +244,23 @@ def pell_solvable(m: int, c: int) -> bool:
 
     For non-square m the answer comes from the (P, Q) walks of
     ``_classes`` alone, with no convergent built: some class reaches the
-    norm c / g^2, or its negative when the period of sqrt(m) is odd.
-    Perfect-square m factors c.
+    norm c / g^2, or its negative when the period of sqrt(m) is odd.  The
+    parity is walked only at the first class that reaches the negative,
+    and an even period rules out every later one.  Perfect-square m
+    factors c.
     """
     _check("pell_solvable", m, c)
     if is_square(m):
         return bool(_square_pell(isqrt(m), c))
-    return any(_classes(m, c, _half_period(m)[2]))
+    odd = None
+    for *_, flip in _classes(m, c, True):
+        if not flip:
+            return True
+        if odd is None:
+            odd = _half_period(m)[2]
+        if odd:
+            return True
+    return False
 
 
 def pell_general(m: int, c: int) -> list[PellSolution]:

@@ -258,6 +258,8 @@ def test_kernel_basis_annihilates_and_is_primitive():
 
 
 def test_rank_and_identity():
+    for n in range(8):
+        assert intmat.identity(n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     assert intmat.rank(intmat.identity(4)) == 4
     assert intmat.rank(((0, 0), (0, 0))) == 0
     assert intmat.rank(((1, 2), (2, 4))) == 1
@@ -276,3 +278,95 @@ def test_rank_matches_smith_invariant_factors():
                 for _ in range(m)
             )
         assert intmat.rank(M) == len(intmat.invariant_factors(M)), M
+
+
+# ---------------------------------------------------------------------------
+# elimination by blocks
+
+
+def permutation_sign(p):
+    """(-1)^(number of inversions), independent of intmat's cycle count."""
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+def shuffled_direct_sum(rng, blocks):
+    """(M, sign): the direct sum of blocks, given as (rows, width) pairs,
+    with its rows and its columns shuffled, and the product of the signs
+    of the two shuffles.  A block ([()], 0) is a zero row, ([], 1) a zero
+    column."""
+    m = sum(len(rows) for rows, _ in blocks)
+    n = sum(width for _, width in blocks)
+    S = [[0] * n for _ in range(m)]
+    r = c = 0
+    for rows, width in blocks:
+        for i, row in enumerate(rows):
+            S[r + i][c : c + width] = row
+        r, c = r + len(rows), c + width
+    rho = list(range(m))
+    rng.shuffle(rho)
+    gamma = rng.sample(range(n), n)
+    M = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            M[rho[i]][gamma[j]] = S[i][j]
+    return intmat.to_matrix(M), permutation_sign(rho) * permutation_sign(gamma)
+
+
+def random_block(rng, h, w, huge):
+    bound = 10**120 if huge else 9
+    rows = [[rng.randrange(8) and rng.choice((1, -1)) * rng.randint(1, bound) for _ in range(w)] for _ in range(h)]
+    if h == w and rng.random() < 0.3:  # symmetric
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(w)] for i in range(h)]
+    if h == w > 1 and rng.random() < 0.1:  # singular: a product of rank < h
+        k = rng.randint(0, h - 1)
+        rows = [list(r) for r in intmat.mat_mul(random_matrix(rng, h, k), random_matrix(rng, k, w))] if k else [[0] * w] * h
+    return rows
+
+
+def test_block_split_determinant_matches_whole_elimination_and_cofactors():
+    rng = Random(29)
+    nonzero = split = 0
+    for t in range(300):
+        sizes, target = [], rng.randint(4, 24)
+        while sum(sizes) < target:
+            sizes.append(rng.randint(1, min(5, target - sum(sizes))))
+        blocks = [(random_block(rng, k, k, t % 5 == 0), k) for k in sizes]
+        if t % 3 == 0:  # a rectangular pair, a zero row and a zero column keep it square
+            blocks += [(random_block(rng, 2, 3, False), 3), (random_block(rng, 3, 2, False), 2), ([()], 0), ([], 1)]
+            rng.shuffle(blocks)
+        M, sign = shuffled_direct_sum(rng, blocks)
+        n = len(M)
+        assert all(len(row) == n for row in M)
+        square = all(len(rows) == width for rows, width in blocks)
+        expected = sign * prod(cofactor_det(rows) for rows, _ in blocks) if square else 0
+        r, pivot = intmat._bareiss(M)
+        det = intmat.bareiss_det(M)
+        assert det == expected == (pivot if r == n else 0), (M, det, expected)
+        assert intmat.rank(M) == r
+        nonzero += det != 0
+        split += n >= intmat._SPLIT_MIN
+    assert nonzero > 100 and split > 100, (nonzero, split)
+
+
+def test_block_split_rank_matches_whole_elimination_on_rectangular_sums():
+    rng = Random(30)
+    split = 0
+    for t in range(300):
+        blocks, target = [], rng.randint(4, 24)
+        while sum(len(rows) for rows, _ in blocks) < target:
+            kind = rng.random()
+            if kind < 0.1:
+                blocks.append(([()], 0))
+            elif kind < 0.2:
+                blocks.append(([], 1))
+            else:
+                h, w = rng.randint(1, 5), rng.randint(1, 5)
+                blocks.append((random_block(rng, h, w, t % 5 == 0), w))
+        M, _ = shuffled_direct_sum(rng, blocks)
+        whole = intmat._bareiss(M)[0]
+        assert intmat.rank(M) == whole == sum(intmat._bareiss(rows)[0] for rows, _ in blocks), M
+        if len(M) == len(M[0]):
+            assert (intmat.bareiss_det(M) != 0) == (whole == len(M))
+        split += min(len(M), len(M[0])) >= intmat._SPLIT_MIN
+    assert split > 50, split
+

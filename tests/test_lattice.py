@@ -234,6 +234,49 @@ def test_signature_additive_on_direct_sums():
         assert signature(direct_sum(a, b)) == (pa + pb, na + nb, za + zb)
 
 
+def test_signature_and_determinant_by_blocks_match_whole_elimination():
+    # symmetrically shuffled orthogonal sums of rank up to 24: each summand
+    # is a random symmetric block, a rank-deficient B^T D B, a
+    # zero-diagonal block that needs e_i <- e_i + e_j, a null 1x1, or one
+    # with entries past 10^100
+    rng = Random(31)
+    split = 0
+    for t in range(150):
+        rank, target, summands = 0, rng.randint(4, 24), []
+        while rank < target:
+            k = rng.randint(1, min(5, target - rank))
+            kind = rng.randrange(5)
+            if kind == 0:
+                g = random_symmetric(rng, k).gram
+            elif kind == 1:
+                r = rng.randint(0, k)
+                B = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+                D = [rng.choice((-2, -1, 1, 2)) for _ in range(r)]
+                g = tuple(tuple(sum(B[s][i] * D[s] * B[s][j] for s in range(r)) for j in range(k)) for i in range(k))
+            elif kind == 2:
+                g = [[0] * k for _ in range(k)]
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        g[i][j] = g[j][i] = rng.choice((0, 1, -1, 3))
+            elif kind == 3:
+                k, g = 1, ((0,),)
+            else:
+                g = random_symmetric(rng, k, -(10**110), 10**110).gram
+            summands.append(GramLattice(g))
+            rank += k
+        total = direct_sum(*summands)
+        order = rng.sample(range(total.rank), total.rank)
+        L = GramLattice(tuple(tuple(total.gram[i][j] for j in order) for i in order))
+        split += L.rank >= intmat._SPLIT_MIN
+        sig = signature(L)
+        assert sig == intmat._inertia(L.gram) == tuple(map(sum, zip(*(signature_by_diagonalization(S.gram) for S in summands))))
+        if t % 3 == 0:
+            assert sig == signature_by_diagonalization(L.gram)
+        r, pivot = intmat._bareiss(L.gram)
+        assert determinant(L) == (pivot if r == L.rank else 0)
+    assert split > 50, split
+
+
 # ---------------------------------------------------------------------------
 # sublattices: complement and saturation
 

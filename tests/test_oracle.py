@@ -1,9 +1,13 @@
 """Decision procedures and witnesses for discriminants."""
 
+import ast
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -986,3 +990,38 @@ def test_divisor_report_flags_agree_with_witnesses(flags, witnesses, message):
             witnesses=witnesses,
             **flags,
         )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_assert_statement_under_src():
+    # python -O strips assert statements; every re-check raises explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_hilb2_re_check_survives_python_O():
+    # (0, 1, 1) is the w that n = 2, a = 1 (2^2 - 5 = -1) gives at d = 10,
+    # but under a Gram with 4 in place of labelling_lattice(10)'s 2 it has
+    # norm 2, so the isotropy re-check must raise even under -O
+    code = (
+        "from gmlattice.lattice import GramLattice\n"
+        "from gmlattice.oracle import _hilb2_witness\n"
+        "from gmlattice.pell import negative_pell\n"
+        "try:\n"
+        "    _hilb2_witness(10, GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 4))), negative_pell(5))\n"
+        "except AssertionError as e:\n"
+        "    print('raised:', e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, check=True, env=env, text=True, timeout=60
+    ).stdout
+    assert out == "raised: w = (0, 1, 1) is not isotropic\n"
+

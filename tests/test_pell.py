@@ -331,6 +331,27 @@ def test_pell_solvable_minus_one_is_the_period_parity():
         assert pell_solvable(m, -1) == (negative_pell(m) is not None), m
 
 
+def test_pell_solvable_walks_the_parity_only_for_a_flipped_class(monkeypatch):
+    from gmlattice import pell
+
+    walks = []
+
+    def counted(m):
+        walks.append(m)
+        return _half_period(m)
+
+    monkeypatch.setattr(pell, "_half_period", counted)
+    # the one class of c = -1 reaches the norm -1 itself at the end of the
+    # odd periods of sqrt(2) and sqrt(13), so no parity is needed
+    assert pell_solvable(2, -1) is True
+    assert pell_solvable(13, -1) is True
+    assert walks == []
+    # sqrt(3) has period 2: its class reaches +1, and the even period
+    # rules the flip out
+    assert pell_solvable(3, -1) is False
+    assert walks == [3]
+
+
 def test_dm_isomorphism_check_matches_pell_general():
     for d in range(14, 3001, 2):
         expected = None if negative_pell(d // 2) is None else not pell_general(2 * d, 5)
