@@ -226,8 +226,8 @@ def glue_with_basis(g: GlueData):
     H = intmat.hermite_row_basis(scaled)
     if len(H) != n:
         raise LatticeError("glue generators do not span a finite overlattice")
-    det_h = intmat.bareiss_det(H)
-    index, rem = divmod(t**n, det_h)
+    # H is square and upper triangular, so det H is its diagonal's product
+    index, rem = divmod(t**n, prod(h[i] for i, h in enumerate(H)))
     if rem:
         raise LatticeError("overlattice index is not integral")
 

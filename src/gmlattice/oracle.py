@@ -260,6 +260,22 @@ def _labelling_det(gram: intmat.Matrix, w) -> int:
     )
 
 
+def _pin_labelling_form(gram: intmat.Matrix, form, name: str) -> None:
+    """Raise AssertionError unless form(x, y) is the determinant of the
+    labelling <e1, e2, x e3 + y e4> under the rank-4 gram at every (x, y).
+
+    Both sides are binary quadratic forms in (x, y): the labelling Gram has
+    the fixed block of e1, e2, the pairings of w = x e3 + y e4 with e1, e2,
+    linear in (x, y), and w.w, quadratic, so every term of its
+    determinant has degree 2.  A binary quadratic a x^2 + b xy + c y^2 is
+    pinned by its values at (1,0), (0,1), (1,1), which are a, c and
+    a + b + c, so agreement there is agreement everywhere.
+    """
+    for x, y in ((1, 0), (0, 1), (1, 1)):
+        if _labelling_det(gram, (0, 0, x, y)) != form(x, y):
+            raise AssertionError(f"{name} at ({x}, {y}) is not the labelling determinant of {gram}")
+
+
 def labelling_det(L: GramLattice, w) -> int:
     """Determinant of <lambda1, lambda2, w>.
 
@@ -328,19 +344,15 @@ class QFormAnalysis:
 
 
 def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
-    """Build the labelling-discriminant form and verify the polynomial
-    identity against the direct 3x3 determinant at three probe points."""
+    """Build the labelling-discriminant form and pin it to the 3x3
+    labelling determinant on rank4_gram() (``_pin_labelling_form``)."""
     A = 2 * k * k + 2 * l * l
     B = 8 + 4 * k * m + 4 * l * n
     C = 2 * m * m + 2 * n * n
     h = gcd(gcd(A, B), C)
     q = BinaryForm(A // h, B // h, C // h)
     qa = QFormAnalysis(k=k, l=l, m=m, n=n, A=A, B=B, C=C, h=h, q=q)
-    # a binary quadratic is pinned by its values at (1,0), (0,1), (1,1)
-    gram = qa.rank4_gram()
-    for x, y in ((1, 0), (0, 1), (1, 1)):
-        if _labelling_det(gram, (0, 0, x, y)) != qa.Q(x, y):
-            raise AssertionError(f"Q({x}, {y}) is not the labelling determinant of {gram}")
+    _pin_labelling_form(qa.rank4_gram(), qa.Q, "Q")
     return qa
 
 
@@ -557,7 +569,9 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     0 < Q(x, y) <= D_MAX.  The pairs are generated shell by shell and the
     scan stops at the first hit.  For coprime (x, y) the rows lambda1,
     lambda2, x kappa1 + y kappa2 are already primitive (they extend to a
-    basis), so no saturation is needed.
+    basis), so no saturation is needed.  The normalized Gram is
+    ``qa.rank4_gram()``, on which ``qform_rank4`` pinned Q to the
+    labelling determinant at every (x, y), so the scan reads Q alone.
 
     * Absent, 8 | h: every labelling discriminant Q(x, y) = h q(x, y) is
       0 (mod 8), while the K3 condition needs 8 not to divide it; the
@@ -592,16 +606,15 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
             g[3][j] = -g[3][j]
     if g[2][2] != 0 or g[3][3] != 0 or g[2][3] != 1:
         raise LatticeError("kappa generators must span a unimodular hyperbolic plane")
-    normalized = tuple(tuple(row) for row in g)
     k, m = g[0][2], g[0][3]
     l, n = g[1][2], g[1][3]
     qa = qform_rank4(k, l, m, n)
+    if tuple(map(tuple, g)) != qa.rank4_gram():
+        raise AssertionError(f"the normalized Gram {g} is not the model {qa.rank4_gram()}")
     if qa.h % 8 == 0:
         return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa)
     for x, y in _shell_pairs(K3_RANK4_BOX):
         raw = qa.Q(x, y)
-        if _labelling_det(normalized, (0, 0, x, y)) != raw:
-            raise AssertionError(f"Q({x}, {y}) = {raw} is not the labelling determinant")
         if 0 < raw <= D_MAX and _star2(raw, factorize(raw)):
             return K3WitnessReport(
                 kind="rank4", status="found", xy=(x, y), disc_raw=raw, qform=qa
@@ -649,8 +662,8 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
     + tau1 and kappa2 = lambda1 + n lambda2 + tau2 span a copy of U.  The
     labelling by tau = x tau1 + y tau2 has discriminant
     det diag(2, 2, tau.tau) = -8 form(x, y), form = 2x^2 + (1+2n)xy +
-    (1+n^2)y^2 (pinned against the labelling Gram at three points), so
-    every one is divisible by 8.  form has discriminant -4n^2 + 4n - 7 < 0,
+    (1+n^2)y^2 (pinned by ``_pin_labelling_form``), so every one is
+    divisible by 8.  form has discriminant -4n^2 + 4n - 7 < 0,
     so the least |disc| is 8 times the first coefficient of its reduced
     form; it represents 1 exactly for n <= 1.
     """
@@ -658,9 +671,7 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
         raise DomainError("family parameter must be non-negative")
     gen = counterexample_general(1, 1, 1, n)
     form = BinaryForm(2, 1 + 2 * n, 1 + n * n)
-    for x, y in ((1, 0), (0, 1), (1, 1)):
-        if _labelling_det(gen.lattice.gram, (0, 0, x, y)) != -8 * form(x, y):
-            raise AssertionError(f"-8 form({x}, {y}) is not the labelling determinant")
+    _pin_labelling_form(gen.lattice.gram, lambda x, y: -8 * form(x, y), "-8 form")
     reduced, _ = reduce_form(form)
     rep1 = represents(form, 1)
     return CounterexampleFamilyReport(
@@ -738,9 +749,7 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
         for x in (got[0][2], got[0][3], got[1][2], got[1][3], got[2][2], got[3][3])
     )
     qa = qform_rank4(-2 * k, -2 * l, 2 * m, 2 * n)
-    for a, b in ((1, 0), (0, 1), (1, 1)):
-        if _labelling_det(got, (0, 0, a, b)) != -qa.Q(a, -b):
-            raise AssertionError(f"-Q({a}, {-b}) is not the labelling determinant")
+    _pin_labelling_form(got, lambda a, b: -qa.Q(a, -b), "-Q(a, -b)")
     return CounterexampleGeneralReport(
         k=k,
         l=l,

@@ -245,19 +245,22 @@ def pell_solvable(m: int, c: int) -> bool:
     For non-square m the answer comes from the (P, Q) walks of
     ``_classes`` alone, with no convergent built: some class reaches the
     norm c / g^2, or its negative when the period of sqrt(m) is odd.  The
-    parity is walked only at the first class that reaches the negative,
-    and an even period rules out every later one.  Perfect-square m
-    factors c.
+    parity is needed only at the first class that reaches the negative,
+    and an even period rules out every later one.  A class of norm +-1
+    starts at z = 0, so its walk is the continued fraction of sqrt(m),
+    which first reaches Q = 1 at the end of the period: its length is the
+    period, and only another class walks the parity by ``_half_period``.
+    Perfect-square m factors c.
     """
     _check("pell_solvable", m, c)
     if is_square(m):
         return bool(_square_pell(isqrt(m), c))
     odd = None
-    for *_, flip in _classes(m, c, True):
+    for _, k, _, terms, flip in _classes(m, c, True):
         if not flip:
             return True
         if odd is None:
-            odd = _half_period(m)[2]
+            odd = len(terms) % 2 == 1 if k == 1 else _half_period(m)[2]
         if odd:
             return True
     return False

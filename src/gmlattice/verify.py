@@ -8,13 +8,32 @@ that returns None or the failure detail; its check sweeps it over a few
 instances, and the acceptance criteria sweep the same predicate over a
 wider range.  Fault injection patches a name this module calls (such as
 ``standard_lattice``) to return a corrupted object that must fail its check.
+
+Four checks prove a polynomial identity for all integers rather than
+sample it.  The difference of its two sides is a polynomial; one of degree
+at most t_i in its i-th variable that vanishes on a grid S_1 x ... x S_n
+with |S_i| > t_i is zero (Alon, Combinatorial Nullstellensatz, Combin.
+Probab. Comput. 8, 1999, Lemma 2.1).  The degree of a 3x3 determinant in
+one variable is at most the sum over its rows of that variable's largest
+degree among the row's entries, so each grid is read off the Gram:
+
+* ``normal-form-determinants``: k is one entry, degree 1, k in {0, 1};
+* ``isotropic-labelling-det``: x and y each fill two entries in two rows,
+  degree at most 2 in each, (x, y) in {0, 1, 2}^2;
+* ``hilb2-labelling-det``: n fills two entries, degree 2, n in {0, 1, 2};
+* ``rank4-q-identity``: for fixed (k, l, m, n) both sides are binary
+  quadratic forms in (x, y), which ``qform_rank4`` pins against each
+  other at three points or raises.  Each of k, l, m, n enters the
+  labelling Gram through kx+my or lx+ny, in two entries in two rows, and
+  A, B, C are quadratic, so the three coefficients of the difference have
+  degree at most 2 in each: (k, l, m, n) in {0, 1, 2}^4, where the
+  coefficient formulas and one more point, (x, y) = (1, -1), are checked.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
+from itertools import product, starmap
 from math import isqrt
-from random import Random
 
 from . import intmat
 from .arith import is_square
@@ -174,19 +193,18 @@ def hilb2_det_failure(n: int):
 @_check("normal-form-determinants",
         "det(-2,0,1|0,-2,0|1,0,2k) = 2+8k and det(-2,0,1|0,-2,1|1,1,2k) = 4+8k")
 def check_normal_form_determinants():
-    return _sweep(map(normal_form_failure, range(-2, 8)), "k in [-2, 7]")
+    return _sweep(map(normal_form_failure, range(2)), "all integers: degree 1 in k, grid k in {0, 1}")
 
 
 @_check("isotropic-labelling-det", "det(-2,0,x|0,-2,y|x,y,0) = 2x^2 + 2y^2")
 def check_isotropic_labelling_det():
-    rng = Random(20260810)
-    pairs = ((rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(50))
-    return _sweep(starmap(isotropic_det_failure, pairs), "50 random (x, y)")
+    pairs = product(range(3), repeat=2)
+    return _sweep(starmap(isotropic_det_failure, pairs), "all integers: degree 2 in x and y, grid {0, 1, 2}^2")
 
 
 @_check("hilb2-labelling-det", "det(-2,0,1|0,-2,n|1,n,0) = 2n^2 + 2")
 def check_hilb2_shape_det():
-    return _sweep(map(hilb2_det_failure, range(-10, 11)), "n in [-10, 10]")
+    return _sweep(map(hilb2_det_failure, range(3)), "all integers: degree 2 in n, grid n in {0, 1, 2}")
 
 
 @_check("discriminant-form-classes",
@@ -282,16 +300,15 @@ def q_identity_failure(k: int, l: int, m: int, n: int, x: int, y: int):
     gram = ((-2, 0, p), (0, -2, r), (p, r, 2 * x * y))
     abc = (2 * k * k + 2 * l * l, 8 + 4 * k * m + 4 * l * n, 2 * m * m + 2 * n * n)
     if (qa.A, qa.B, qa.C) != abc:
-        return "coefficient formulas"
+        return f"{(k, l, m, n)}: coefficient formulas"
     return _det_failure(gram, qa.Q(x, y), f"(k,l,m,n,x,y)=({k},{l},{m},{n},{x},{y})")
 
 
 @_check("rank4-q-identity",
         "Q(x,y) = 8xy + 2(kx+my)^2 + 2(lx+ny)^2; A = 2k^2+2l^2, B = 8+4km+4ln, C = 2m^2+2n^2")
 def check_q_rank4_identity():
-    rng = Random(4242)
-    draws = ([rng.randint(-50, 50) for _ in range(6)] for _ in range(200))
-    return _sweep(starmap(q_identity_failure, draws), "200 random instances")
+    draws = (klmn + (1, -1) for klmn in product(range(3), repeat=4))
+    return _sweep(starmap(q_identity_failure, draws), "all integers: degree 2 in k, l, m, n, grid {0, 1, 2}^4")
 
 
 def lemma_failure(k: int, l: int, m: int, n: int):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import time
@@ -670,6 +671,42 @@ def test_k3_witness_rank4_returns_the_least_box_pair():
         )
         assert rep.xy == least, qa
         assert rep.status == ("found" if least else "not-found-within-bound"), qa
+
+
+def test_k3_witness_rank4_scan_computes_no_determinant(monkeypatch):
+    # A = 2*10^12 + 2 puts every Q(x, y) of the box past D_MAX, so the scan
+    # visits every pair; the three determinants are qform_rank4's pin
+    L = GramLattice(qform_rank4(10**6, 1, 0, 10**6).rank4_gram())
+    real_det, real_pairs, calls, visited = oracle._labelling_det, oracle._shell_pairs, [], []
+    monkeypatch.setattr(oracle, "_labelling_det", lambda g, w: calls.append(w) or real_det(g, w))
+    monkeypatch.setattr(oracle, "_shell_pairs", lambda b: (visited.append(xy) or xy for xy in real_pairs(b)))
+    rep = k3_witness(L)
+    assert rep.status == "not-found-within-bound"
+    assert len(visited) == 512
+    assert calls == [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "build, gram, name",
+    [
+        (lambda: qform_rank4(2, 1, -1, 1), qform_rank4(2, 1, -1, 1).rank4_gram(), "Q"),
+        (lambda: counterexample_family(2), counterexample_general(1, 1, 1, 2).lattice.gram, "-8 form"),
+        (
+            lambda: counterexample_general(2, 1, 0, 1),
+            ((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0)),
+            "-Q(a, -b)",
+        ),
+    ],
+    ids=["qform_rank4", "counterexample_family", "counterexample_general"],
+)
+def test_labelling_form_pin_raises_from_each_caller(monkeypatch, build, gram, name):
+    # a labelling determinant off by one at (1, 1) on this caller's own Gram
+    real = oracle._labelling_det
+    monkeypatch.setattr(
+        oracle, "_labelling_det", lambda g, w: real(g, w) + (g == gram and tuple(w) == (0, 0, 1, 1))
+    )
+    with pytest.raises(AssertionError, match=re.escape(f"{name} at (1, 1) is not the labelling determinant")):
+        build()
 
 
 def test_k3_witness_rank3_requires_labelling_basis():

@@ -346,10 +346,15 @@ def test_pell_solvable_walks_the_parity_only_for_a_flipped_class(monkeypatch):
     assert pell_solvable(2, -1) is True
     assert pell_solvable(13, -1) is True
     assert walks == []
-    # sqrt(3) has period 2: its class reaches +1, and the even period
-    # rules the flip out
+    # sqrt(3) has period 2: its class reaches +1 after that even period,
+    # whose length its own walk gives, so the flip is ruled out unwalked
     assert pell_solvable(3, -1) is False
-    assert walks == [3]
+    assert walks == []
+    # a flipped class of norm other than +-1 still walks the parity: the
+    # class of 5 under sqrt(6) reaches -5 (1 - 6 = -5), and the period 2
+    # rules it out
+    assert pell_solvable(6, 5) is False
+    assert walks == [6]
 
 
 def test_dm_isomorphism_check_matches_pell_general():

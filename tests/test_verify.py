@@ -1,14 +1,20 @@
 """The named verification suite, including fault injection."""
 
+from dataclasses import replace
+
 import pytest
 
-from gmlattice import GramLattice, pell, standard_lattice, twist, verify
+from gmlattice import GramLattice, intmat, pell, standard_lattice, twist, verify
 from gmlattice.verify import (
     check_glue_u,
+    check_hilb2_shape_det,
+    check_isotropic_labelling_det,
     check_list,
     check_mukai_embedding_complement,
     check_mukai_lattice,
     check_negative_pell_cf,
+    check_normal_form_determinants,
+    check_q_rank4_identity,
     check_vanishing_lattice,
     run_checks,
 )
@@ -85,3 +91,31 @@ def test_fault_injection_glue_u(monkeypatch, wrong):
     monkeypatch.setattr(verify, "glue", lambda g: GramLattice(wrong))
     ok, _ = check_glue_u()
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "check, gram, detail",
+    [
+        (check_normal_form_determinants, ((-2, 0, 1), (0, -2, 1), (1, 1, 2)), "third form k=1: det=13"),
+        (check_isotropic_labelling_det, ((-2, 0, 2), (0, -2, 2), (2, 2, 0)), "(x,y)=(2,2): det=17"),
+        (check_hilb2_shape_det, ((-2, 0, 1), (0, -2, 2), (1, 2, 0)), "n=2: det=11"),
+    ],
+    ids=["normal-form", "isotropic", "hilb2"],
+)
+def test_fault_injection_determinant_off_at_one_grid_point(monkeypatch, check, gram, detail):
+    # each proof is a grid sweep: a determinant off by one at one grid point
+    # must fail it, naming that point
+    real = intmat.bareiss_det
+    monkeypatch.setattr(intmat, "bareiss_det", lambda M: real(M) + (M == gram))
+    assert check() == (False, detail)
+
+
+def test_fault_injection_rank4_coefficient_off_at_one_grid_point(monkeypatch):
+    real = verify.qform_rank4
+
+    def wrong(k, l, m, n):
+        qa = real(k, l, m, n)
+        return replace(qa, A=qa.A + 1) if (k, l, m, n) == (2, 1, 2, 2) else qa
+
+    monkeypatch.setattr(verify, "qform_rank4", wrong)
+    assert check_q_rank4_identity() == (False, "(2, 1, 2, 2): coefficient formulas")
