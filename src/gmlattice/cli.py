@@ -3,10 +3,11 @@ operations and the built-in verification suite.
 
 Exit codes: 0 success, 1 input error (an inadmissible d for a witness
 included), 2 inadmissible discriminant under --strict, 3 witness not found
-(with the reason: condition failed vs search bound exhausted), 141 when the
-reader closes stdout early.  Text output prints the bound each search used,
-and every witness together with a transcript that recomputes its defining
-identities.
+(with the reason: condition failed vs search bound exhausted), 4 an
+internal re-check failed (a bug: one line "error: internal check failed:
+..." on stderr, no traceback), 141 when the reader closes stdout early.
+Text output prints the bound each search used, and every witness together
+with a transcript that recomputes its defining identities.
 Under --json, classify, witness and lattice print exactly one JSON document,
 exit 3 included; a run that exits 1 prints nothing on stdout.
 Integers are printed exactly, in decimal, however many digits they have
@@ -52,6 +53,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NO_WITNESS = 3
+EXIT_INTERNAL = 4
 
 # largest Gram rank the lattice subcommands accept: at rank 64, snf and
 # disc-group of a seeded even Gram with entries up to 10**3 take about
@@ -456,6 +458,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:  # LatticeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:  # a witness or identity failed its re-check
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         # the reader closed stdout (`scan ... | head -1`): what is still buffered
         # goes to devnull, and the exit code is SIGPIPE's, 128 + 13

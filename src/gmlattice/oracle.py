@@ -662,8 +662,11 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
     + tau1 and kappa2 = lambda1 + n lambda2 + tau2 span a copy of U.  The
     labelling by tau = x tau1 + y tau2 has discriminant
     det diag(2, 2, tau.tau) = -8 form(x, y), form = 2x^2 + (1+2n)xy +
-    (1+n^2)y^2 (pinned by ``_pin_labelling_form``), so every one is
-    divisible by 8.  form has discriminant -4n^2 + 4n - 7 < 0,
+    (1+n^2)y^2, so every one is divisible by 8.  counterexample_general has
+    pinned the discriminant of the labelling a kappa1 + b kappa2 to
+    -Q(a, -b) = -(A a^2 - B ab + C b^2) on this very Gram, so -8 form is
+    that determinant exactly when 8 form has the coefficients (A, -B, C),
+    which is checked here.  form has discriminant -4n^2 + 4n - 7 < 0,
     so the least |disc| is 8 times the first coefficient of its reduced
     form; it represents 1 exactly for n <= 1.
     """
@@ -671,7 +674,9 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
         raise DomainError("family parameter must be non-negative")
     gen = counterexample_general(1, 1, 1, n)
     form = BinaryForm(2, 1 + 2 * n, 1 + n * n)
-    _pin_labelling_form(gen.lattice.gram, lambda x, y: -8 * form(x, y), "-8 form")
+    qa = gen.qform
+    if (8 * form.a, 8 * form.b, 8 * form.c) != (qa.A, -qa.B, qa.C):
+        raise AssertionError(f"8 form for n = {n} is not (A, -B, C) = {(qa.A, -qa.B, qa.C)} of the general model")
     reduced, _ = reduce_form(form)
     rep1 = represents(form, 1)
     return CounterexampleFamilyReport(
@@ -702,6 +707,7 @@ class CounterexampleGeneralReport:
     basis_change_matches: bool
     pairings_even: bool
     all_discs_divisible_by_8: bool
+    qform: QFormAnalysis
 
 
 def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGeneralReport:
@@ -762,6 +768,7 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
         basis_change_matches=basis_ok,
         pairings_even=pair_even,
         all_discs_divisible_by_8=qa.h % 8 == 0,
+        qform=qa,
     )
 
 

@@ -1,0 +1,44 @@
+"""The local obstruction to P_2d(5), the star2 gate on P_(d/2)(-1) and the
+P_2d(5) read off sqrt(d/2) never contradict the walks for d <= d_max.
+
+Run: python tests/sweeps/p2d5_gates.py [d_max]   (default 2*10^5)
+"""
+
+import sys
+
+from gmlattice.arith import factorize
+from gmlattice.oracle import _p2d5_obstructed, _star2, classify
+from gmlattice.pell import negative_pell, pell_solvable
+
+
+def main(d_max=200000):
+    bad = []
+    for d in range(2, d_max + 1, 2):
+        f = factorize(d)
+        if _p2d5_obstructed(d, f):
+            if pell_solvable(2 * d, 5):
+                bad.append(d)
+        # past the obstructions, the 5-adic condition left to reciprocity
+        # holds: 2d over its power of 5 is a square mod 5
+        elif (2 * d // 5 ** f.get(5, 0)) % 5 not in (1, 4):
+            bad.append(d)
+    assert not bad, bad[:10]
+    # 4 | d, 3 | d and 25 | d are each the only obstruction of one d
+    assert all(_p2d5_obstructed(d, factorize(d)) for d in (8, 18, 50))
+    bad = [d for d in range(2, d_max + 1, 2) if pell_solvable(d // 2, -1) and not _star2(d, factorize(d))]
+    assert not bad, bad[:10]
+    bad = []
+    for d in range(1, d_max + 1):
+        rep = classify(d, with_witnesses=False)
+        if d % 2:
+            expect = (None, None)
+        else:
+            sol = negative_pell(d // 2)
+            expect = (sol, None if sol is None else not pell_solvable(2 * d, 5))
+        if (rep.star3, rep.dm_isomorphic) != expect:
+            bad.append(d)
+    assert not bad, bad[:10]
+
+
+if __name__ == "__main__":
+    main(*map(int, sys.argv[1:]))

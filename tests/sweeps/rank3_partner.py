@@ -1,0 +1,29 @@
+"""The closed-form rank-3 K3 partner equals hyperbolic_partner's for every
+admissible d <= d_max with star2.
+
+Run: python tests/sweeps/rank3_partner.py [d_max]   (default 2*10^6)
+"""
+
+import sys
+
+from gmlattice.arith import factorize, two_square_decompositions
+from gmlattice.lattice import hyperbolic_partner
+from gmlattice.oracle import _rank3_k3_witness, _star2, labelling_lattice
+
+
+def main(d_max=2 * 10**6):
+    bad, found = [], 0
+    for d in range(2, d_max + 1, 2):
+        if d % 8 in (0, 6) or not _star2(d, factorize(d)):
+            continue
+        L = labelling_lattice(d)
+        v, w = _rank3_k3_witness(L, two_square_decompositions(d // 2)).u_basis
+        found += 1
+        if w != hyperbolic_partner(L, v):
+            bad.append(d)
+    assert not bad, bad[:10]
+    print(found, 'rank-3 partners equal the hyperbolic_partner route')
+
+
+if __name__ == "__main__":
+    main(*map(int, sys.argv[1:]))

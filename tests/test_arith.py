@@ -109,18 +109,6 @@ def test_sum_of_two_squares_vs_brute():
             assert x * x + y * y == n and x <= y
 
 
-def scan_two_squares(n):
-    """The x-scan the pairs were once found by: sqrt(n/2) steps."""
-    if n < 0:
-        return []
-    out = []
-    for x in range(isqrt(n // 2) + 1):
-        y = isqrt(n - x * x)
-        if x * x + y * y == n:
-            out.append((x, y))
-    return out
-
-
 def test_two_square_decompositions_vs_pair_enumeration():
     N = 2 * 10**5
     oracle = {}
@@ -130,17 +118,6 @@ def test_two_square_decompositions_vs_pair_enumeration():
     for n in range(-5, N):
         assert two_square_decompositions(n) == oracle.get(n, []), n
     assert two_square_decompositions(0) == [(0, 0)] and two_square_decompositions(-1)[:1] == []
-
-
-def test_two_square_decompositions_vs_scan_on_large_n():
-    rng = Random(25)
-    found = 0
-    for _ in range(50):
-        n = rng.randint(10**9, 5 * 10**10)
-        pairs = two_square_decompositions(n)
-        assert pairs == scan_two_squares(n), n
-        found += bool(pairs)
-    assert found > 0
 
 
 def test_prime_two_squares_for_every_prime_1_mod_4_below_10_6():

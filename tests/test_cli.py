@@ -354,6 +354,23 @@ def test_witness_hilb2_solves_pell_once(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "10"], ["classify", "10", "--json"], ["witness", "hilb2", "10"]],
+    ids=["classify", "classify-json", "witness-hilb2"],
+)
+def test_a_failed_re_check_exits_4_with_one_stderr_line(capsys, monkeypatch, argv):
+    def broken(d, L, sol):
+        raise AssertionError(f"w is not isotropic for d = {d}")
+
+    monkeypatch.setattr(oracle, "_hilb2_witness", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err == "error: internal check failed: w is not isotropic for d = 10\n"
+    if "--json" in argv:
+        assert out == ""
+
+
 def test_witness_hilb2_condition_failed(capsys):
     code, out, _ = run(capsys, "witness", "hilb2", "50")
     assert code == 3

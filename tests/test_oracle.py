@@ -686,27 +686,56 @@ def test_k3_witness_rank4_scan_computes_no_determinant(monkeypatch):
     assert calls == [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
 
 
+def _det_off_at_1_1(gram):
+    """A labelling determinant off by one at (1, 1) on this caller's own Gram."""
+
+    def fault(monkeypatch):
+        real = oracle._labelling_det
+        monkeypatch.setattr(
+            oracle, "_labelling_det", lambda g, w: real(g, w) + (g == gram and tuple(w) == (0, 0, 1, 1))
+        )
+
+    return fault
+
+
+def _general_model_of_the_next_n(monkeypatch):
+    # the pinned Q of N_(1,1,1,n+1) does not have the coefficients of 8 form
+    real = oracle.counterexample_general
+    monkeypatch.setattr(
+        oracle, "counterexample_general", lambda k, l, m, n: replace(real(k, l, m, n), qform=real(k, l, m, n + 1).qform)
+    )
+
+
 @pytest.mark.parametrize(
-    "build, gram, name",
+    "build, fault, message",
     [
-        (lambda: qform_rank4(2, 1, -1, 1), qform_rank4(2, 1, -1, 1).rank4_gram(), "Q"),
-        (lambda: counterexample_family(2), counterexample_general(1, 1, 1, 2).lattice.gram, "-8 form"),
+        (
+            lambda: qform_rank4(2, 1, -1, 1),
+            _det_off_at_1_1(qform_rank4(2, 1, -1, 1).rank4_gram()),
+            "Q at (1, 1) is not the labelling determinant",
+        ),
+        (lambda: counterexample_family(2), _general_model_of_the_next_n, "8 form for n = 2 is not (A, -B, C)"),
         (
             lambda: counterexample_general(2, 1, 0, 1),
-            ((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0)),
-            "-Q(a, -b)",
+            _det_off_at_1_1(((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0))),
+            "-Q(a, -b) at (1, 1) is not the labelling determinant",
         ),
     ],
     ids=["qform_rank4", "counterexample_family", "counterexample_general"],
 )
-def test_labelling_form_pin_raises_from_each_caller(monkeypatch, build, gram, name):
-    # a labelling determinant off by one at (1, 1) on this caller's own Gram
-    real = oracle._labelling_det
-    monkeypatch.setattr(
-        oracle, "_labelling_det", lambda g, w: real(g, w) + (g == gram and tuple(w) == (0, 0, 1, 1))
-    )
-    with pytest.raises(AssertionError, match=re.escape(f"{name} at (1, 1) is not the labelling determinant")):
+def test_labelling_form_pin_raises_from_each_caller(monkeypatch, build, fault, message):
+    fault(monkeypatch)
+    with pytest.raises(AssertionError, match=re.escape(message)):
         build()
+
+
+def test_counterexample_family_pins_its_form_by_coefficients(monkeypatch):
+    # counterexample_general pins -Q(a, -b) with 3 determinants after
+    # qform_rank4 pins Q with 3; the family compares coefficients and takes none
+    real, calls = oracle._labelling_det, []
+    monkeypatch.setattr(oracle, "_labelling_det", lambda g, w: calls.append(w) or real(g, w))
+    counterexample_family(2)
+    assert len(calls) == 6
 
 
 def test_k3_witness_rank3_requires_labelling_basis():
@@ -796,31 +825,6 @@ def test_dm_examples():
     assert flags(10).dm_isomorphic is False
     assert flags(26).dm_isomorphic is True
     assert flags(50).dm_isomorphic is None
-
-
-def test_p2d5_obstruction_never_contradicts_the_walk():
-    # each local obstruction is a proof that n^2 - 2d a^2 = 5 is unsolvable;
-    # the walk in pell_solvable is the independent reference
-    for d in range(2, 50_001, 2):
-        factors = factorize(d)
-        if oracle._p2d5_obstructed(d, factors):
-            assert not pell_solvable(2 * d, 5), d
-        else:
-            # the 5-adic condition the helper leaves to reciprocity holds
-            assert (2 * d // 5 ** factors.get(5, 0)) % 5 in (1, 4), d
-    # 4 | d, 3 | d and 25 | d are each the only obstruction of one d
-    assert all(oracle._p2d5_obstructed(d, factorize(d)) for d in (8, 18, 50))
-
-
-def test_classify_pell_flags_match_the_walks():
-    for d in range(1, 20_001):
-        rep = classify(d, with_witnesses=False)
-        if d % 2:
-            assert rep.star3 is None and rep.dm_isomorphic is None, d
-            continue
-        assert rep.star3 == negative_pell(d // 2), d
-        expect = None if rep.star3 is None else not pell_solvable(2 * d, 5)
-        assert rep.dm_isomorphic is expect, d
 
 
 def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():

@@ -297,38 +297,11 @@ def test_product_tree_matches_linear_walk():
         assert negative_pell(m).as_pair() == linear_negative_pell(m), m
 
 
-def test_pell_solvable_matches_pell_general():
-    # the (P, Q) decision against the representatives pell_general returns,
-    # and against an independent scan wherever the unit bound keeps it short,
-    # for c^2 < m and c^2 >= m alike
-    for m in range(2, 600):
-        if is_square(m):
-            continue
-        x1, _ = fundamental_unit(m)
-        for c in range(-40, 41):
-            if c == 0:
-                continue
-            got = pell_solvable(m, c)
-            assert got == bool(pell_general(m, c)), (m, c)
-            n_bound = isqrt(abs(c) * (x1 + 1) // 2) + 1
-            if n_bound <= 300:
-                brute = any(
-                    (n * n - c) % m == 0 and is_square((n * n - c) // m)
-                    for n in range(n_bound + 1)
-                )
-                assert got == brute, (m, c)
-
-
 def test_pell_solvable_decides_c_squared_past_m_by_residues():
     # 11 is not a square mod 109, so no root z starts a walk; 12 is one
     assert all(z * z % 109 != 11 for z in range(109))
     assert pell_solvable(109, 11) is False
     assert pell_solvable(109, 12) is True
-
-
-def test_pell_solvable_minus_one_is_the_period_parity():
-    for m in range(1, 5000):
-        assert pell_solvable(m, -1) == (negative_pell(m) is not None), m
 
 
 def test_pell_solvable_walks_the_parity_only_for_a_flipped_class(monkeypatch):
