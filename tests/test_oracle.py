@@ -827,6 +827,31 @@ def test_dm_examples():
     assert flags(50).dm_isomorphic is None
 
 
+def test_p2d5_obstruction_never_contradicts_the_walk():
+    # each local obstruction is a proof that n^2 - 2d a^2 = 5 is unsolvable;
+    # the walk in pell_solvable is the independent reference
+    for d in range(2, 50_001, 2):
+        factors = factorize(d)
+        if oracle._p2d5_obstructed(d, factors):
+            assert not pell_solvable(2 * d, 5), d
+        else:
+            # the 5-adic condition the helper leaves to reciprocity holds
+            assert (2 * d // 5 ** factors.get(5, 0)) % 5 in (1, 4), d
+    # 4 | d, 3 | d and 25 | d are each the only obstruction of one d
+    assert all(oracle._p2d5_obstructed(d, factorize(d)) for d in (8, 18, 50))
+
+
+def test_classify_pell_flags_match_the_walks():
+    for d in range(1, 20_001):
+        rep = classify(d, with_witnesses=False)
+        if d % 2:
+            assert rep.star3 is None and rep.dm_isomorphic is None, d
+            continue
+        assert rep.star3 == negative_pell(d // 2), d
+        expect = None if rep.star3 is None else not pell_solvable(2 * d, 5)
+        assert rep.dm_isomorphic is expect, d
+
+
 def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     # past the local obstructions, and for d > 50, P_2d(5) is solvable iff
     # 5 is a Q_k of the half period that star3 walked; pell_solvable walks
