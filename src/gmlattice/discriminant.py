@@ -250,7 +250,7 @@ def glue(g: GlueData) -> GramLattice:
 @dataclass(frozen=True)
 class GlueExtensionReport:
     """What glue_extension_check found for S, K inside their ambient L;
-    disc_s and disc_k are d(S) and d(K) on the Grams of their bases."""
+    disc_s is d(S) on the Gram of its basis."""
 
     glue_order: int
     glue_invariant_factors: tuple[int, ...]
@@ -262,7 +262,6 @@ class GlueExtensionReport:
     quotient_identity_holds: bool
     det_law_holds: bool
     disc_s: DiscriminantData = field(repr=False, compare=False)
-    disc_k: DiscriminantData = field(repr=False, compare=False)
 
 
 def _subgroup_order(gens, moduli) -> int:
@@ -360,5 +359,4 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
         quotient_identity_holds=(hperp_mod_h == disc_l),
         det_law_holds=det_law,
         disc_s=ds,
-        disc_k=dk,
     )

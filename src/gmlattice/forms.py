@@ -1,22 +1,23 @@
 """Integral binary quadratic forms: Gauss reduction, representability,
 and represented primes.
 
-``represents`` runs the lattice's definite norm search on the Gram
-((2a, b), (b, 2c)) of the form, inside its exact ellipse box, so a None
-is a proof of non-representability.  ``find_prime_1mod4`` decides exactly
+``represents`` runs the lattice's norm search on the Gram
+((2a, b), (b, 2c)) of the reduced form, inside the box of its ellipse,
+which completing the square gives in closed form, so a None is a proof
+of non-representability.  ``find_prime_1mod4`` decides exactly
 whether a primitive positive definite form represents a prime 1 (mod 4),
 from the form mod 4, and finds the least one by walking its values upward.
 """
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, isqrt
 
 from . import intmat
 from .arith import D_MAX, is_prime
 from .errors import DomainError, LatticeError
 from .intmat import Matrix
-from .lattice import _definite_norm_vectors
+from .lattice import _norm_solutions
 
 __all__ = ["BinaryForm", "find_prime_1mod4", "reduce_form", "represents"]
 
@@ -112,10 +113,13 @@ def _gram(f: BinaryForm) -> Matrix:
 def represents(f: BinaryForm, value: int):
     """A representation f(x, y) = value, or None (a proof of none).
 
-    The complete list comes from the lattice's definite norm search for
-    2 value on the Gram of the reduced form, mapped back by its transform;
-    the first by x and then y in the order 0, 1, -1, 2, -2, ... is
-    returned, so small non-negative witnesses win.
+    The complete list comes from the lattice's norm search for 2 value on
+    the Gram of the reduced form g, mapped back by its transform; the
+    first by x and then y in the order 0, 1, -1, 2, -2, ... is returned,
+    so small non-negative witnesses win.  The search box is g's ellipse
+    g(x, y) <= value: 4a g(x, y) = (2ax + by)^2 + |D| y^2 gives
+    |y| <= sqrt(4a value / |D|), and 4c g(x, y) likewise
+    |x| <= sqrt(4c value / |D|).
     """
     if not f.is_positive_definite():
         raise LatticeError("representation search needs a positive definite form")
@@ -126,7 +130,9 @@ def represents(f: BinaryForm, value: int):
     # 2|k| - (k > 0) ranks k in the order 0, 1, -1, 2, -2, ...
     g, T = reduce_form(f)
     (p, q), (r, s) = T
-    vectors = _definite_norm_vectors(_gram(BinaryForm(g.c, g.b, g.a)), 2 * value)
+    adisc = -g.disc()
+    box = [isqrt(4 * g.a * value // adisc), isqrt(4 * g.c * value // adisc)]
+    vectors = _norm_solutions(_gram(BinaryForm(g.c, g.b, g.a)), 2 * value, box)
     return min(
         ((p * x + q * y, r * x + s * y) for y, x in vectors),
         key=lambda v: tuple(2 * abs(k) - (k > 0) for k in v),

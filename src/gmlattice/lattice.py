@@ -306,28 +306,6 @@ def _norm_solutions(G, target, bounds):
                 yield prefix + (z,)
 
 
-def _definite_bounds(G, target) -> list[int]:
-    """Exact box of the ellipsoid v.G.v <= target for positive definite G:
-    v_i^2 <= target * (G^-1)_ii, and (G^-1)_ii is the i-th principal minor
-    over det G."""
-    n = len(G)
-    det = intmat.bareiss_det(G)
-    bounds = []
-    for i in range(n):
-        minor = tuple(
-            tuple(G[r][c] for c in range(n) if c != i) for r in range(n) if r != i
-        )
-        adj = intmat.bareiss_det(minor)
-        bounds.append(isqrt((target * adj) // det))
-    return bounds
-
-
-def _definite_norm_vectors(G, target):
-    """All v with v.G.v == target for positive definite G (complete), in
-    lexicographic order."""
-    return list(_norm_solutions(G, target, _definite_bounds(G, target)))
-
-
 def hyperbolic_partner(L: GramLattice, v):
     """A partner w of the isotropic v (w.w = 0, v.w = 1), so that v and w
     span a hyperbolic plane U; None exactly when G v has content > 1, since

@@ -32,7 +32,7 @@ from .arith import (
 from .errors import DomainError, LatticeError
 from . import intmat
 from .forms import BinaryForm, reduce_form, represents, find_prime_1mod4
-from .lattice import GramLattice, determinant
+from .lattice import GramLattice, determinant, twist
 from .pell import PellSolution, _negative_pell
 
 __all__ = [
@@ -260,22 +260,6 @@ def _labelling_det(gram: intmat.Matrix, w) -> int:
     )
 
 
-def _pin_labelling_form(gram: intmat.Matrix, form, name: str) -> None:
-    """Raise AssertionError unless form(x, y) is the determinant of the
-    labelling <e1, e2, x e3 + y e4> under the rank-4 gram at every (x, y).
-
-    Both sides are binary quadratic forms in (x, y): the labelling Gram has
-    the fixed block of e1, e2, the pairings of w = x e3 + y e4 with e1, e2,
-    linear in (x, y), and w.w, quadratic, so every term of its
-    determinant has degree 2.  A binary quadratic a x^2 + b xy + c y^2 is
-    pinned by its values at (1,0), (0,1), (1,1), which are a, c and
-    a + b + c, so agreement there is agreement everywhere.
-    """
-    for x, y in ((1, 0), (0, 1), (1, 1)):
-        if _labelling_det(gram, (0, 0, x, y)) != form(x, y):
-            raise AssertionError(f"{name} at ({x}, {y}) is not the labelling determinant of {gram}")
-
-
 def labelling_det(L: GramLattice, w) -> int:
     """Determinant of <lambda1, lambda2, w>.
 
@@ -345,15 +329,33 @@ class QFormAnalysis:
 
 def qform_rank4(k: int, l: int, m: int, n: int) -> QFormAnalysis:
     """Build the labelling-discriminant form and pin it to the 3x3
-    labelling determinant on rank4_gram() (``_pin_labelling_form``)."""
+    labelling determinant on rank4_gram(): raise AssertionError unless
+    Q(x, y) is the determinant of <e1, e2, x e3 + y e4> at every (x, y).
+
+    Both sides are binary quadratic forms in (x, y): the labelling Gram has
+    the fixed block of e1, e2, the pairings of w = x e3 + y e4 with e1, e2,
+    linear in (x, y), and w.w, quadratic, so every term of its
+    determinant has degree 2.  A binary quadratic a x^2 + b xy + c y^2 is
+    pinned by its values at (1,0), (0,1), (1,1), which are a, c and
+    a + b + c, so agreement there is agreement everywhere.
+    """
     A = 2 * k * k + 2 * l * l
     B = 8 + 4 * k * m + 4 * l * n
     C = 2 * m * m + 2 * n * n
     h = gcd(gcd(A, B), C)
     q = BinaryForm(A // h, B // h, C // h)
     qa = QFormAnalysis(k=k, l=l, m=m, n=n, A=A, B=B, C=C, h=h, q=q)
-    _pin_labelling_form(qa.rank4_gram(), qa.Q, "Q")
+    gram = qa.rank4_gram()
+    for x, y in ((1, 0), (0, 1), (1, 1)):
+        if _labelling_det(gram, (0, 0, x, y)) != qa.Q(x, y):
+            raise AssertionError(f"Q at ({x}, {y}) is not the labelling determinant of {gram}")
     return qa
+
+
+def _negate_kappa2(gram: intmat.Matrix) -> intmat.Matrix:
+    """The rank-4 gram with its last basis vector, kappa2, negated."""
+    signs = (1, 1, 1, -1)
+    return tuple(tuple(s * t * x for t, x in zip(signs, row)) for s, row in zip(signs, gram))
 
 
 @dataclass(frozen=True)
@@ -597,19 +599,14 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
     if L.rank != 4:
         raise LatticeError("K3 witness search supports rank 3 and 4 lattices")
 
-    g = [list(row) for row in L.gram]
-    if g[2][3] == -1:
-        # normalize the hyperbolic block by negating kappa2
-        for i in range(4):
-            g[i][3] = -g[i][3]
-        for j in range(4):
-            g[3][j] = -g[3][j]
+    # normalize the hyperbolic block by negating kappa2
+    g = _negate_kappa2(L.gram) if L.gram[2][3] == -1 else L.gram
     if g[2][2] != 0 or g[3][3] != 0 or g[2][3] != 1:
         raise LatticeError("kappa generators must span a unimodular hyperbolic plane")
     k, m = g[0][2], g[0][3]
     l, n = g[1][2], g[1][3]
     qa = qform_rank4(k, l, m, n)
-    if tuple(map(tuple, g)) != qa.rank4_gram():
+    if g != qa.rank4_gram():
         raise AssertionError(f"the normalized Gram {g} is not the model {qa.rank4_gram()}")
     if qa.h % 8 == 0:
         return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa)
@@ -663,8 +660,8 @@ def counterexample_family(n: int) -> CounterexampleFamilyReport:
     labelling by tau = x tau1 + y tau2 has discriminant
     det diag(2, 2, tau.tau) = -8 form(x, y), form = 2x^2 + (1+2n)xy +
     (1+n^2)y^2, so every one is divisible by 8.  counterexample_general has
-    pinned the discriminant of the labelling a kappa1 + b kappa2 to
-    -Q(a, -b) = -(A a^2 - B ab + C b^2) on this very Gram, so -8 form is
+    tied the discriminant of the labelling a kappa1 + b kappa2 on this very
+    Gram to -Q(a, -b) = -(A a^2 - B ab + C b^2), so -8 form is
     that determinant exactly when 8 form has the coefficients (A, -B, C),
     which is checked here.  form has discriminant -4n^2 + 4n - 7 < 0,
     so the least |disc| is 8 times the first coefficient of its reduced
@@ -719,9 +716,12 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
     l lambda2 + tau1, kappa2 = m lambda1 + n lambda2 + tau2 span U and that
     the basis change to (lambda1, lambda2, kappa1, kappa2) has the
     doubled-row Gram, off which pairings_even reads the parity of every
-    pairing of a labelling a kappa1 + b kappa2.  Twisting by -1 and
-    negating kappa2 gives disc(a, b) = -Q(a, -b) with Q of
-    qform_rank4(-2k, -2l, 2m, 2n), whose values have gcd h: every disc is
+    pairing of a labelling a kappa1 + b kappa2.  Twisted by -1 and with
+    kappa2 negated, that Gram must be the rank4_gram() of
+    qform_rank4(-2k, -2l, 2m, 2n), which pinned Q to its labelling
+    determinant; else AssertionError.  The twist multiplies a 3x3
+    determinant by -1 and the sign change maps b to -b, so
+    disc(a, b) = -Q(a, -b), whose values have gcd h: every disc is
     0 (mod 8) exactly when 8 | h.
     """
     if (k, l) in ((1, 0), (0, 1)):
@@ -755,7 +755,8 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
         for x in (got[0][2], got[0][3], got[1][2], got[1][3], got[2][2], got[3][3])
     )
     qa = qform_rank4(-2 * k, -2 * l, 2 * m, 2 * n)
-    _pin_labelling_form(got, lambda a, b: -qa.Q(a, -b), "-Q(a, -b)")
+    if _negate_kappa2(twist(GramLattice(got), -1).gram) != qa.rank4_gram():
+        raise AssertionError(f"{got} twisted by -1 with kappa2 negated is not the model {qa.rank4_gram()}")
     return CounterexampleGeneralReport(
         k=k,
         l=l,

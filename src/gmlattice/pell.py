@@ -12,8 +12,8 @@ sqrt(m) is a palindrome, a_k = a_{l-k} and Q_k = Q_{l-k}, closed by
 a_l = 2 a_0 and Q_l = 1, so the recurrence stops at its middle: the first
 Q_{s+1} = Q_s means l = 2s + 1, the first P_{s+1} = P_s means l = 2s.
 The walk returns the half as two plain int lists, a_1, ..., a_s and
-Q_1, ..., Q_s, with no tuple built per term; the full period, where a
-caller needs it, is that half zipped and mirrored.
+Q_1, ..., Q_s, with no tuple built per term; only ``cf_sqrt``, which
+returns the whole period, mirrors it.
 
 So the negative Pell equation P_m(-1) is solvable exactly when the period
 is odd (plus the degenerate case m = 1), and for c^2 < m, where every
@@ -27,7 +27,9 @@ s and s - 1:
 
     n = h_s q_s + h_{s-1} q_{s-1},  a = q_s^2 + q_{s-1}^2.
 
-A_0 B is built by a balanced product tree over a_0, ..., a_s, whose
+At an even period l = 2s the least unit of P_m(1) comes from the middle
+too, as (h_{s-1} + q_{s-1} sqrt(m))^2 / Q_s (``_least_unit``).  A_0 B is
+built by a balanced product tree over a_0, ..., a_s, whose
 leaves are short linear walks, so the big-integer products are between
 numbers of equal size.  ``pell_solvable`` and ``pell_general`` answer
 every c by the same recurrence started at (z + sqrt(m)) / |c / g^2|, one
@@ -106,14 +108,6 @@ def _half_period(m: int) -> tuple[list[int], list[int], bool]:
         qs.append(q)
 
 
-def _period(m: int) -> list[tuple[int, int]]:
-    """[(a_1, Q_1), ..., (a_l, Q_l)] over one period of sqrt(m), m >= 2 not
-    a square: the half period, its mirror, and (a_l, Q_l) = (2 a_0, 1)."""
-    terms, qs, odd = _half_period(m)
-    half = list(zip(terms, qs))
-    return half + list(reversed(half if odd else half[:-1])) + [(2 * isqrt(m), 1)]
-
-
 def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
     """(w, x, y, z) with [[w, x], [y, z]] the product of [[a, 1], [1, 0]]
     over ``terms``: linear walks over leaves of _LEAF terms, merged
@@ -135,9 +129,11 @@ def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
 
 
 def cf_sqrt(m: int) -> tuple[int, list[int]]:
-    """Continued fraction sqrt(m) = [a0; period...], minimal period."""
-    period = _period(m)
-    return isqrt(m), [a for a, _ in period]
+    """Continued fraction sqrt(m) = [a0; period...], minimal period: the
+    half period a_1, ..., a_s, its mirror, and a_l = 2 a_0."""
+    terms, _, odd = _half_period(m)
+    a0 = isqrt(m)
+    return a0, terms + (terms if odd else terms[:-1])[::-1] + [2 * a0]
 
 
 def negative_pell(m: int) -> PellSolution | None:
@@ -165,8 +161,26 @@ def _negative_pell(m: int) -> tuple[PellSolution | None, list[int]]:
     terms, qs, odd = _half_period(m)
     if not odd:
         return None, qs
-    h, h_prev, q, q_prev = _continuant([isqrt(m), *terms])
-    return PellSolution(h * q + h_prev * q_prev, q * q + q_prev * q_prev, m, -1), qs
+    return PellSolution(*_least_unit(m, terms, qs, odd), m, -1), qs
+
+
+def _least_unit(m: int, terms: list[int], qs: list[int], odd: bool) -> tuple[int, int]:
+    """(h_{l-1}, q_{l-1}), the least solution of h^2 - m q^2 = (-1)^l, from
+    the half period ``_half_period(m)`` = (terms, qs, odd) alone.
+
+    Odd l = 2s + 1: the midpoint formula of the module docstring,
+    h = h_s q_s + h_{s-1} q_{s-1}, q = q_s^2 + q_{s-1}^2.  Even l = 2s:
+    alpha = h_{s-1} + q_{s-1} sqrt(m) has norm (-1)^s Q_s, and
+    P_{s+1} = P_s makes the ideal (alpha) equal to its conjugate, so the
+    unit alpha / alpha' = alpha^2 / ((-1)^s Q_s) is, up to sign, the one
+    at the end of the period: h = (h_{s-1}^2 + m q_{s-1}^2) / Q_s,
+    q = 2 h_{s-1} q_{s-1} / Q_s.
+    """
+    if odd:
+        h, h_prev, q, q_prev = _continuant([isqrt(m), *terms])
+        return h * q + h_prev * q_prev, q * q + q_prev * q_prev
+    h, _, q, _ = _continuant([isqrt(m), *terms[:-1]])
+    return (h * h + m * q * q) // qs[-1], 2 * h * q // qs[-1]
 
 
 def _square_pell(s: int, c: int) -> list[PellSolution]:
@@ -280,9 +294,8 @@ def pell_general(m: int, c: int) -> list[PellSolution]:
     _check("pell_general", m, c)
     if is_square(m):
         return _square_pell(isqrt(m), c)
-    period = _period(m)
-    odd = len(period) % 2 == 1
-    h, _, q, _ = _continuant([isqrt(m)] + [a for a, _ in period[:-1]])
+    terms, qs, odd = _half_period(m)
+    h, q = _least_unit(m, terms, qs, odd)
     x1, y1 = (h * h + m * q * q, 2 * h * q) if odd else (h, q)
     n_bound = isqrt((abs(c) * (x1 + 1)) // 2) + 1
     sols = set()

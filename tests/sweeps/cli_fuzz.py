@@ -1,10 +1,10 @@
 """A seeded in-process fuzz of the CLI (classify, witness, scan, every lattice
-subcommand): each run exits 0-3 with no traceback, and under --json,
-classify, witness and lattice print one JSON document on exit 0 or 3 and
-nothing on exit 1.
+subcommand, one verify-paper): each run exits 0-3 with no traceback, and
+under --json, classify, witness and lattice print one JSON document on exit
+0 or 3 and nothing on exit 1.
 
 Run: python tests/sweeps/cli_fuzz.py [rounds scans grams]
-(default 300 20 600, which make 1520 runs)
+(default 300 20 600, which make 1521 runs)
 """
 
 import contextlib
@@ -21,8 +21,12 @@ from gmlattice.oracle import D_MAX
 
 def main(rounds=300, scans=20, grams=600):
     rng = Random(21)
+    # 4300 digits is the longest argument int() reads at Python's default
+    # limit, 4301 the first refused; written as strings, since str() of such
+    # an int raises at that limit
+    edges = [0, 1, -1, D_MAX - 1, D_MAX, D_MAX + 1, D_MAX + 2, 10**40, '1' + '0' * 4299, '1' + '0' * 4300]
     def d():
-        return rng.choice([0, 1, -1, D_MAX, D_MAX + 2, 10**40] + [rng.randint(-10**7, 10**7)] * 6)
+        return rng.choice(edges + [rng.randint(-10**7, 10**7)] * 6)
     def gram():
         n = rng.randint(0, 5)
         g = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -48,6 +52,7 @@ def main(rounds=300, scans=20, grams=600):
             runs.append(['classify', str(d())] + rng.choice([[], ['--json'], ['--strict']]))
             runs.append(['witness', rng.choice(['k3', 'twisted', 'hilb2']), str(d())] + rng.choice([[], ['--json']]))
             runs.append(['witness', 'counterexample', '--n', str(rng.randint(-3, 300))] + rng.choice([[], ['--json']]))
+        runs.append(['verify-paper'])
         for _ in range(scans):
             runs.append(['scan', str(rng.randint(-2, 300))] + rng.choice([[], ['--json'], ['--csv'], ['--filter', 'star3']]))
         for t in range(grams):

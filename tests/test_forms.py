@@ -7,11 +7,11 @@ from random import Random
 import pytest
 
 from gmlattice import (
-    D_MAX,
     BinaryForm,
     DomainError,
     LatticeError,
     find_prime_1mod4,
+    intmat,
     reduce_form,
     represents,
 )
@@ -178,6 +178,16 @@ def test_represents_returns_the_first_witness_of_the_ordered_scan():
     assert represents(BinaryForm(1, 0, 1), 25) == (0, 5)
     assert represents(BinaryForm(1, 1, 1), 7) == (1, 2)
     assert represents(BinaryForm(2, 1, 3), 6) == (1, 1)
+
+
+def test_represents_bounds_its_ellipse_without_a_determinant(monkeypatch):
+    # the box comes from completing the square on the reduced form, so no
+    # minor of its Gram is taken
+    real, calls = intmat.bareiss_det, []
+    monkeypatch.setattr(intmat, "bareiss_det", lambda g: calls.append(g) or real(g))
+    assert represents(BinaryForm(2, 1, 3), 6) == (1, 1)
+    assert represents(BinaryForm(2, 5, 5), 1) is None
+    assert calls == []
 
 
 def test_represents_rejects_bad_inputs():

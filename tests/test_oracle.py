@@ -706,6 +706,13 @@ def _general_model_of_the_next_n(monkeypatch):
     )
 
 
+def _model_of_the_next_n(monkeypatch):
+    # counterexample_general(k, l, m, n) is handed qform_rank4's model of
+    # n + 1, whose Gram is not its own twisted with kappa2 negated
+    real = oracle.qform_rank4
+    monkeypatch.setattr(oracle, "qform_rank4", lambda k, l, m, n: real(k, l, m, n + 2))
+
+
 @pytest.mark.parametrize(
     "build, fault, message",
     [
@@ -717,8 +724,8 @@ def _general_model_of_the_next_n(monkeypatch):
         (lambda: counterexample_family(2), _general_model_of_the_next_n, "8 form for n = 2 is not (A, -B, C)"),
         (
             lambda: counterexample_general(2, 1, 0, 1),
-            _det_off_at_1_1(((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0))),
-            "-Q(a, -b) at (1, 1) is not the labelling determinant",
+            _model_of_the_next_n,
+            "((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0)) twisted by -1 with kappa2 negated is not the model",
         ),
     ],
     ids=["qform_rank4", "counterexample_family", "counterexample_general"],
@@ -730,12 +737,22 @@ def test_labelling_form_pin_raises_from_each_caller(monkeypatch, build, fault, m
 
 
 def test_counterexample_family_pins_its_form_by_coefficients(monkeypatch):
-    # counterexample_general pins -Q(a, -b) with 3 determinants after
-    # qform_rank4 pins Q with 3; the family compares coefficients and takes none
+    # qform_rank4 pins Q with 3 determinants; counterexample_general compares
+    # Grams and the family compares coefficients, and neither takes one
     real, calls = oracle._labelling_det, []
     monkeypatch.setattr(oracle, "_labelling_det", lambda g, w: calls.append(w) or real(g, w))
     counterexample_family(2)
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+def test_counterexample_general_checks_its_gram_against_the_pinned_model(monkeypatch):
+    # the only determinants are qform_rank4's pin on the model Gram, which
+    # is the general Gram twisted by -1 with kappa2 negated
+    real, grams = oracle._labelling_det, []
+    monkeypatch.setattr(oracle, "_labelling_det", lambda g, w: grams.append(g) or real(g, w))
+    rep = counterexample_general(2, 1, 0, 1)
+    assert grams == [rep.qform.rank4_gram()] * 3
+    assert rep.qform.rank4_gram() == ((-2, 0, -4, 0), (0, -2, -2, 2), (-4, -2, 0, 1), (0, 2, 1, 0))
 
 
 def test_k3_witness_rank3_requires_labelling_basis():
@@ -825,31 +842,6 @@ def test_dm_examples():
     assert flags(10).dm_isomorphic is False
     assert flags(26).dm_isomorphic is True
     assert flags(50).dm_isomorphic is None
-
-
-def test_p2d5_obstruction_never_contradicts_the_walk():
-    # each local obstruction is a proof that n^2 - 2d a^2 = 5 is unsolvable;
-    # the walk in pell_solvable is the independent reference
-    for d in range(2, 50_001, 2):
-        factors = factorize(d)
-        if oracle._p2d5_obstructed(d, factors):
-            assert not pell_solvable(2 * d, 5), d
-        else:
-            # the 5-adic condition the helper leaves to reciprocity holds
-            assert (2 * d // 5 ** factors.get(5, 0)) % 5 in (1, 4), d
-    # 4 | d, 3 | d and 25 | d are each the only obstruction of one d
-    assert all(oracle._p2d5_obstructed(d, factorize(d)) for d in (8, 18, 50))
-
-
-def test_classify_pell_flags_match_the_walks():
-    for d in range(1, 20_001):
-        rep = classify(d, with_witnesses=False)
-        if d % 2:
-            assert rep.star3 is None and rep.dm_isomorphic is None, d
-            continue
-        assert rep.star3 == negative_pell(d // 2), d
-        expect = None if rep.star3 is None else not pell_solvable(2 * d, 5)
-        assert rep.dm_isomorphic is expect, d
 
 
 def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
@@ -1072,16 +1064,47 @@ def test_no_assert_statement_under_src():
     assert found == []
 
 
-def test_hilb2_re_check_survives_python_O():
-    # (0, 1, 1) is the w that n = 2, a = 1 (2^2 - 5 = -1) gives at d = 10,
-    # but under a Gram with 4 in place of labelling_lattice(10)'s 2 it has
-    # norm 2, so the isotropy re-check must raise even under -O
+@pytest.mark.parametrize(
+    "setup, call, message",
+    [
+        # (0, 1, 1) is the w that n = 2, a = 1 (2^2 - 5 = -1) gives at
+        # d = 10, but under a Gram with 4 in place of labelling_lattice(10)'s
+        # 2 it has norm 2
+        (
+            "from gmlattice.pell import negative_pell",
+            "oracle._hilb2_witness(10, GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 4))), negative_pell(5))",
+            "w = (0, 1, 1) is not isotropic",
+        ),
+        # (3, 2) has the parities of d = 10's Gram but sums to 13, not d/2 = 5
+        (
+            "",
+            "oracle._rank3_k3_witness(oracle.labelling_lattice(10), [(3, 2)])",
+            "((2, 1, 1), (3, 3, 2)) does not span U",
+        ),
+        # a square root one too large breaks the two-square pair of 13
+        (
+            "from gmlattice import arith\narith.isqrt = lambda n, real=arith.isqrt: real(n) + 1",
+            "arith._prime_two_squares(13)",
+            "3^2 + 3^2 != 13",
+        ),
+        # the model of n = 2 handed to the general family at n = 1
+        (
+            "real = oracle.qform_rank4\noracle.qform_rank4 = lambda k, l, m, n: real(k, l, m, n + 2)",
+            "oracle.counterexample_general(2, 1, 0, 1)",
+            "((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0)) twisted by -1 with kappa2 negated"
+            " is not the model ((-2, 0, -4, 0), (0, -2, -2, 4), (-4, -2, 0, 1), (0, 4, 1, 0))",
+        ),
+    ],
+    ids=["hilb2_witness", "rank3_k3_witness", "prime_two_squares", "counterexample_general"],
+)
+def test_re_check_survives_python_O(setup, call, message):
+    # each re-check raises explicitly, so python -O cannot strip it
     code = (
+        "from gmlattice import oracle\n"
         "from gmlattice.lattice import GramLattice\n"
-        "from gmlattice.oracle import _hilb2_witness\n"
-        "from gmlattice.pell import negative_pell\n"
+        f"{setup}\n"
         "try:\n"
-        "    _hilb2_witness(10, GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 4))), negative_pell(5))\n"
+        f"    {call}\n"
         "except AssertionError as e:\n"
         "    print('raised:', e)\n"
     )
@@ -1089,5 +1112,4 @@ def test_hilb2_re_check_survives_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, check=True, env=env, text=True, timeout=60
     ).stdout
-    assert out == "raised: w = (0, 1, 1) is not isotropic\n"
-
+    assert out == f"raised: {message}\n"

@@ -15,7 +15,7 @@ from gmlattice import (
     pell_solvable,
 )
 from gmlattice.arith import is_square
-from gmlattice.pell import _LEAF, C_MAX, _continuant, _half_period, _period
+from gmlattice.pell import _LEAF, C_MAX, _continuant, _half_period, _least_unit
 
 
 
@@ -242,12 +242,12 @@ def test_pell_general_answers_c_squared_past_m_with_a_huge_unit():
 
 
 def test_convergent_norms_are_read_off_the_recurrence():
-    # h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k with Q_k from _period,
+    # h_{k-1}^2 - m q_{k-1}^2 = (-1)^k Q_k with Q_k from full_period,
     # recomputed with big integers over two periods, and the period closes at the first Q_k = 1
     for m in range(2, 600):
         if is_square(m):
             continue
-        period = _period(m)
+        period = full_period(m)
         assert [a for a, _ in period] == cf_sqrt(m)[1]
         assert [q for _, q in period].index(1) == len(period) - 1
         walk = convergents(m)
@@ -265,7 +265,16 @@ def test_half_period_mirrors_to_the_full_period():
         half = list(zip(terms, qs))
         assert odd == (len(period) % 2 == 1), m
         assert len(half) == len(period) // 2, m
-        assert _period(m) == period, m
+        assert half == period[: len(half)], m
+        assert cf_sqrt(m) == (isqrt(m), [a for a, _ in period]), m
+        # the least unit from the half period, squared at an odd period, is
+        # the unit of P_m(1) that the continuant over a whole period (two
+        # periods when odd) gives
+        h, q = _least_unit(m, terms, qs, odd)
+        x1, y1 = (h * h + m * q * q, 2 * h * q) if odd else (h, q)
+        assert x1 * x1 - m * y1 * y1 == 1, m
+        x, _, y, _ = _continuant([isqrt(m)] + [a for a, _ in period * (1 + odd)][:-1])
+        assert (x1, y1) == (x, y), m
 
 
 def test_negative_pell_is_the_first_norm_minus_one_convergent():
@@ -273,7 +282,7 @@ def test_negative_pell_is_the_first_norm_minus_one_convergent():
         if is_square(m):
             continue
         sol = negative_pell(m)
-        if len(_period(m)) % 2 == 0:
+        if len(full_period(m)) % 2 == 0:
             assert sol is None, m
             continue
         walk = convergents(m)

@@ -47,7 +47,7 @@ CASES = [
         (300, 100),
         "300 forms, 30 with no prime 1 (mod 4); 93 definite rank-4 draws, each found",
     ),
-    (cli_fuzz, (100, 10, 200), "510 runs"),
+    (cli_fuzz, (100, 10, 200), "511 runs"),
 ]
 
 
