@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 from .discriminant import discriminant_group
@@ -36,7 +37,6 @@ from .oracle import (
     D_MAX,
     K3WitnessReport,
     _check_size,
-    _k3_report_to_json,
     admissible,
     classify,
     counterexample_family,
@@ -273,7 +273,13 @@ def _witness_k3(d):
     # ("Absent, 8 | d" in k3_witness)
     L = labelling_lattice(d) if d % 8 else None
     rep = k3_witness(L) if L else K3WitnessReport(kind="rank3", status="proven-absent")
-    payload = {"d": d, **_k3_report_to_json(rep)}
+    payload = {
+        "d": d,
+        "status": rep.status,
+        "u_basis": _rows(rep.u_basis) if rep.u_basis else None,
+        "complement_gen": list(rep.complement_gen) if rep.complement_gen else None,
+        "gen_norm": rep.gen_norm,
+    }
     if rep.status != "found":
         return EXIT_NO_WITNESS, payload, [
             f"no witness: d = {d} has no hyperbolic plane because the K3 condition "
@@ -435,12 +441,20 @@ _STREAMS = {"scan": cmd_scan, "verify-paper": cmd_verify_paper}
 _RESULTS = {"classify": cmd_classify, "witness": cmd_witness, "lattice": cmd_lattice}
 
 
+def _error(message: str) -> None:
+    """Print message as one "error:" line on stderr, with every integer of
+    more than 40 digits cut to its first and last 10 digits and its digit
+    count, so that a refused 4300-digit argument is not echoed in full."""
+    short = re.sub(r"\d{41,}", lambda m: f"{m[0][:10]}...{m[0][-10:]} ({len(m[0])} digits)", message)
+    print(f"error: {short}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_INPUT
     if args.command is None:
         parser.print_help()
@@ -456,10 +470,10 @@ def main(argv=None) -> int:
             return _STREAMS[args.command](args)
         return _emit(args, _RESULTS[args.command](args))
     except (ValueError, ArithmeticError) as exc:  # LatticeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_INPUT
     except AssertionError as exc:  # a witness or identity failed its re-check
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        _error(f"internal check failed: {exc}")
         return EXIT_INTERNAL
     except BrokenPipeError:
         # the reader closed stdout (`scan ... | head -1`): what is still buffered

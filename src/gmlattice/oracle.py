@@ -84,16 +84,16 @@ def _star2(d: int, factors: dict[int, int]) -> bool:
     return d % 8 != 0 and all(p % 4 != 3 for p in factors)
 
 
-def _star3(d: int, factors: dict[int, int]) -> tuple[PellSolution | None, list[int]]:
+def _star3(d: int, star2: bool) -> tuple[PellSolution | None, list[int]]:
     """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for d > 0 with factors = factorize(d), or None, and the Q_k of the half
-    period of sqrt(d/2) walked for it (empty where none was).
+    for d > 0 with star2 = _star2(d, factorize(d)), or None, and the Q_k of
+    the half period of sqrt(d/2) walked for it (empty where none was).
 
     A solution makes -1 a square mod every odd p | d and rules out
     4 | d/2, so star3 implies star2, and the continued fraction of
     sqrt(d/2) is walked only where star2 holds.
     """
-    if d % 2 or not _star2(d, factors):
+    if d % 2 or not star2:
         return None, []
     return _negative_pell(d // 2)
 
@@ -174,18 +174,21 @@ def labelling_normal_form(G: GramLattice) -> tuple[intmat.Matrix, GramLattice]:
     return T, standard
 
 
+def _labelling_gram(d: int) -> intmat.Matrix:
+    """The Gram of labelling_lattice(d), as a tuple, with no size check."""
+    if d % 8 == 2:
+        return ((-2, 0, 1), (0, -2, 0), (1, 0, 2 * ((d - 2) // 8)))
+    if d % 8 == 4:
+        return ((-2, 0, 1), (0, -2, 1), (1, 1, 2 * ((d - 4) // 8)))
+    raise DomainError("normal form defined for d = 2 or 4 (mod 8)")
+
+
 def labelling_lattice(d: int) -> GramLattice:
     """The normal-form labelling lattice of discriminant d = 2 or 4 (mod 8):
     ((-2,0,1),(0,-2,0),(1,0,2k)) with d = 2+8k, or
     ((-2,0,1),(0,-2,1),(1,1,2k)) with d = 4+8k."""
     _check_size(d)
-    if d % 8 == 2:
-        k = (d - 2) // 8
-        return GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2 * k)))
-    if d % 8 == 4:
-        k = (d - 4) // 8
-        return GramLattice(((-2, 0, 1), (0, -2, 1), (1, 1, 2 * k)))
-    raise DomainError("normal form defined for d = 2 or 4 (mod 8)")
+    return GramLattice(_labelling_gram(d))
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +209,16 @@ def hilb2_witness(d: int):
     if not ok:
         raise DomainError(f"d={d} is not an admissible discriminant")
     _check_size(d)
-    sol, _ = _star3(d, factorize(d))
+    sol, _ = _star3(d, _star2(d, factorize(d)))
     if sol is None:
         return None
-    L = labelling_lattice(d)
-    return L, _hilb2_witness(d, L, sol)
+    gram = _labelling_gram(d)
+    return GramLattice(gram), _hilb2_witness(d, gram, sol)
 
 
-def _hilb2_witness(d: int, L: GramLattice, sol: PellSolution):
+def _hilb2_witness(d: int, gram: intmat.Matrix, sol: PellSolution) -> tuple[int, int, int]:
     """The isotropic class w of hilb2_witness for admissible d, from
-    L = labelling_lattice(d) and the solution sol of P_{d/2}(-1)."""
+    gram = _labelling_gram(d) and the solution sol of P_{d/2}(-1)."""
     n, a = sol.n, sol.a
     if d % 8 == 0:
         raise AssertionError(f"a^2 d = 2n^2 + 2 is impossible for 8 | d = {d}")
@@ -229,7 +232,7 @@ def _hilb2_witness(d: int, L: GramLattice, sol: PellSolution):
         if a % 4 != 1:
             raise AssertionError(f"a = {a} is not 1 (mod 4), as a product of primes 1 (mod 4) is")
         w = ((a - 1) // 2, (a - n) // 2, a)
-    gw = intmat.mat_vec(L.gram, w)
+    gw = intmat.mat_vec(gram, w)
     if sum(map(mul, w, gw)):
         raise AssertionError(f"w = {w} is not isotropic")
     if gw[0] != 1:
@@ -468,13 +471,15 @@ def _primitive_two_squares(pairs: list[tuple[int, int]], a: int, b: int) -> tupl
     return None
 
 
-def _rank3_k3_witness(L: GramLattice, pairs: list[tuple[int, int]]) -> K3WitnessReport:
-    """k3_witness of a rank-3 labelling Gram with d = det L > 0, from
-    pairs = two_square_decompositions(d/2)."""
-    (_, _, a), (_, _, b), _ = L.gram
+def _rank3_plane(gram: intmat.Matrix, pairs: list[tuple[int, int]]) -> tuple | None:
+    """The plane of k3_witness on a rank-3 labelling Gram with
+    d = det gram > 0, from pairs = two_square_decompositions(d/2): the
+    tuple (v, w, g, g.g) of the basis (v, w) of U, the complement
+    generator g and its norm, or None when the lattice has no plane."""
+    (_, _, a), (_, _, b), _ = gram
     found = _primitive_two_squares(pairs, a, b)
     if found is None:
-        return K3WitnessReport(kind="rank3", status="proven-absent")
+        return None
     X, Y = found
     v = ((X + a) // 2, (Y + b) // 2, 1)
     # G v = (-X, -Y, t): u = (p, q, 0) has u.v = 1, and w = u + k v with
@@ -482,7 +487,7 @@ def _rank3_k3_witness(L: GramLattice, pairs: list[tuple[int, int]]) -> K3Witness
     one, p, q = xgcd(-X, -Y)
     k = p * p + q * q
     w = (p + k * v[0], q + k * v[1], k)
-    gv, gw = intmat.mat_vec(L.gram, v), intmat.mat_vec(L.gram, w)
+    gv, gw = intmat.mat_vec(gram, v), intmat.mat_vec(gram, w)
     if one != 1:
         raise AssertionError(f"gcd({X}, {Y}) = {one}, not 1")
     if sum(map(mul, v, gv)) or sum(map(mul, w, gw)) or sum(map(mul, v, gw)) != 1:
@@ -491,16 +496,10 @@ def _rank3_k3_witness(L: GramLattice, pairs: list[tuple[int, int]]) -> K3Witness
     g = (q * u - r * t, r * s - p * u, p * t - q * s)
     c = gcd(*g) if next(x for x in g if x) > 0 else -gcd(*g)
     g = tuple(x // c for x in g)
-    gen_norm = L.norm(g)
-    if gen_norm != -determinant(L):
+    gen_norm = sum(map(mul, g, intmat.mat_vec(gram, g)))
+    if gen_norm != -intmat.bareiss_det(gram):
         raise AssertionError(f"L = U + <g> forces g.g = -det L, g.g = {gen_norm}")
-    return K3WitnessReport(
-        kind="rank3",
-        status="found",
-        u_basis=(v, w),
-        complement_gen=g,
-        gen_norm=gen_norm,
-    )
+    return v, w, g, gen_norm
 
 
 # |x|, |y| box of the rank-4 k3_witness search
@@ -595,7 +594,13 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
             return K3WitnessReport(kind="rank3", status="proven-absent")
         if d > D_MAX:
             raise LatticeError(f"det L = {d} exceeds the supported limit D_MAX = {D_MAX}")
-        return _rank3_k3_witness(L, two_square_decompositions(d // 2))
+        plane = _rank3_plane(L.gram, two_square_decompositions(d // 2))
+        if plane is None:
+            return K3WitnessReport(kind="rank3", status="proven-absent")
+        v, w, g, gen_norm = plane
+        return K3WitnessReport(
+            kind="rank3", status="found", u_basis=(v, w), complement_gen=g, gen_norm=gen_norm
+        )
     if L.rank != 4:
         raise LatticeError("K3 witness search supports rank 3 and 4 lattices")
 
@@ -864,16 +869,6 @@ class DivisorReport:
         }
 
 
-def _k3_report_to_json(rep: K3WitnessReport) -> dict:
-    """The rank-3 report as classify publishes it."""
-    return {
-        "status": rep.status,
-        "u_basis": [list(v) for v in rep.u_basis] if rep.u_basis else None,
-        "complement_gen": list(rep.complement_gen) if rep.complement_gen else None,
-        "gen_norm": rep.gen_norm,
-    }
-
-
 def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     """Assemble the full report: admissibility, the three conditions, the
     Debarre-Macri flag, and constructive witnesses for every positive answer.
@@ -906,7 +901,7 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     factors = factorize(d)
     s2 = _star2(d, factors)
     s2t = factored_sum_of_two_squares(factors)
-    s3, qs = _star3(d, factors)
+    s3, qs = _star3(d, s2)
     dm = None if s3 is None else _p2d5_unsolvable(d, factors, qs)
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
@@ -919,13 +914,28 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             x, y, i = _twisted_witness(d, pairs)
             witnesses["twisted"] = {"x": x, "y": y, "i": i}
         if ok and d % 8 in (2, 4):
-            # one labelling lattice serves both witnesses (star3 implies
+            # one labelling Gram serves both witnesses (star3 implies
             # star2, which rules out d = 0, 6 (mod 8))
-            L = labelling_lattice(d)
+            gram = _labelling_gram(d)
             if s3 is not None:
-                w = _hilb2_witness(d, L, s3)
-                witnesses["hilb2"] = {"gram": [list(r) for r in L.gram], "w": list(w)}
-            witnesses["k3"] = _k3_report_to_json(_rank3_k3_witness(L, pairs))
+                w = _hilb2_witness(d, gram, s3)
+                witnesses["hilb2"] = {"gram": [list(r) for r in gram], "w": list(w)}
+            plane = _rank3_plane(gram, pairs)
+            if plane is None:
+                witnesses["k3"] = {
+                    "status": "proven-absent",
+                    "u_basis": None,
+                    "complement_gen": None,
+                    "gen_norm": None,
+                }
+            else:
+                v, w, g, gen_norm = plane
+                witnesses["k3"] = {
+                    "status": "found",
+                    "u_basis": [list(v), list(w)],
+                    "complement_gen": list(g),
+                    "gen_norm": gen_norm,
+                }
     return DivisorReport(
         d=d,
         admissible=ok,

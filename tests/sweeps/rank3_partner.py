@@ -8,7 +8,7 @@ import sys
 
 from gmlattice.arith import factorize, two_square_decompositions
 from gmlattice.lattice import hyperbolic_partner
-from gmlattice.oracle import _rank3_k3_witness, _star2, labelling_lattice
+from gmlattice.oracle import _rank3_plane, _star2, labelling_lattice
 
 
 def main(d_max=2 * 10**6):
@@ -17,7 +17,7 @@ def main(d_max=2 * 10**6):
         if d % 8 in (0, 6) or not _star2(d, factorize(d)):
             continue
         L = labelling_lattice(d)
-        v, w = _rank3_k3_witness(L, two_square_decompositions(d // 2)).u_basis
+        v, w, _, _ = _rank3_plane(L.gram, two_square_decompositions(d // 2))
         found += 1
         if w != hyperbolic_partner(L, v):
             bad.append(d)

@@ -79,6 +79,20 @@ def test_classify_rejects_argument_past_digit_limit(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("digits", [4300, 4301])  # either side of Python's default int-string limit
+@pytest.mark.parametrize(
+    "argv", [("classify",), ("witness", "k3"), ("witness", "twisted"), ("witness", "hilb2"), ("scan",)], ids="-".join
+)
+def test_a_refused_huge_argument_is_not_echoed_in_full(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "1" + "0" * (digits - 1))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+    assert f"1000000000...0000000000 ({digits} digits)" in err
+    if digits == 4300:
+        assert "D_MAX = 100000000000" in err
+
+
 def test_classify_past_size_limit_fails_at_once(capsys):
     code, out, err = run(capsys, "classify", "200000000000000000018")
     assert code == 1
@@ -360,7 +374,7 @@ def test_witness_hilb2_solves_pell_once(capsys, monkeypatch):
     ids=["classify", "classify-json", "witness-hilb2"],
 )
 def test_a_failed_re_check_exits_4_with_one_stderr_line(capsys, monkeypatch, argv):
-    def broken(d, L, sol):
+    def broken(d, gram, sol):
         raise AssertionError(f"w is not isotropic for d = {d}")
 
     monkeypatch.setattr(oracle, "_hilb2_witness", broken)

@@ -1,6 +1,7 @@
 """Decision procedures and witnesses for discriminants."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -565,24 +566,23 @@ def test_rank3_k3_witness_closed_form_equals_the_generic_route():
     draws = sorted({rng.choice(pool) for _ in range(8192)})
     for d in ds + draws:
         L = labelling_lattice(d)
-        rep = oracle._rank3_k3_witness(L, two_square_decompositions(d // 2))
-        v, w = rep.u_basis
-        assert (w, rep.complement_gen, rep.gen_norm) == _rank3_generic_route(L, v), d
+        v, w, g, gen_norm = oracle._rank3_plane(L.gram, two_square_decompositions(d // 2))
+        assert (w, g, gen_norm) == _rank3_generic_route(L, v), d
 
 
 def test_rank3_witness_rechecks_catch_a_wrong_gram_or_pair():
     # d = 10 with the Gram of d = 18: (2, 1) still solves P_5(-1), but
     # w = (0, 1, 1) is no longer isotropic
-    wrong = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 4)))
+    wrong = ((-2, 0, 1), (0, -2, 0), (1, 0, 4))
     with pytest.raises(AssertionError):
         oracle._hilb2_witness(10, wrong, negative_pell(5))
     # (1, 2) is the pair of d/2 = 5; the others are coprime with matching
     # parities but do not sum to 5, so v is not isotropic
-    L = labelling_lattice(10)
-    assert oracle._rank3_k3_witness(L, [(1, 2)]).found()
+    gram = oracle._labelling_gram(10)
+    assert oracle._rank3_plane(gram, [(1, 2)]) is not None
     for pair in ((1, 4), (3, 2), (1, 0)):
         with pytest.raises(AssertionError):
-            oracle._rank3_k3_witness(L, [pair])
+            oracle._rank3_plane(gram, [pair])
 
 
 def test_k3_witness_rank4_absence_vs_box_scan():
@@ -851,7 +851,7 @@ def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     present = absent = 0
     for d in range(52, 50_001, 2):
         factors = factorize(d)
-        sol, qs = oracle._star3(d, factors)
+        sol, qs = oracle._star3(d, oracle._star2(d, factors))
         if sol is None or oracle._p2d5_obstructed(d, factors):
             continue
         five = 5 in qs
@@ -897,11 +897,31 @@ def test_classify_walks_only_where_factors_leave_the_flags_open(monkeypatch, d, 
     [(10, 1), (20, 1), (26, 1), (12, 1), (16, 0), (6, 0)],  # star3 holds at 10, 20 and 26
 )
 def test_classify_builds_one_labelling_lattice(monkeypatch, d, built):
-    calls = []
-    monkeypatch.setattr(oracle, "labelling_lattice", lambda d: calls.append(d) or labelling_lattice(d))
+    # one labelling Gram, and no GramLattice around it
+    calls, lattices = [], []
+    monkeypatch.setattr(oracle, "_labelling_gram", lambda d, real=oracle._labelling_gram: calls.append(d) or real(d))
+    monkeypatch.setattr(oracle, "GramLattice", lambda gram: lattices.append(gram) or GramLattice(gram))
     rep = classify(d)
     assert len(calls) == built
+    assert lattices == []
     assert (rep.star3 is not None) == (rep.witnesses["hilb2"] is not None) == (d in (10, 20, 26))
+
+
+@pytest.mark.parametrize("d", [10, 12, 16, 26, 1000])
+def test_classify_checks_size_and_star2_once(monkeypatch, d):
+    calls = {"_check_size": 0, "_star2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    classify(d)
+    assert calls == {"_check_size": 1, "_star2": 1}
 
 
 @pytest.mark.parametrize("d", [10, 26, 58, 202, 1000, 4004])
@@ -909,7 +929,7 @@ def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
     # the twisted and the K3 witness read one list of the pairs
     # X^2 + Y^2 = d/2 (2d for odd d), built from the one factorization of d
     factored, built = [], []
-    read = {"_twisted_witness": [], "_rank3_k3_witness": []}
+    read = {"_twisted_witness": [], "_rank3_plane": []}
 
     def counted(fn, log):
         def wrapper(*args):
@@ -938,9 +958,31 @@ def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
     assert len(built) == rep.star2_twisted  # 4004 = 4 * 7 * 11 * 13 has no pair
     pairs = built[0] if built else []
     assert read["_twisted_witness"] == ([pairs] if rep.star2_twisted else [])
-    assert read["_rank3_k3_witness"] == ([] if d % 8 == 0 else [pairs])
+    assert read["_rank3_plane"] == ([] if d % 8 == 0 else [pairs])
     for args in read.values():
         assert all(got is pairs for got in args if pairs)
+
+
+def test_classify_witnesses_equal_the_public_witness_functions():
+    # classify writes its witness dicts from the private helpers; each must
+    # stay, field for field and in key order, what the public function gives
+    for d in range(2, 20_001):
+        if not admissible(d)[0]:
+            continue
+        twisted, hilb2 = twisted_witness(d), hilb2_witness(d)
+        k3 = k3_witness(labelling_lattice(d)) if d % 8 else None
+        expected = {
+            "twisted": twisted and dict(zip("xyi", twisted)),
+            "hilb2": hilb2 and {"gram": [list(r) for r in hilb2[0].gram], "w": list(hilb2[1])},
+            "k3": k3 and {
+                "status": k3.status,
+                "u_basis": [list(v) for v in k3.u_basis] if k3.found() else None,
+                "complement_gen": list(k3.complement_gen) if k3.found() else None,
+                "gen_norm": k3.gen_norm,
+            },
+        }
+        got = classify(d).witnesses
+        assert got == expected and json.dumps(got) == json.dumps(expected), d
 
 
 def test_classify_d50():
@@ -1072,13 +1114,13 @@ def test_no_assert_statement_under_src():
         # 2 it has norm 2
         (
             "from gmlattice.pell import negative_pell",
-            "oracle._hilb2_witness(10, GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 4))), negative_pell(5))",
+            "oracle._hilb2_witness(10, ((-2, 0, 1), (0, -2, 0), (1, 0, 4)), negative_pell(5))",
             "w = (0, 1, 1) is not isotropic",
         ),
         # (3, 2) has the parities of d = 10's Gram but sums to 13, not d/2 = 5
         (
             "",
-            "oracle._rank3_k3_witness(oracle.labelling_lattice(10), [(3, 2)])",
+            "oracle._rank3_plane(oracle._labelling_gram(10), [(3, 2)])",
             "((2, 1, 1), (3, 3, 2)) does not span U",
         ),
         # a square root one too large breaks the two-square pair of 13
