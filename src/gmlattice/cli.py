@@ -21,10 +21,12 @@ import os
 import re
 import sys
 
+from .arith import two_square_decompositions
 from .discriminant import discriminant_group
 from .errors import DomainError
 from .intmat import smith_normal_form_full
 from .lattice import (
+    GramLattice,
     Sublattice,
     determinant,
     find_hyperbolic_plane,
@@ -35,15 +37,15 @@ from .lattice import (
 )
 from .oracle import (
     D_MAX,
-    K3WitnessReport,
     _check_size,
+    _k3_entry,
+    _labelling_gram,
+    _rank3_plane,
     admissible,
     classify,
     counterexample_family,
     hilb2_witness,
-    k3_witness,
     labelling_det,
-    labelling_lattice,
     twisted_witness,
 )
 from .pell import PellSolution
@@ -269,28 +271,23 @@ def _witness_twisted(d):
 
 
 def _witness_k3(d):
-    # 8 | d has no normal form, and no labelling of it has a plane
-    # ("Absent, 8 | d" in k3_witness)
-    L = labelling_lattice(d) if d % 8 else None
-    rep = k3_witness(L) if L else K3WitnessReport(kind="rank3", status="proven-absent")
-    payload = {
-        "d": d,
-        "status": rep.status,
-        "u_basis": _rows(rep.u_basis) if rep.u_basis else None,
-        "complement_gen": list(rep.complement_gen) if rep.complement_gen else None,
-        "gen_norm": rep.gen_norm,
-    }
-    if rep.status != "found":
+    # classify's route: 8 | d has no normal form, and no labelling of it has
+    # a plane ("Absent, 8 | d" in k3_witness)
+    _check_size(d)
+    gram = _labelling_gram(d) if d % 8 else None
+    plane = _rank3_plane(gram, two_square_decompositions(d // 2)) if gram else None
+    payload = {"d": d, **_k3_entry(plane)}
+    if plane is None:
         return EXIT_NO_WITNESS, payload, [
             f"no witness: d = {d} has no hyperbolic plane because the K3 condition "
             "fails (condition failed)"
         ]
-    v, w = rep.u_basis
+    v, w, g, gen_norm = plane
     return EXIT_OK, payload, [
-        f"d = {d}: hyperbolic plane found in gram {_rows(L.gram)}",
+        f"d = {d}: hyperbolic plane found in gram {_rows(gram)}",
         f"v = {v}, w = {w}",
-        _transcript(_plane_transcript(L, v, w)),
-        f"complement generator g = {rep.complement_gen} with g.g = {rep.gen_norm}",
+        _transcript(_plane_transcript(GramLattice(gram), v, w)),
+        f"complement generator g = {g} with g.g = {gen_norm}",
     ]
 
 
@@ -324,7 +321,6 @@ def cmd_witness(args):
         raise DomainError(f"witness {args.kind} needs a discriminant argument")
     if not admissible(args.d)[0]:
         raise DomainError(f"d={args.d} is not an admissible discriminant")
-    _check_size(args.d)
     witness = {"hilb2": _witness_hilb2, "twisted": _witness_twisted, "k3": _witness_k3}
     return witness[args.kind](args.d)
 

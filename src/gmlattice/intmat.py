@@ -6,7 +6,10 @@ Determinant, rank and inertia first split the matrix by the connected
 components of its nonzero pattern and eliminate each block on its own, so
 an orthogonal direct sum such as the rank-22 vanishing lattice
 E8^2 + U^2 + I(2,0)(2) costs a few 8x8 eliminations, not one cubic
-elimination of rank 22.  A 3x3 determinant is the cofactor expansion
+elimination of rank 22.  Determinant and inertia move rows and columns
+together, so each block is square and the determinant is the product of
+the blocks' with no sign; only rank, whose matrices are rectangular, moves
+them apart.  A 3x3 determinant is the cofactor expansion
 instead: one expression of twelve products costs less than the
 elimination's row loop.  Dot products run as sum(map(mul, ...)), whose
 inner loop is in C.
@@ -104,15 +107,20 @@ def _bareiss(M: Matrix) -> tuple[int, int]:
 _SPLIT_MIN = 12
 
 
-def _blocks(M: Matrix, n: int, symmetric: bool = False) -> list[tuple[list[int], list[int]]]:
+def _blocks(M: Matrix, n: int, together: bool = False) -> list[tuple[list[int], list[int]]]:
     """(rows, columns) of each connected component of the bipartite graph
     joining row i to column j where M[i][j] != 0, for M with n columns,
     each ascending.  Every nonzero entry lies inside one block, so
     permuting the rows and the columns into block order makes M block
     diagonal; a zero row is the block ([i], []) and a zero column
-    ([], [j]).  With symmetric, row i is also joined to column i: for a
-    symmetric M the blocks are then the components of the graph joining i
-    to j where M[i][j] != 0, with rows == columns.
+    ([], [j]).
+
+    With together, for a square M, row i is also joined to column i.  A
+    column j then brings row j into its block, so every block's rows
+    equal its columns, whether or not M is symmetric: one permutation P
+    moves rows and columns together, and P M P^T is block diagonal with
+    square blocks.  For a symmetric M these are the components of the
+    graph joining i to j where M[i][j] != 0.
 
     Rows go in one at a time; each block met by the row's nonzero columns
     merges into the row's block.
@@ -121,7 +129,7 @@ def _blocks(M: Matrix, n: int, symmetric: bool = False) -> list[tuple[list[int],
     blocks = []  # (rows, set of columns)
     for i, row in enumerate(M):
         rows, cols = [i], set(compress(r, row))
-        if symmetric:
+        if together:
             cols.add(i)
         apart = []
         for block in blocks:
@@ -141,49 +149,27 @@ def _submatrix(M: Matrix, rows: list[int], cols: list[int]) -> list[list[int]]:
     return [list(map(M[i].__getitem__, cols)) for i in rows]
 
 
-def _sign(perm: list[int]) -> int:
-    """The sign of a permutation of 0, ..., len(perm) - 1: a cycle of
-    length k is k - 1 transpositions."""
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            seen[j] = True
-            j = perm[j]
-            sign = -sign
-    return sign
-
-
 def bareiss_det(M: Matrix) -> int:
     """Exact determinant of a square matrix: the cofactor expansion along
     the first row for a 3x3, fraction-free elimination by blocks for every
     other size.
 
-    Let sigma list the rows and tau the columns block by block (see
-    ``_blocks``).  The matrix P_sigma M P_tau is block diagonal, so
-    det M = sgn(sigma) sgn(tau) prod det(block) when every block is square.
-    Otherwise some block has more rows than columns, its rows are
-    dependent, and det M = 0.  A matrix that is not square keeps the
-    signed last pivot of one whole elimination.
+    The blocks of ``_blocks(M, n, together=True)`` are square, and one
+    permutation P of rows and columns alike makes P M P^T block diagonal,
+    so det M = prod det(block), with no sign.  A matrix that is not square
+    keeps the signed last pivot of one whole elimination.
     """
     n = len(M)
     if n == 3 and len(M[0]) == len(M[1]) == len(M[2]) == 3:
         (a, b, c), (d, e, f), (g, h, i) = M
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n < _SPLIT_MIN or any(len(row) != n for row in M) or len(blocks := _blocks(M, n)) == 1:
+    if n < _SPLIT_MIN or any(len(row) != n for row in M) or len(blocks := _blocks(M, n, together=True)) == 1:
         r, pivot = _bareiss(M)
         return pivot if r == n else 0
-    if any(len(rows) != len(cols) for rows, cols in blocks):
-        return 0
-    det = _sign([i for rows, _ in blocks for i in rows])
-    det *= _sign([j for _, cols in blocks for j in cols])
-    for rows, cols in blocks:
-        r, pivot = _bareiss(_submatrix(M, rows, cols))
-        if r < len(rows):
+    det = 1
+    for idx, _ in blocks:
+        r, pivot = _bareiss(_submatrix(M, idx, idx))
+        if r < len(idx):
             return 0
         det *= pivot
     return det
@@ -233,7 +219,7 @@ def inertia(M: Matrix) -> tuple[int, int, int]:
     linear in their row and column, so the Bareiss divisions stay exact.
     Once the active block is zero, the rest of the form is null.
     """
-    if len(M) < _SPLIT_MIN or len(blocks := _blocks(M, len(M), symmetric=True)) == 1:
+    if len(M) < _SPLIT_MIN or len(blocks := _blocks(M, len(M), together=True)) == 1:
         return _inertia(M)
     pos = neg = null = 0
     for idx, _ in blocks:
@@ -340,8 +326,8 @@ def invariant_factors(M: Matrix) -> list[int]:
 
 def rank(M: Matrix) -> int:
     """Rank over Q: the number of Bareiss pivots, summed over the blocks of
-    ``_blocks``.  The rows and columns permute M into a block-diagonal
-    matrix, whose rank is the sum of the blocks' ranks."""
+    ``_blocks``.  The rows and the columns, each permuted on its own, make
+    M block diagonal, and its rank is the sum of the blocks' ranks."""
     n = len(M[0]) if M else 0
     if len(M) < _SPLIT_MIN or n < _SPLIT_MIN or len(blocks := _blocks(M, n)) == 1:
         return _bareiss(M)[0]

@@ -475,7 +475,12 @@ def _rank3_plane(gram: intmat.Matrix, pairs: list[tuple[int, int]]) -> tuple | N
     """The plane of k3_witness on a rank-3 labelling Gram with
     d = det gram > 0, from pairs = two_square_decompositions(d/2): the
     tuple (v, w, g, g.g) of the basis (v, w) of U, the complement
-    generator g and its norm, or None when the lattice has no plane."""
+    generator g and its norm, or None when the lattice has no plane.
+
+    G v x G w pairs to 0 with both v and w, so g, that vector over its
+    content, spans U^perp in L.  U is unimodular, so L = U + <g> and
+    det L = det U * g.g = -g.g; the last re-check holds g to that.
+    """
     (_, _, a), (_, _, b), _ = gram
     found = _primitive_two_squares(pairs, a, b)
     if found is None:
@@ -500,6 +505,15 @@ def _rank3_plane(gram: intmat.Matrix, pairs: list[tuple[int, int]]) -> tuple | N
     if gen_norm != -intmat.bareiss_det(gram):
         raise AssertionError(f"L = U + <g> forces g.g = -det L, g.g = {gen_norm}")
     return v, w, g, gen_norm
+
+
+def _k3_entry(plane: tuple | None) -> dict:
+    """The "k3" witness of classify, as JSON data, from a _rank3_plane
+    result."""
+    if plane is None:
+        return {"status": "proven-absent", "u_basis": None, "complement_gen": None, "gen_norm": None}
+    v, w, g, gen_norm = plane
+    return {"status": "found", "u_basis": [list(v), list(w)], "complement_gen": list(g), "gen_norm": gen_norm}
 
 
 # |x|, |y| box of the rank-4 k3_witness search
@@ -920,22 +934,7 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             if s3 is not None:
                 w = _hilb2_witness(d, gram, s3)
                 witnesses["hilb2"] = {"gram": [list(r) for r in gram], "w": list(w)}
-            plane = _rank3_plane(gram, pairs)
-            if plane is None:
-                witnesses["k3"] = {
-                    "status": "proven-absent",
-                    "u_basis": None,
-                    "complement_gen": None,
-                    "gen_norm": None,
-                }
-            else:
-                v, w, g, gen_norm = plane
-                witnesses["k3"] = {
-                    "status": "found",
-                    "u_basis": [list(v), list(w)],
-                    "complement_gen": list(g),
-                    "gen_norm": gen_norm,
-                }
+            witnesses["k3"] = _k3_entry(_rank3_plane(gram, pairs))
     return DivisorReport(
         d=d,
         admissible=ok,

@@ -1,7 +1,8 @@
 """The closed-form rank-3 K3 partner equals hyperbolic_partner's for every
-admissible d <= d_max with star2.
+admissible d <= d_max with star2.  The check raises explicitly, so the
+sweep also holds under python -O, with _rank3_plane's re-checks in place.
 
-Run: python tests/sweeps/rank3_partner.py [d_max]   (default 2*10^6)
+Run: python -O tests/sweeps/rank3_partner.py [d_max]   (default 2*10^6)
 """
 
 import sys
@@ -21,7 +22,8 @@ def main(d_max=2 * 10**6):
         found += 1
         if w != hyperbolic_partner(L, v):
             bad.append(d)
-    assert not bad, bad[:10]
+    if bad:
+        raise AssertionError(f"the partners differ at d = {bad[:10]}")
     print(found, 'rank-3 partners equal the hyperbolic_partner route')
 
 

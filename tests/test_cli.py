@@ -114,6 +114,11 @@ STABLE_OUTPUTS = {
     ("scan", "1000"): "0da0f11d6d1fe4de4fbaf4ca6a40e28b8504c5627fdab51c98eab14860bd28fc",
     ("scan", "20000"): "5f1555c22a3140a5d34d77c5ff8af3233ee68b9b58cf58c7e313dc74dd41ba33",
     ("verify-paper",): "0c196779073c608c7cd54a55ab91b2b46ef8646fb87b5fc5da1c29e23163e396",
+    # the slowest known d below D_MAX for the rank-3 K3 plane and the twisted pair
+    ("witness", "k3", "99997120658"): "3c6d8a172f733e8cf0c1a290a85dc8f080525562049dab4c69963993dda159bb",
+    ("witness", "k3", "99997120658", "--json"): "31efe33c08b7bf863ed07c2645dcfebfe4910b2189552793f686edc6803b039f",
+    ("witness", "twisted", "99997120658"): "b8c008de64ac75813c2a9d3b71524f539459f23551090725ac5294ce7de3b2b0",
+    ("witness", "twisted", "99997120658", "--json"): "36f36f6a54590cefc4b2979039f1351198bd7165cc66fbce051ebde65ef54b3d",
 }
 
 

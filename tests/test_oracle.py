@@ -44,7 +44,7 @@ from gmlattice import (
 from gmlattice.arith import factored_sum_of_two_squares, factorize, two_square_decompositions
 from gmlattice.oracle import K3_RANK4_BOX, labelling_det
 from gmlattice.pell import negative_pell, pell_solvable
-from gmlattice import intmat, oracle
+from gmlattice import cli, intmat, oracle
 
 
 def flags(d):
@@ -924,6 +924,45 @@ def test_classify_checks_size_and_star2_once(monkeypatch, d):
     assert calls == {"_check_size": 1, "_star2": 1}
 
 
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named function through every gmlattice
+    module that binds it; returns {name: count}."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("gmlattice.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("kind, d", [("k3", 10), ("k3", 16), ("twisted", 10), ("hilb2", 10)])
+def test_witness_checks_size_once(monkeypatch, capsys, kind, d, json_flag):
+    # the CLI leaves the size check to the route it calls; 16 = 0 (mod 8)
+    # needs no labelling Gram
+    calls = _count_calls(monkeypatch, ["_check_size"])
+    assert cli.main(["witness", kind, str(d), *json_flag]) in (0, 3)
+    assert calls == {"_check_size": 1}
+    assert capsys.readouterr().err == ""
+
+
+def test_witness_k3_takes_the_route_of_classify(monkeypatch, capsys):
+    # no K3WitnessReport is built, no Pell equation is solved, and the
+    # "k3" entry is classify's
+    calls = _count_calls(monkeypatch, ["K3WitnessReport", "_half_period"])
+    assert cli.main(["witness", "k3", "10", "--json"]) == 0
+    assert calls == {"K3WitnessReport": 0, "_half_period": 0}
+    assert json.loads(capsys.readouterr().out) == {"d": 10, **classify(10).witnesses["k3"]}
+
+
 @pytest.mark.parametrize("d", [10, 26, 58, 202, 1000, 4004])
 def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
     # the twisted and the K3 witness read one list of the pairs
@@ -1136,8 +1175,14 @@ def test_no_assert_statement_under_src():
             "((2, 0, 4, 0), (0, 2, 2, 2), (4, 2, 0, 1), (0, 2, 1, 0)) twisted by -1 with kappa2 negated"
             " is not the model ((-2, 0, -4, 0), (0, -2, -2, 4), (-4, -2, 0, 1), (0, 4, 1, 0))",
         ),
+        # a determinant one too large: L = U + <g> pins g.g = -det L = -10
+        (
+            "from gmlattice import intmat\nreal = intmat.bareiss_det\nintmat.bareiss_det = lambda M: real(M) + 1",
+            "oracle._rank3_plane(oracle._labelling_gram(10), [(1, 2)])",
+            "L = U + <g> forces g.g = -det L, g.g = -10",
+        ),
     ],
-    ids=["hilb2_witness", "rank3_k3_witness", "prime_two_squares", "counterexample_general"],
+    ids=["hilb2_witness", "rank3_k3_witness", "prime_two_squares", "counterexample_general", "rank3_k3_complement"],
 )
 def test_re_check_survives_python_O(setup, call, message):
     # each re-check raises explicitly, so python -O cannot strip it
