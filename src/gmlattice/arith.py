@@ -2,12 +2,16 @@
 
 Everything here works on unbounded Python integers.  Discriminants, and
 the values ``forms.find_prime_1mod4`` tests, go up to ``D_MAX = 10**11``,
-so trial division runs to about 3.2 * 10**5.
+so trial division runs to about 3.2 * 10**5.  ``prime_powers`` is the one
+trial division that factors: ``factorize`` collects it into a dict, and a
+caller that needs only part of the factorization stops reading it early.
+``is_prime`` divides on its own, only up to the first factor.
 The sums of two squares are built from the factorization in the Gaussian
 integers, with no scan: each prime p = 1 (mod 4) costs one modular power
 and a Euclid of about log p steps.
 """
 
+from collections.abc import Iterator
 from itertools import count
 from math import isqrt
 
@@ -25,6 +29,7 @@ __all__ = [
     "factorize",
     "is_prime",
     "is_square",
+    "prime_powers",
     "two_square_decompositions",
     "xgcd",
 ]
@@ -68,26 +73,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, {prime: exponent}."""
+def prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (p, e) with p**e exactly dividing n >= 1, by increasing p.
+
+    The package's one trial division that factors: 2, 3, then both
+    members of each 6k +- 1 pair while the square of the smaller is at
+    most what is left of n; what remains above 1 is prime.  A caller that
+    stops reading stops the division there.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
     for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                e += 1
+                n //= p
+            yield p, e
     f = 5
     while f * f <= n:
         if n % f == 0 or n % (f + 2) == 0:
             for p in (f, f + 2):
-                while n % p == 0:
-                    out[p] = out.get(p, 0) + 1
-                    n //= p
+                if n % p == 0:
+                    e = 0
+                    while n % p == 0:
+                        e += 1
+                        n //= p
+                    yield p, e
         f += 6
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        yield n, 1
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1, {prime: exponent} by increasing prime."""
+    return dict(prime_powers(n))
 
 
 def factored_sum_of_two_squares(factors: dict[int, int]) -> bool:

@@ -12,7 +12,8 @@ the blocks' with no sign; only rank, whose matrices are rectangular, moves
 them apart.  A 3x3 determinant is the cofactor expansion
 instead: one expression of twelve products costs less than the
 elimination's row loop.  Dot products run as sum(map(mul, ...)), whose
-inner loop is in C.
+inner loop is in C; a matrix product adds up rows of the right factor
+and skips the zero entries of the left one.
 
 All routines take and return immutable tuples of tuples of Python ints, so
 results are hashable and safe to share between threads.  No floating point is
@@ -58,8 +59,17 @@ def transpose(M: Matrix) -> Matrix:
 
 
 def mat_mul(A, B) -> Matrix:
-    Bt = list(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
+    """A B, each row the sum of the rows of B weighted by the nonzero
+    entries of that row of A: a sparse basis times a Gram skips its zeros."""
+    zero = (0,) * len(B[0]) if B else ()
+    out = []
+    for row in A:
+        acc = zero
+        for a, b in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(A, v) -> tuple[int, ...]:

@@ -23,9 +23,8 @@ from operator import mul
 
 from .arith import (
     D_MAX,
-    factored_sum_of_two_squares,
     factored_two_square_decompositions,
-    factorize,
+    prime_powers,
     two_square_decompositions,
     xgcd,
 )
@@ -80,13 +79,29 @@ def admissible(d: int) -> tuple[bool, str]:
     return False, "inadmissible"
 
 
-def _star2(d: int, factors: dict[int, int]) -> bool:
-    return d % 8 != 0 and all(p % 4 != 3 for p in factors)
+def _local_flags(d: int) -> tuple[dict[int, int] | None, bool, bool]:
+    """(factors, star2, twisted) for d > 0, from one pass over prime_powers(d).
+
+    star2: 8 does not divide d and no prime 3 (mod 4) divides d.  twisted:
+    every prime 3 (mod 4) divides d to an even power.  Both are local, so
+    the pass stops at the first prime 3 (mod 4) to an odd power, where both
+    fail, and factors is then None: nothing reads the factors of a d
+    without the twisted condition.  Otherwise factors = factorize(d).
+    """
+    factors = {}
+    star2 = d % 8 != 0
+    for p, e in prime_powers(d):
+        if p % 4 == 3:
+            if e % 2:
+                return None, False, False
+            star2 = False
+        factors[p] = e
+    return factors, star2, True
 
 
 def _star3(d: int, star2: bool) -> tuple[PellSolution | None, list[int]]:
     """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for d > 0 with star2 = _star2(d, factorize(d)), or None, and the Q_k of
+    for d > 0 with star2 from _local_flags(d), or None, and the Q_k of
     the half period of sqrt(d/2) walked for it (empty where none was).
 
     A solution makes -1 a square mod every odd p | d and rules out
@@ -110,8 +125,8 @@ def twisted_witness(d: int):
     if d <= 0:
         return None
     _check_size(d)
-    factors = factorize(d)
-    if not factored_sum_of_two_squares(factors):
+    factors, _, twisted = _local_flags(d)
+    if not twisted:
         return None
     return _twisted_witness(d, _twisted_pairs(d, factors))
 
@@ -209,7 +224,7 @@ def hilb2_witness(d: int):
     if not ok:
         raise DomainError(f"d={d} is not an admissible discriminant")
     _check_size(d)
-    sol, _ = _star3(d, _star2(d, factorize(d)))
+    sol, _ = _star3(d, _local_flags(d)[1])
     if sol is None:
         return None
     gram = _labelling_gram(d)
@@ -413,7 +428,7 @@ def lemma_checks(qa: QFormAnalysis) -> LemmaReport:
     return LemmaReport(
         all_even=all_even,
         h=qa.h,
-        h_odd_primes_1mod4=all(p % 4 != 3 for p in factorize(qa.h) if p % 2),
+        h_odd_primes_1mod4=all(p % 4 != 3 for p, _ in prime_powers(qa.h)),
         h_not_div_8=None if all_even else qa.h % 8 != 0,
         a_not_3mod4=qa.q.a % 4 != 3,
         c_not_3mod4=qa.q.c % 4 != 3,
@@ -631,7 +646,7 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
         return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa)
     for x, y in _shell_pairs(K3_RANK4_BOX):
         raw = qa.Q(x, y)
-        if 0 < raw <= D_MAX and _star2(raw, factorize(raw)):
+        if 0 < raw <= D_MAX and _local_flags(raw)[1]:
             return K3WitnessReport(
                 kind="rank4", status="found", xy=(x, y), disc_raw=raw, qform=qa
             )
@@ -891,11 +906,13 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     decision flags (microseconds instead of milliseconds per discriminant).
     Raises DomainError for d > D_MAX.
 
-    This is the package's one decider of the four flags.  d is factored
-    once, and sqrt(d/2) is walked at most once: P_{d/2}(-1) only where
-    star2 holds (``_star3``), and P_{2d}(5) is read off the Q_k of that
-    same half period where no local obstruction (``_p2d5_obstructed``)
-    already makes it unsolvable (``_p2d5_unsolvable``).
+    This is the package's one decider of the four flags.  d is trial
+    divided once, and only up to the first prime 3 (mod 4) to an odd
+    power (``_local_flags``), and sqrt(d/2) is walked at most once:
+    P_{d/2}(-1) only where star2 holds (``_star3``), and P_{2d}(5) is read
+    off the Q_k of that same half period where no local obstruction
+    (``_p2d5_obstructed``) already makes it unsolvable
+    (``_p2d5_unsolvable``).
     """
     _check_size(d)
     ok, label = admissible(d)
@@ -910,11 +927,10 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
             dm_isomorphic=None,
             witnesses={"twisted": None, "hilb2": None, "k3": None},
         )
-    # factor d once and walk sqrt(d/2) at most once; every flag and
+    # one pass over the prime powers of d, stopped where the twisted
+    # condition fails, and sqrt(d/2) walked at most once; every flag and
     # witness reuses them
-    factors = factorize(d)
-    s2 = _star2(d, factors)
-    s2t = factored_sum_of_two_squares(factors)
+    factors, s2, s2t = _local_flags(d)
     s3, qs = _star3(d, s2)
     dm = None if s3 is None else _p2d5_unsolvable(d, factors, qs)
 

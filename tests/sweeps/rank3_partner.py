@@ -7,15 +7,15 @@ Run: python -O tests/sweeps/rank3_partner.py [d_max]   (default 2*10^6)
 
 import sys
 
-from gmlattice.arith import factorize, two_square_decompositions
+from gmlattice.arith import two_square_decompositions
 from gmlattice.lattice import hyperbolic_partner
-from gmlattice.oracle import _rank3_plane, _star2, labelling_lattice
+from gmlattice.oracle import _local_flags, _rank3_plane, labelling_lattice
 
 
 def main(d_max=2 * 10**6):
     bad, found = [], 0
     for d in range(2, d_max + 1, 2):
-        if d % 8 in (0, 6) or not _star2(d, factorize(d)):
+        if d % 8 in (0, 6) or not _local_flags(d)[1]:
             continue
         L = labelling_lattice(d)
         v, w, _, _ = _rank3_plane(L.gram, two_square_decompositions(d // 2))

@@ -106,6 +106,31 @@ def _naive_pairing(G, v, w):
     return sum(v[i] * G[i][j] * w[j] for i in range(n) for j in range(n))
 
 
+def test_mat_mul_equals_the_dot_product_definition():
+    # mat_mul adds up rows of B over the nonzero entries of A; entry (i, j)
+    # must stay the dot product of row i of A and column j of B
+    rng = Random(35)
+
+    def matrix(m, n, density):
+        return tuple(
+            tuple(rng.randint(-(10**30), 10**30) if rng.random() < density else 0 for _ in range(n))
+            for _ in range(m)
+        )
+
+    shapes = [(22, 24, 24), (24, 24, 22), (3, 3, 3), (2, 2, 2), (1, 5, 7), (7, 5, 1)]
+    shapes += [tuple(rng.randint(1, 12) for _ in range(3)) for _ in range(200)]
+    for m, k, n in shapes:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            A, B = matrix(m, k, density), matrix(k, n, 1 - density)
+            got = intmat.mat_mul(A, B)
+            assert got == tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B)) for row in A)
+            assert all(type(x) is int for row in got for x in row)
+    # empty on each side: m x 0 times 0 x n has no column to read n from
+    assert intmat.mat_mul((), ((1, 2),)) == ()
+    assert intmat.mat_mul(((),) * 3, ()) == ((),) * 3
+    assert intmat.mat_mul(((1, 0),), ((), ())) == ((),)
+
+
 def test_kernels_match_index_loops():
     rng = Random(25)
 

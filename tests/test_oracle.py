@@ -41,7 +41,7 @@ from gmlattice import (
     twist,
     twisted_witness,
 )
-from gmlattice.arith import factored_sum_of_two_squares, factorize, two_square_decompositions
+from gmlattice.arith import factored_sum_of_two_squares, factorize, prime_powers, two_square_decompositions
 from gmlattice.oracle import K3_RANK4_BOX, labelling_det
 from gmlattice.pell import negative_pell, pell_solvable
 from gmlattice import cli, intmat, oracle
@@ -850,8 +850,8 @@ def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     # sqrt(2d) on its own and is the independent reference
     present = absent = 0
     for d in range(52, 50_001, 2):
-        factors = factorize(d)
-        sol, qs = oracle._star3(d, oracle._star2(d, factors))
+        factors, star2, _ = oracle._local_flags(d)
+        sol, qs = oracle._star3(d, star2)
         if sol is None or oracle._p2d5_obstructed(d, factors):
             continue
         five = 5 in qs
@@ -909,7 +909,7 @@ def test_classify_builds_one_labelling_lattice(monkeypatch, d, built):
 
 @pytest.mark.parametrize("d", [10, 12, 16, 26, 1000])
 def test_classify_checks_size_and_star2_once(monkeypatch, d):
-    calls = {"_check_size": 0, "_star2": 0}
+    calls = {"_check_size": 0, "_local_flags": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -921,7 +921,7 @@ def test_classify_checks_size_and_star2_once(monkeypatch, d):
     for name in calls:
         monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
     classify(d)
-    assert calls == {"_check_size": 1, "_star2": 1}
+    assert calls == {"_check_size": 1, "_local_flags": 1}
 
 
 def _count_calls(monkeypatch, names):
@@ -966,7 +966,8 @@ def test_witness_k3_takes_the_route_of_classify(monkeypatch, capsys):
 @pytest.mark.parametrize("d", [10, 26, 58, 202, 1000, 4004])
 def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
     # the twisted and the K3 witness read one list of the pairs
-    # X^2 + Y^2 = d/2 (2d for odd d), built from the one factorization of d
+    # X^2 + Y^2 = d/2 (2d for odd d), built from the one pass over the
+    # prime powers of d
     factored, built = [], []
     read = {"_twisted_witness": [], "_rank3_plane": []}
 
@@ -986,9 +987,9 @@ def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
         return wrapper
 
     for module in [m for n, m in sys.modules.items() if n.startswith("gmlattice.")]:
-        for name in ("factorize", "two_square_decompositions", "factored_two_square_decompositions"):
+        for name in ("prime_powers", "two_square_decompositions", "factored_two_square_decompositions"):
             if hasattr(module, name):
-                log = factored if name == "factorize" else built
+                log = factored if name == "prime_powers" else built
                 monkeypatch.setattr(module, name, counted(getattr(module, name), log))
     for name in read:
         monkeypatch.setattr(oracle, name, reading(name, getattr(oracle, name)))
@@ -1000,6 +1001,47 @@ def test_classify_factors_once_and_builds_one_list_of_pairs(monkeypatch, d):
     assert read["_rank3_plane"] == ([] if d % 8 == 0 else [pairs])
     for args in read.values():
         assert all(got is pairs for got in args if pairs)
+
+
+@pytest.mark.parametrize(
+    "d, read",
+    [
+        # 2 * 3 * 16666666631: 3 to an odd power ends the pass
+        (99999999786, [(2, 1), (3, 1)]),
+        # 2 * 3^2 * 5555555519: 3^2 fails star2 only, so the pass reads on
+        # to the last prime, which is 3 (mod 4) too
+        (99999999342, [(2, 1), (3, 2), (5555555519, 1)]),
+    ],
+)
+def test_classify_stops_at_the_first_odd_power_of_a_prime_3_mod_4(monkeypatch, d, read):
+    pulled = []
+
+    def recorded(n):
+        for pe in prime_powers(n):
+            pulled.append(pe)
+            yield pe
+
+    monkeypatch.setattr(oracle, "prime_powers", recorded)
+    rep = classify(d)
+    assert pulled == read
+    assert (rep.star2, rep.star2_twisted) == (False, False)
+    pulled.clear()
+    assert twisted_witness(d) is None
+    assert pulled == read
+
+
+def test_local_flags_equal_the_definitions_on_the_factorization():
+    # star2: 8 does not divide d and no prime 3 (mod 4) divides it;
+    # twisted: every prime 3 (mod 4) divides it to an even power; the
+    # factors are read only where the twisted condition holds
+    rng = Random(35)
+    for d in [*range(1, 20_001), *(rng.randint(1, D_MAX) for _ in range(300))]:
+        factors = factorize(d)
+        star2 = d % 8 != 0 and all(p % 4 != 3 for p in factors)
+        twisted = factored_sum_of_two_squares(factors)
+        got = oracle._local_flags(d)
+        assert got == ((factors if twisted else None), star2, twisted), d
+        assert (got[0] is None) is not twisted, d
 
 
 def test_classify_witnesses_equal_the_public_witness_functions():
