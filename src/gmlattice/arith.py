@@ -8,7 +8,8 @@ caller that needs only part of the factorization stops reading it early.
 ``is_prime`` divides on its own, only up to the first factor.
 The sums of two squares are built from the factorization in the Gaussian
 integers, with no scan: each prime p = 1 (mod 4) costs one modular power
-and a Euclid of about log p steps.
+and a Euclid of about log p steps, and its splits pi**k conj(pi)**(e-k)
+are stepped one from the next by an exact division by p.
 """
 
 from collections.abc import Iterator
@@ -135,11 +136,6 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
     return min(b, y), max(b, y)
 
 
-def _gauss_mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
-    (a, b), (c, d) = z, w
-    return a * c - b * d, a * d + b * c
-
-
 def factored_two_square_decompositions(factors: dict[int, int]) -> list[tuple[int, int]]:
     """Every pair (x, y) with 0 <= x <= y and x**2 + y**2 = n, by increasing
     x, for n >= 1 given as its factorization {prime: exponent} (an exponent
@@ -149,6 +145,9 @@ def factored_two_square_decompositions(factors: dict[int, int]) -> list[tuple[in
     conjugation: the product of (1+i)**e for 2, of q**(e/2) for each
     q = 3 (mod 4) (no pair if some such e is odd), and of one
     pi**k conj(pi)**(e-k), 0 <= k <= e, for each p = pi conj(pi) = 1 (mod 4).
+    Those e + 1 splits are stepped in place: from conj(pi)**e, each step
+    multiplies by pi**2 / p = pi / conj(pi), a division that is exact while
+    conj(pi) still divides.
     """
     if not factored_sum_of_two_squares(factors):
         return []
@@ -161,15 +160,19 @@ def factored_two_square_decompositions(factors: dict[int, int]) -> list[tuple[in
             # (1+i)**2 = 2i, and a unit changes no pair
             scale <<= e // 2
             if e % 2:
-                zs = [_gauss_mul(z, (1, 1)) for z in zs]
+                zs = [(u - v, u + v) for u, v in zs]
         else:
-            pi = _prime_two_squares(p)
-            powers = [(1, 0)]
+            x, y = _prime_two_squares(p)
+            s, t = 1, 0
             for _ in range(e):
-                powers.append(_gauss_mul(powers[-1], pi))
-            conj = [(x, -y) for x, y in powers]
-            splits = [_gauss_mul(powers[k], conj[e - k]) for k in range(e + 1)]
-            zs = [_gauss_mul(z, w) for z in zs for w in splits]
+                s, t = s * x + t * y, t * x - s * y
+            # pi**2 = c + di
+            c, d = x * x - y * y, 2 * x * y
+            splits = [(s, t)]
+            for _ in range(e):
+                s, t = (s * c - t * d) // p, (s * d + t * c) // p
+                splits.append((s, t))
+            zs = [(u * s - v * t, u * t + v * s) for u, v in zs for s, t in splits]
     pairs = set()
     for u, v in zs:
         u, v = abs(u) * scale, abs(v) * scale

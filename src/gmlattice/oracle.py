@@ -247,11 +247,14 @@ def _hilb2_witness(d: int, gram: intmat.Matrix, sol: PellSolution) -> tuple[int,
         if a % 4 != 1:
             raise AssertionError(f"a = {a} is not 1 (mod 4), as a product of primes 1 (mod 4) is")
         w = ((a - 1) // 2, (a - n) // 2, a)
-    gw = intmat.mat_vec(gram, w)
-    if sum(map(mul, w, gw)):
+    # G w and w.Gw as sums of products on the unpacked Gram
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gram
+    w0, w1, w2 = w
+    gw0 = g00 * w0 + g01 * w1 + g02 * w2
+    if w0 * gw0 + w1 * (g10 * w0 + g11 * w1 + g12 * w2) + w2 * (g20 * w0 + g21 * w1 + g22 * w2):
         raise AssertionError(f"w = {w} is not isotropic")
-    if gw[0] != 1:
-        raise AssertionError(f"lambda1.w = (G w)_0 = {gw[0]}, not 1")
+    if gw0 != 1:
+        raise AssertionError(f"lambda1.w = (G w)_0 = {gw0}, not 1")
     return w
 
 
@@ -496,30 +499,34 @@ def _rank3_plane(gram: intmat.Matrix, pairs: list[tuple[int, int]]) -> tuple | N
     content, spans U^perp in L.  U is unimodular, so L = U + <g> and
     det L = det U * g.g = -g.g; the last re-check holds g to that.
     """
-    (_, _, a), (_, _, b), _ = gram
+    (g00, g01, a), (g10, g11, b), (g20, g21, g22) = gram
     found = _primitive_two_squares(pairs, a, b)
     if found is None:
         return None
     X, Y = found
-    v = ((X + a) // 2, (Y + b) // 2, 1)
+    v0, v1 = (X + a) // 2, (Y + b) // 2
     # G v = (-X, -Y, t): u = (p, q, 0) has u.v = 1, and w = u + k v with
     # k = -u.u / 2 = p^2 + q^2
     one, p, q = xgcd(-X, -Y)
     k = p * p + q * q
-    w = (p + k * v[0], q + k * v[1], k)
-    gv, gw = intmat.mat_vec(gram, v), intmat.mat_vec(gram, w)
+    w0, w1 = p + k * v0, q + k * v1
+    v, w = (v0, v1, 1), (w0, w1, k)
+    # the re-checks as sums of products on the unpacked Gram (v2 = 1)
+    p, q, r = g00 * v0 + g01 * v1 + a, g10 * v0 + g11 * v1 + b, g20 * v0 + g21 * v1 + g22
+    s, t, u = g00 * w0 + g01 * w1 + a * k, g10 * w0 + g11 * w1 + b * k, g20 * w0 + g21 * w1 + g22 * k
     if one != 1:
         raise AssertionError(f"gcd({X}, {Y}) = {one}, not 1")
-    if sum(map(mul, v, gv)) or sum(map(mul, w, gw)) or sum(map(mul, v, gw)) != 1:
+    if v0 * p + v1 * q + r or w0 * s + w1 * t + k * u or v0 * s + v1 * t + u != 1:
         raise AssertionError(f"({v}, {w}) does not span U")
-    (p, q, r), (s, t, u) = gv, gw
-    g = (q * u - r * t, r * s - p * u, p * t - q * s)
-    c = gcd(*g) if next(x for x in g if x) > 0 else -gcd(*g)
-    g = tuple(x // c for x in g)
-    gen_norm = sum(map(mul, g, intmat.mat_vec(gram, g)))
+    x, y, z = q * u - r * t, r * s - p * u, p * t - q * s
+    c = gcd(x, y, z) if (x or y or z) > 0 else -gcd(x, y, z)
+    x, y, z = x // c, y // c, z // c
+    gen_norm = (
+        x * (g00 * x + g01 * y + a * z) + y * (g10 * x + g11 * y + b * z) + z * (g20 * x + g21 * y + g22 * z)
+    )
     if gen_norm != -intmat.bareiss_det(gram):
         raise AssertionError(f"L = U + <g> forces g.g = -det L, g.g = {gen_norm}")
-    return v, w, g, gen_norm
+    return v, w, (x, y, z), gen_norm
 
 
 def _k3_entry(plane: tuple | None) -> dict:
@@ -854,7 +861,7 @@ def _p2d5_unsolvable(d: int, factors: dict[int, int], qs: list[int]) -> bool:
 # the full per-discriminant report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivisorReport:
     """Everything this package decides about one discriminant."""
 
@@ -867,22 +874,43 @@ class DivisorReport:
     dm_isomorphic: bool | None
     witnesses: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.star3 is not None and not self.star2:
+    def __init__(
+        self,
+        d: int,
+        admissible: bool,
+        divisor_label: str,
+        star2: bool,
+        star2_twisted: bool,
+        star3: PellSolution | None,
+        dm_isomorphic: bool | None,
+        witnesses: dict | None = None,
+    ):
+        # every field in one store, where the generated __init__ of a
+        # frozen dataclass pays one object.__setattr__ per field
+        w = {} if witnesses is None else witnesses
+        object.__setattr__(self, "__dict__", {
+            "d": d,
+            "admissible": admissible,
+            "divisor_label": divisor_label,
+            "star2": star2,
+            "star2_twisted": star2_twisted,
+            "star3": star3,
+            "dm_isomorphic": dm_isomorphic,
+            "witnesses": w,
+        })
+        if star3 is not None and not star2:
             raise LatticeError("implication chain violated: star3 without star2")
-        if self.star2 and not self.star2_twisted:
+        if star2 and not star2_twisted:
             raise LatticeError("implication chain violated: star2 without twisted")
-        if (self.dm_isomorphic is None) != (self.star3 is None):
+        if (dm_isomorphic is None) != (star3 is None):
             raise LatticeError("dm_isomorphic must be None exactly when star3 is None")
-        expect = self.d > 0 and self.d % 8 in (0, 2, 4)
-        if self.admissible != expect:
+        if admissible != (d > 0 and d % 8 in (0, 2, 4)):
             raise LatticeError("admissibility flag inconsistent with d mod 8")
-        w = self.witnesses
-        if w.get("twisted") and not self.star2_twisted:
+        if w.get("twisted") and not star2_twisted:
             raise LatticeError("twisted witness without star2_twisted")
-        if w.get("hilb2") and self.star3 is None:
+        if w.get("hilb2") and star3 is None:
             raise LatticeError("hilb2 witness without star3")
-        if w.get("k3") and (w["k3"]["status"] == "found") != self.star2:
+        if w.get("k3") and (w["k3"]["status"] == "found") != star2:
             raise LatticeError("k3 witness status disagrees with star2")
 
     def to_dict(self) -> dict:

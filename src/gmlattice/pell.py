@@ -59,7 +59,7 @@ _LEAF = 64
 C_MAX = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PellSolution:
     """Non-negative integers with n^2 - m*a^2 = c."""
 
@@ -68,11 +68,14 @@ class PellSolution:
     m: int
     c: int
 
-    def __post_init__(self):
-        if self.n * self.n - self.m * self.a * self.a != self.c:
-            raise DomainError(
-                f"({self.n}, {self.a}) does not solve n^2 - {self.m} a^2 = {self.c}"
-            )
+    def __init__(self, n: int, a: int, m: int, c: int):
+        # every field in one store, where the generated __init__ of a
+        # frozen dataclass pays one object.__setattr__ per field
+        object.__setattr__(self, "__dict__", {"n": n, "a": a, "m": m, "c": c})
+        if n < 0 or a < 0:
+            raise DomainError(f"({n}, {a}) is not a pair of non-negative integers")
+        if n * n - m * a * a != c:
+            raise DomainError(f"({n}, {a}) does not solve n^2 - {m} a^2 = {c}")
 
     def as_pair(self) -> tuple[int, int]:
         return (self.n, self.a)

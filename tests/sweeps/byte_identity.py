@@ -1,0 +1,66 @@
+"""classify's JSON output is byte-identical to the pinned sha256 of each entry.
+
+Hash convention: each json.dumps(classify(d).to_dict()) is encoded as
+UTF-8, and the encodings are concatenated in the order of d with no
+separator; joining them with "\\n" gives other hashes.  A change that
+alters an output on purpose edits the entry here and names it.
+
+Run: python -O tests/sweeps/byte_identity.py
+"""
+
+import hashlib
+import json
+from random import Random
+
+from gmlattice import classify
+
+
+def two_p_draws():
+    """The distinct d = 2p, in increasing order, of 8192 draws by Random(1)
+    from the primes p = 1 (mod 4) in [5*10^4, 2*10^5)."""
+    sieve = bytearray([1]) * 200_000
+    for p in range(2, 448):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 200_000, p)))
+    pool = [2 * p for p in range(50_000, 200_000) if sieve[p] and p % 4 == 1]
+    rng = Random(1)
+    return sorted({rng.choice(pool) for _ in range(8192)})
+
+
+# name: (the d in order, classify's keyword arguments, sha256)
+TABLE = {
+    "classify d in [-3, 4*10^4)": (
+        lambda: range(-3, 40_000),
+        {},
+        "f4adb818115f6d46bad0359269acf7245b1ca9b1a178b4a5a189e97b9c03c62e",
+    ),
+    "classify d in [-3, 4*10^4) with_witnesses=False": (
+        lambda: range(-3, 40_000),
+        {"with_witnesses": False},
+        "b075abca479645eba495f4cd562757c3bf37420b7788f1fba23bcb4cd8f6760e",
+    ),
+    "classify the 4604 distinct d = 2p": (
+        two_p_draws,
+        {},
+        "b5b881100f25dc654f5f28b1a9971f2fdfaecf64eabc2e9fd2d1d6241e148813",
+    ),
+}
+
+
+def digest(name):
+    ds, kwargs, _ = TABLE[name]
+    h = hashlib.sha256()
+    for d in ds():
+        h.update(json.dumps(classify(d, **kwargs).to_dict()).encode())
+    return h.hexdigest()
+
+
+def main():
+    bad = [name for name, (_, _, sha256) in TABLE.items() if digest(name) != sha256]
+    if bad:
+        raise AssertionError(f"outputs changed: {bad}")
+    print(len(TABLE), "outputs byte-identical")
+
+
+if __name__ == "__main__":
+    main()

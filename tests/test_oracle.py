@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from math import gcd
 from pathlib import Path
 from random import Random
@@ -1088,6 +1088,11 @@ def test_classify_d10():
     assert rep.witnesses["hilb2"]["w"] == [0, 1, 1]
     assert rep.witnesses["k3"]["status"] == "found"
     assert rep.witnesses["k3"]["gen_norm"] == -10
+    # the report is frozen, and equal to a re-run and to its own replace
+    with pytest.raises(FrozenInstanceError):
+        rep.star2 = False
+    assert rep == classify(10) == replace(rep)
+    assert repr(rep).startswith("DivisorReport(d=10, admissible=True, divisor_label='Dprime_union', star2=True,")
 
 
 def test_classify_inadmissible_and_nonpositive():
@@ -1198,6 +1203,13 @@ def test_no_assert_statement_under_src():
             "oracle._hilb2_witness(10, ((-2, 0, 1), (0, -2, 0), (1, 0, 4)), negative_pell(5))",
             "w = (0, 1, 1) is not isotropic",
         ),
+        # the same w under a Gram whose lambda1 pairs to 3 with tau: still
+        # isotropic, but lambda1.w = 3
+        (
+            "from gmlattice.pell import negative_pell",
+            "oracle._hilb2_witness(10, ((-2, 0, 3), (0, -2, 0), (3, 0, 2)), negative_pell(5))",
+            "lambda1.w = (G w)_0 = 3, not 1",
+        ),
         # (3, 2) has the parities of d = 10's Gram but sums to 13, not d/2 = 5
         (
             "",
@@ -1224,7 +1236,7 @@ def test_no_assert_statement_under_src():
             "L = U + <g> forces g.g = -det L, g.g = -10",
         ),
     ],
-    ids=["hilb2_witness", "rank3_k3_witness", "prime_two_squares", "counterexample_general", "rank3_k3_complement"],
+    ids=["hilb2_witness", "hilb2_witness_lambda1", "rank3_k3_witness", "prime_two_squares", "counterexample_general", "rank3_k3_complement"],
 )
 def test_re_check_survives_python_O(setup, call, message):
     # each re-check raises explicitly, so python -O cannot strip it

@@ -1,5 +1,6 @@
 """Continued fractions and Pell-type equations."""
 
+from dataclasses import FrozenInstanceError, replace
 from itertools import cycle, islice
 from math import isqrt
 from random import Random
@@ -357,7 +358,16 @@ def test_pell_general_domain_errors():
 
 
 def test_pell_solution_validates():
-    with pytest.raises(DomainError):
-        from gmlattice import PellSolution
+    from gmlattice import PellSolution
 
+    with pytest.raises(DomainError):
         PellSolution(3, 1, 5, 5)
+    # (-2, 1) and (2, -1) solve n^2 - 5 a^2 = -1, but are not non-negative
+    for n, a in ((-2, 1), (2, -1)):
+        with pytest.raises(DomainError, match="not a pair of non-negative integers"):
+            PellSolution(n, a, 5, -1)
+    sol = PellSolution(2, 1, 5, -1)
+    with pytest.raises(FrozenInstanceError):
+        sol.n = 3
+    assert sol == replace(sol) and hash(sol) == hash(PellSolution(2, 1, 5, -1))
+    assert repr(sol) == "PellSolution(n=2, a=1, m=5, c=-1)"

@@ -14,6 +14,7 @@ import pytest
 
 from sweeps import (
     block_split,
+    byte_identity,
     cli_fuzz,
     cofactor_det,
     half_period,
@@ -49,6 +50,8 @@ CASES = [
         "300 forms, 30 with no prime 1 (mod 4); 93 definite rank-4 draws, each found",
     ),
     (cli_fuzz, (100, 10, 200), "511 runs"),
+    # every entry, at the size CI runs
+    (byte_identity, (), "3 outputs byte-identical"),
 ]
 
 
