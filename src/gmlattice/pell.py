@@ -23,17 +23,24 @@ for P_m(-1) hands its Q_k on, so ``classify`` reads P_{2d}(5) off the Q_k
 of sqrt(d/2).  The solution of P_m(-1) is the convergent at k = l - 1;
 with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is
 (A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents at
-s and s - 1:
+s and s - 1: n = h_s q_s + h_{s-1} q_{s-1}, a = q_s^2 + q_{s-1}^2.  The
+numerators are the walk's own P and Q times the denominators,
 
-    n = h_s q_s + h_{s-1} q_{s-1},  a = q_s^2 + q_{s-1}^2.
+    h_k = P_{k+1} q_k + Q_{k+1} q_{k-1},
 
-At an even period l = 2s the least unit of P_m(1) comes from the middle
-too, as (h_{s-1} + q_{s-1} sqrt(m))^2 / Q_s (``_least_unit``).  A_0 B is
-built by a balanced product tree over a_0, ..., a_s, whose
-leaves are short linear walks, so the big-integer products are between
-numbers of equal size.  ``pell_solvable`` and ``pell_general`` answer
-every c by the same recurrence started at (z + sqrt(m)) / |c / g^2|, one
-walk per root z of z^2 = m (mod c / g^2) (Lagrange, Matthews and Mollin;
+and Q_{s+1} = Q_s gives P_{s+1}^2 = m - Q_s^2, so
+
+    n = P_{s+1} (q_s^2 - q_{s-1}^2) + 2 Q_s q_s q_{s-1},  a = q_s^2 + q_{s-1}^2
+
+from (q_s, q_{s-1}), the top row of B, which needs no a_0.  At an even
+period l = 2s the least unit of P_m(1) comes from the middle too, as
+(h_{s-1} + q_{s-1} sqrt(m))^2 / Q_s with h_{s-1} = P_s q_{s-1} + Q_s q_{s-2}
+(``_least_unit``).  The top row is a row walk over the first _LEAF terms
+times a balanced product tree over the rest, whose leaves are linear
+walks too, so the tree multiplies big integers only with others of the
+same size.  ``pell_solvable`` and ``pell_general`` answer every c by
+the same recurrence started at (z + sqrt(m)) / |c / g^2|, one walk per
+root z of z^2 = m (mod c / g^2) (Lagrange, Matthews and Mollin;
 K. R. Matthews, *Expo. Math.* 18, 2000): the first is the walks alone,
 the second builds by the tree one solution per class they find.
 """
@@ -52,8 +59,9 @@ __all__ = [
     "pell_solvable",
 ]
 
-# partial quotients multiplied by a linear walk before the product tree merges
-_LEAF = 64
+# partial quotients walked linearly: the row of _denominators, and each
+# leaf of the product tree before it merges
+_LEAF = 512
 
 # largest |c| that pell_general accepts
 C_MAX = 10**6
@@ -87,7 +95,8 @@ class PellSolution:
 def _half_period(m: int) -> tuple[list[int], list[int], bool]:
     """([a_1, ..., a_s], [Q_1, ..., Q_s], l odd) for the period l of
     sqrt(m), m >= 2 not a square: P_{k+1} = a_k Q_k - P_k,
-    Q_{k+1} = (m - P_{k+1}^2) / Q_k, a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1},
+    Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), which is (m - P_{k+1}^2) / Q_k
+    with no division (Q_{-1} = m), a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1},
     stopped at the middle, the first k = s with Q_{s+1} = Q_s (l = 2s + 1)
     or P_{s+1} = P_s (l = 2s).  The terms and the Q_k go to two int lists,
     with no tuple built per term."""
@@ -96,19 +105,32 @@ def _half_period(m: int) -> tuple[list[int], list[int], bool]:
     if is_square(m):
         raise DomainError(f"sqrt({m}) is an integer, no period")
     a0 = isqrt(m)
-    p, q, a = 0, 1, a0
+    p, q, q_prev, a = 0, 1, m, a0
     terms, qs = [], []
     while True:
         p_next = a * q - p
-        q_next = (m - p_next * p_next) // q
+        q_next = q_prev + a * (p - p_next)
         if q_next == q:
             return terms, qs, True
         if p_next == p:
             return terms, qs, False
-        p, q = p_next, q_next
+        p, q, q_prev = p_next, q_next, q
         a = (a0 + p) // q
         terms.append(a)
         qs.append(q)
+
+
+def _denominators(terms: list[int]) -> tuple[int, int]:
+    """(q_k, q_{k-1}) for terms = [a_1, ..., a_k], the top row of the
+    product of [[a, 1], [1, 0]] over ``terms``: a row walk over the first
+    _LEAF terms, times ``_continuant`` of the rest."""
+    c, c1 = 1, 0
+    for a in terms[:_LEAF]:
+        c, c1 = a * c + c1, c
+    if len(terms) <= _LEAF:
+        return c, c1
+    w, x, y, z = _continuant(terms[_LEAF:])
+    return c * w + c1 * y, c * x + c1 * z
 
 
 def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
@@ -144,9 +166,10 @@ def negative_pell(m: int) -> PellSolution | None:
 
     Solvable iff the period l of sqrt(m) is odd, l = 2s + 1; the solution
     is then the convergent h_{l-1} / q_{l-1}, the first of norm -1.  Only
-    the half period a_1, ..., a_s is computed: the product tree gives the
-    convergents at s and s - 1, and the midpoint formula
-    n = h_s q_s + h_{s-1} q_{s-1}, a = q_s^2 + q_{s-1}^2 gives the solution.
+    the half period a_1, ..., a_s is computed: a row walk and the product
+    tree give the denominators q_s and q_{s-1}, and the midpoint formula
+    n = P_{s+1} (q_s^2 - q_{s-1}^2) + 2 Q_s q_s q_{s-1},
+    a = q_s^2 + q_{s-1}^2 gives the solution.
     Perfect squares are handled outside the continued-fraction path:
     n^2 - s^2 a^2 = -1 factors as (n - sa)(n + sa) = -1, solvable only for
     s = 1 with (n, a) = (0, 1).
@@ -171,19 +194,27 @@ def _least_unit(m: int, terms: list[int], qs: list[int], odd: bool) -> tuple[int
     """(h_{l-1}, q_{l-1}), the least solution of h^2 - m q^2 = (-1)^l, from
     the half period ``_half_period(m)`` = (terms, qs, odd) alone.
 
-    Odd l = 2s + 1: the midpoint formula of the module docstring,
-    h = h_s q_s + h_{s-1} q_{s-1}, q = q_s^2 + q_{s-1}^2.  Even l = 2s:
+    Both come from the denominators q_k and Q_s = qs[-1] alone (Q_0 = 1
+    when s = 0), with no numerator built.  Odd l = 2s + 1: the
+    midpoint formula of the module docstring,
+    h = P_{s+1} (q_s^2 - q_{s-1}^2) + 2 Q_s q_s q_{s-1},
+    q = q_s^2 + q_{s-1}^2, with P_{s+1} = sqrt(m - Q_s^2).  Even l = 2s:
     alpha = h_{s-1} + q_{s-1} sqrt(m) has norm (-1)^s Q_s, and
     P_{s+1} = P_s makes the ideal (alpha) equal to its conjugate, so the
     unit alpha / alpha' = alpha^2 / ((-1)^s Q_s) is, up to sign, the one
     at the end of the period: h = (h_{s-1}^2 + m q_{s-1}^2) / Q_s,
-    q = 2 h_{s-1} q_{s-1} / Q_s.
+    q = 2 h_{s-1} q_{s-1} / Q_s, where h_{s-1} = P_s q_{s-1} + Q_s q_{s-2}
+    and P_{s+1} = a_s Q_s - P_s gives P_s = a_s Q_s / 2.
     """
+    big_q = qs[-1] if qs else 1
     if odd:
-        h, h_prev, q, q_prev = _continuant([isqrt(m), *terms])
-        return h * q + h_prev * q_prev, q * q + q_prev * q_prev
-    h, _, q, _ = _continuant([isqrt(m), *terms[:-1]])
-    return (h * h + m * q * q) // qs[-1], 2 * h * q // qs[-1]
+        q, q_prev = _denominators(terms)
+        p = isqrt(m - big_q * big_q)
+        q2, q_prev2 = q * q, q_prev * q_prev
+        return p * (q2 - q_prev2) + 2 * big_q * q * q_prev, q2 + q_prev2
+    q, q_prev = _denominators(terms[:-1])
+    h = terms[-1] * big_q // 2 * q + big_q * q_prev
+    return (h * h + m * q * q) // big_q, 2 * h * q // big_q
 
 
 def _square_pell(s: int, c: int) -> list[PellSolution]:

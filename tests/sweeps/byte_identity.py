@@ -10,21 +10,35 @@ Run: python -O tests/sweeps/byte_identity.py
 
 import hashlib
 import json
+from math import isqrt
 from random import Random
 
 from gmlattice import classify
 
 
+def two_p(lo, hi):
+    """Every d = 2p, in increasing order, for the primes p = 1 (mod 4) in
+    [lo, hi), by a sieve."""
+    sieve = bytearray([1]) * hi
+    for p in range(2, isqrt(hi - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, hi, p)))
+    return [2 * p for p in range(lo + (1 - lo) % 4, hi, 4) if sieve[p]]
+
+
 def two_p_draws():
     """The distinct d = 2p, in increasing order, of 8192 draws by Random(1)
     from the primes p = 1 (mod 4) in [5*10^4, 2*10^5)."""
-    sieve = bytearray([1]) * 200_000
-    for p in range(2, 448):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, 200_000, p)))
-    pool = [2 * p for p in range(50_000, 200_000) if sieve[p] and p % 4 == 1]
+    pool = two_p(50_000, 200_000)
     rng = Random(1)
     return sorted({rng.choice(pool) for _ in range(8192)})
+
+
+def two_p_sample():
+    """400 distinct d = 2p, in increasing order, sampled by Random(7) from
+    the primes p = 1 (mod 4) in [10^6, 10^7): most half periods of sqrt(p)
+    there are longer than one leaf of pell._continuant."""
+    return sorted(Random(7).sample(two_p(10**6, 10**7), 400))
 
 
 # name: (the d in order, classify's keyword arguments, sha256)
@@ -43,6 +57,11 @@ TABLE = {
         two_p_draws,
         {},
         "b5b881100f25dc654f5f28b1a9971f2fdfaecf64eabc2e9fd2d1d6241e148813",
+    ),
+    "classify 400 d = 2p, p = 1 (mod 4) prime in [10^6, 10^7), Random(7)": (
+        two_p_sample,
+        {},
+        "f9000d3296b72317809ce7c3d61c83476f190ddcc24d128cd4494b8559249881",
     ),
 }
 

@@ -2,7 +2,7 @@
 holds for every non-square m < m_max, each reading the period parity off its
 own walk; for square m, pell_solvable(m, -1) holds exactly at m = 1.
 
-Run: python tests/sweeps/pell_pm1.py [m_max]   (default 2*10^5)
+Run: python -O tests/sweeps/pell_pm1.py [m_max]   (default 2*10^5)
 """
 
 import sys
@@ -22,14 +22,18 @@ def main(m_max=2 * 10**5):
         plus = [pell_solvable(m, 1) for m in ms]
     finally:
         pell._half_period = real
-    assert walks == [], walks[:10]
-    assert all(plus), [m for m, ok in zip(ms, plus) if not ok][:10]
+    if walks:
+        raise AssertionError(walks[:10])
+    if not all(plus):
+        raise AssertionError([m for m, ok in zip(ms, plus) if not ok][:10])
     bad = [m for m, ok in zip(ms, minus) if ok != (negative_pell(m) is not None)]
-    assert not bad, bad[:10]
+    if bad:
+        raise AssertionError(bad[:10])
     # n^2 - r^2 a^2 = -1 factors as (r a - n)(r a + n) = 1: only r = 1 solves it
     squares = [r * r for r in range(1, isqrt(m_max - 1) + 1)]
     bad = [m for m in squares if pell_solvable(m, -1) != (m == 1) or (negative_pell(m) is not None) != (m == 1)]
-    assert not bad, bad[:10]
+    if bad:
+        raise AssertionError(bad[:10])
     print(sum(minus), 'of', len(ms), 'non-square m solve P_m(-1), with no separate parity walk')
 
 

@@ -16,7 +16,7 @@ from gmlattice import (
     pell_solvable,
 )
 from gmlattice.arith import is_square
-from gmlattice.pell import _LEAF, C_MAX, _continuant, _half_period, _least_unit
+from gmlattice.pell import _LEAF, C_MAX, _continuant, _denominators, _half_period, _least_unit
 
 
 
@@ -299,12 +299,33 @@ def test_product_tree_matches_linear_walk():
         for a in terms:
             w, x, y, z = a * w + x, w, a * y + z, y
         assert _continuant(terms) == (w, x, y, z), size
-    # half periods longer than a leaf: a prime near 10^7 (2384 terms) and a
-    # prime p from the pell-large range (135 terms), both with odd period
-    for m in (10000141, 100049):
+        assert _denominators(terms) == (w, x), size
+    # half periods longer than a leaf: a prime near 10^7 (2384 terms) and the
+    # one prime p of the pell-large range past it (522 terms), both with odd
+    # period
+    for m in (10000141, 199021):
         terms, _, odd = _half_period(m)
         assert odd and len(terms) > _LEAF
         assert negative_pell(m).as_pair() == linear_negative_pell(m), m
+
+
+def test_least_unit_equals_the_whole_period_convergent():
+    # s = 0 (m = k^2 + 1), l = 2 (m = k^2 + 2), short odd and even periods
+    ms = [2, 5, 10**6 + 1, 3, 6, 10**6 + 2, 7, 13, 94, 109]
+    # rows of _LEAF - 1, _LEAF and _LEAF + 1 terms: the half period at an odd
+    # period, the half period less its last term at an even one; the first
+    # m > 2*10^5 of each kind by a scan
+    rows = {235981: (-1, False), 215686: (0, False), 231079: (1, False)}
+    rows |= {306049: (-1, True), 283369: (0, True), 229681: (1, True)}
+    for m, (offset, odd) in rows.items():
+        terms, _, m_odd = _half_period(m)
+        assert (len(terms) - (not odd), m_odd) == (_LEAF + offset, odd), m
+    # a half period of several leaves (2384 terms)
+    for m in ms + list(rows) + [10000141]:
+        terms, qs, odd = _half_period(m)
+        # the first convergent of norm +-1 closes the first period
+        whole = next((h, q) for h, q, norm in convergents(m) if norm * norm == 1)
+        assert _least_unit(m, terms, qs, odd) == whole, m
 
 
 def test_pell_solvable_decides_c_squared_past_m_by_residues():
