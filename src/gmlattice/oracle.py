@@ -99,17 +99,17 @@ def _local_flags(d: int) -> tuple[dict[int, int] | None, bool, bool]:
     return factors, star2, True
 
 
-def _star3(d: int, star2: bool) -> tuple[PellSolution | None, list[int]]:
+def _star3(d: int, star2: bool) -> tuple[PellSolution | None, tuple | None]:
     """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for d > 0 with star2 from _local_flags(d), or None, and the Q_k of
-    the half period of sqrt(d/2) walked for it (empty where none was).
+    for d > 0 with star2 from _local_flags(d), or None, and the walk of
+    pell._negative_pell it read (None where nothing was walked).
 
     A solution makes -1 a square mod every odd p | d and rules out
     4 | d/2, so star3 implies star2, and the continued fraction of
     sqrt(d/2) is walked only where star2 holds.
     """
     if d % 2 or not star2:
-        return None, []
+        return None, None
     return _negative_pell(d // 2)
 
 
@@ -840,21 +840,61 @@ def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
     )
 
 
-def _p2d5_unsolvable(d: int, factors: dict[int, int], qs: list[int]) -> bool:
+def _p2d5_unsolvable(d: int, factors: dict[int, int], walk: tuple) -> bool:
     """Whether n^2 - 2d a^2 = 5 has no solution, for even d > 0 with star3,
-    factors = factorize(d) and qs the Q_k of the half period of sqrt(m),
-    m = d/2.
+    factors = factorize(d) and walk = (terms, qs, q0, cubed) the walk of
+    ``pell._negative_pell(m)``, m = d/2.
 
     Past the local obstructions m is odd, so m = 1 (mod 4) as P_m(-1) is
     solvable.  2d a^2 = m (2a)^2, and every solution of x^2 - m y^2 = 5 has
     y even (y odd gives x^2 = 2 mod 4) and gcd(x, y) = 1 (5 is squarefree).
-    For d > 50, 5 < sqrt(m), so each is a convergent (Lagrange), and as the
-    period is odd, one exists iff 5 is a Q_k of the half period.  Below 51
-    only d = 2 and d = 10 pass star3 and the obstructions, and (3, 1) and
-    (5, 1) solve P_4(5) and P_20(5); the d > 50 guard keeps the empty half
-    period of d = 2 from reading as unsolvable.
+    The period walked is odd, so norms +5 and -5 come together.
+
+    * Walk of sqrt(m) (q0 = 1): for d > 50, 5 < sqrt(m), so each solution
+      is a convergent (Lagrange), and one exists iff 5 is a Q_k of the
+      half period.  Below 51 only d = 2 and d = 10 pass star3 and the
+      obstructions, and (3, 1) and (5, 1) solve P_4(5) and P_20(5); the
+      d > 50 guard keeps the empty half period of d = 2 from reading as
+      unsolvable.
+    * Walk of (1 + sqrt(m)) / 2 (q0 = 2, m = 5 (mod 8), m > 100): a
+      convergent A/B of it gives alpha = (2A - B + B sqrt(m)) / 2 in
+      Z[(1 + sqrt(m)) / 2] of norm (-1)^(k+1) Q_{k+1} / 2.  An element of
+      norm 5 with B > 0 is one of these: |A/B - (1 + sqrt(m)) / 2| =
+      10 / (B (2A - B + B sqrt(m))) < 5 / (B^2 sqrt(m)) < 1 / (2 B^2) for
+      m > 100 (Lagrange for this order), and gcd(A, B) = 1 as 5 is
+      squarefree.  So Z[(1 + sqrt(m)) / 2] has an element of norm 5 iff
+      10 is a Q_k of the half period.  Z[sqrt(m)] = Z + 2 Z[(1 + sqrt(m)) / 2]
+      holds those with B even.  At unit index 3 (cubed) the units of
+      Z[(1 + sqrt(m)) / 2] run through the three classes of
+      (Z[(1 + sqrt(m)) / 2] / 2)^* = F_4^*, so some unit multiple of
+      alpha lies in Z[sqrt(m)].  At index 1 every unit is 1 mod 2, and
+      the generators of the (conjugate) ideals of norm 5 are conjugate,
+      so P_m(5) is solvable iff B_{k-1} is even at any one Q_k = 10.
+      There B_{l-1} = B_s^2 + B_{s-1}^2 is even and gcd(B_s, B_{s-1}) = 1,
+      so both are odd, and the parity is walked from the nearer end of
+      the half period, forward from B_0 or back from B_s.
     """
-    return _p2d5_obstructed(d, factors) or d > 50 and 5 not in qs
+    if _p2d5_obstructed(d, factors):
+        return True
+    if d <= 50:
+        return False
+    terms, qs, q0, cubed = walk
+    if 5 * q0 not in qs:
+        return True
+    if q0 == 1 or cubed:
+        return False
+    # B_{k-1} mod 2, by the row walk of pell._denominators on bits alone,
+    # from (B_0, B_{-1}) = (1, 0) or back from (B_s, B_{s-1}) = (1, 1)
+    k = qs.index(10)
+    if 2 * k <= len(qs):
+        b, b1 = 1, 0
+        for a in terms[:k]:
+            b, b1 = (a * b + b1) & 1, b
+    else:
+        b, b1 = 1, 1
+        for a in reversed(terms[k:]):
+            b, b1 = b1, (b - a * b1) & 1
+    return b == 1
 
 
 # ---------------------------------------------------------------------------
@@ -959,8 +999,8 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     # condition fails, and sqrt(d/2) walked at most once; every flag and
     # witness reuses them
     factors, s2, s2t = _local_flags(d)
-    s3, qs = _star3(d, s2)
-    dm = None if s3 is None else _p2d5_unsolvable(d, factors, qs)
+    s3, walk = _star3(d, s2)
+    dm = None if s3 is None else _p2d5_unsolvable(d, factors, walk)
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:

@@ -20,7 +20,7 @@ is odd (plus the degenerate case m = 1), and for c^2 < m, where every
 primitive solution is a convergent (Lagrange), P_m(c) is solvable exactly
 when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c: the walk
 for P_m(-1) hands its Q_k on, so ``classify`` reads P_{2d}(5) off the Q_k
-of sqrt(d/2).  The solution of P_m(-1) is the convergent at k = l - 1;
+of the walk for P_{d/2}(-1).  The solution of P_m(-1) is the convergent at k = l - 1;
 with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is
 (A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents at
 s and s - 1: n = h_s q_s + h_{s-1} q_{s-1}, a = q_s^2 + q_{s-1}^2.  The
@@ -35,10 +35,28 @@ and Q_{s+1} = Q_s gives P_{s+1}^2 = m - Q_s^2, so
 from (q_s, q_{s-1}), the top row of B, which needs no a_0.  At an even
 period l = 2s the least unit of P_m(1) comes from the middle too, as
 (h_{s-1} + q_{s-1} sqrt(m))^2 / Q_s with h_{s-1} = P_s q_{s-1} + Q_s q_{s-2}
-(``_least_unit``).  The top row is a row walk over the first _LEAF terms
-times a balanced product tree over the rest, whose leaves are linear
-walks too, so the tree multiplies big integers only with others of the
-same size.  ``pell_solvable`` and ``pell_general`` answer every c by
+(``_least_unit``).  The top row is a row walk over the first _LEAF terms,
+carried down the left spine of a balanced product tree over the rest,
+whose leaves are linear walks too, so the tree multiplies big integers
+only with others of the same size.
+
+For m = 5 (mod 8) past _OMEGA_MIN ``negative_pell`` walks (1 + sqrt(m)) / 2,
+the same recurrence from (P_0, Q_0) = (1, 2), with convergents A/B and
+(2 A_{k-1} - B_{k-1})^2 - m B_{k-1}^2 = (-1)^k 2 Q_k.  The same midpoint
+formulas, by 2 A_k - B_k = P_{k+1} B_k + Q_{k+1} B_{k-1}, give the least
+unit eps_0 = (x + y sqrt(m)) / 2 of Z[(1 + sqrt(m)) / 2].  2 is inert in
+Q(sqrt(m)), so the units of Z[sqrt(m)] have index 1 or 3 in those of
+Z[(1 + sqrt(m)) / 2]: the least unit of Z[sqrt(m)] is eps_0 when x and
+y are even, else eps_0^3, and its norm is that of eps_0.  At index 3 the
+period of (1 + sqrt(m)) / 2 is about a third of that of sqrt(m).  On the
+benchmark's primes p = 5 (mod 8) in [5*10^4, 2*10^5), 67% have index 3,
+and ``negative_pell`` takes 16 us where the walk of sqrt(p) took 31 us
+(Python 3.11.7, shared 2-vCPU host); at p = 49999999957 it takes 57 ms
+against 108 ms.  Its Q_k are twice the norms of the reduced principal
+ideals, so P_m(5) is read off as some Q_k = 10, with at index 1 the
+parity of B_{k-1} (``oracle._p2d5_unsolvable``).
+
+``pell_solvable`` and ``pell_general`` answer every c by
 the same recurrence started at (z + sqrt(m)) / |c / g^2|, one walk per
 root z of z^2 = m (mod c / g^2) (Lagrange, Matthews and Mollin;
 K. R. Matthews, *Expo. Math.* 18, 2000): the first is the walks alone,
@@ -62,6 +80,11 @@ __all__ = [
 # partial quotients walked linearly: the row of _denominators, and each
 # leaf of the product tree before it merges
 _LEAF = 512
+
+# negative_pell walks (1 + sqrt(m)) / 2 for m = 5 (mod 8) above this bound:
+# there 5 < sqrt(m) / 2, so every element of norm +-5 of Z[(1 + sqrt(m)) / 2]
+# shows as a Q_k = 10 of that walk (see oracle._p2d5_unsolvable)
+_OMEGA_MIN = 100
 
 # largest |c| that pell_general accepts
 C_MAX = 10**6
@@ -92,20 +115,22 @@ class PellSolution:
         return {"n": self.n, "a": self.a}
 
 
-def _half_period(m: int) -> tuple[list[int], list[int], bool]:
+def _half_period(m: int, p0: int = 0, q0: int = 1) -> tuple[list[int], list[int], bool]:
     """([a_1, ..., a_s], [Q_1, ..., Q_s], l odd) for the period l of
-    sqrt(m), m >= 2 not a square: P_{k+1} = a_k Q_k - P_k,
+    (p0 + sqrt(m)) / q0, m >= 2 not a square and q0 | m - p0^2: sqrt(m)
+    by default, (1 + sqrt(m)) / 2 at (1, 2).  P_{k+1} = a_k Q_k - P_k,
     Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), which is (m - P_{k+1}^2) / Q_k
-    with no division (Q_{-1} = m), a_{k+1} = (a_0 + P_{k+1}) // Q_{k+1},
-    stopped at the middle, the first k = s with Q_{s+1} = Q_s (l = 2s + 1)
-    or P_{s+1} = P_s (l = 2s).  The terms and the Q_k go to two int lists,
-    with no tuple built per term."""
+    with no division (Q_{-1} = (m - p0^2) / q0), a_k = (a + P_k) // Q_k
+    for a = isqrt(m), stopped at the middle, the first k = s with
+    Q_{s+1} = Q_s (l = 2s + 1) or P_{s+1} = P_s (l = 2s).  The terms and
+    the Q_k go to two int lists, with no tuple built per term."""
     if m < 2:
         raise DomainError("the continued fraction of sqrt(m) needs m >= 2")
     if is_square(m):
         raise DomainError(f"sqrt({m}) is an integer, no period")
     a0 = isqrt(m)
-    p, q, q_prev, a = 0, 1, m, a0
+    p, q, q_prev = p0, q0, (m - p0 * p0) // q0
+    a = (a0 + p) // q
     terms, qs = [], []
     while True:
         p_next = a * q - p
@@ -123,20 +148,32 @@ def _half_period(m: int) -> tuple[list[int], list[int], bool]:
 def _denominators(terms: list[int]) -> tuple[int, int]:
     """(q_k, q_{k-1}) for terms = [a_1, ..., a_k], the top row of the
     product of [[a, 1], [1, 0]] over ``terms``: a row walk over the first
-    _LEAF terms, times ``_continuant`` of the rest."""
+    _LEAF terms, then carried down the left spine of the tree over the
+    rest, row times matrix, four products where a matrix merge takes eight."""
     c, c1 = 1, 0
     for a in terms[:_LEAF]:
         c, c1 = a * c + c1, c
-    if len(terms) <= _LEAF:
-        return c, c1
-    w, x, y, z = _continuant(terms[_LEAF:])
-    return c * w + c1 * y, c * x + c1 * z
+    level = _leaves(terms[_LEAF:])
+    while level:
+        w, x, y, z = level[0]
+        c, c1 = c * w + c1 * y, c * x + c1 * z
+        level = _merged(level[1:])
+    return c, c1
 
 
 def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
     """(w, x, y, z) with [[w, x], [y, z]] the product of [[a, 1], [1, 0]]
     over ``terms``: linear walks over leaves of _LEAF terms, merged
     pairwise in a balanced tree."""
+    level = _leaves(terms)
+    while len(level) > 1:
+        level = _merged(level)
+    return level[0]
+
+
+def _leaves(terms: list[int]) -> list[tuple[int, int, int, int]]:
+    """The product of [[a, 1], [1, 0]] over each run of _LEAF terms, as
+    (w, x, y, z), by a linear walk."""
     level = []
     for i in range(0, len(terms), _LEAF):
         w, x, y, z = 1, 0, 0, 1
@@ -144,13 +181,17 @@ def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
             w, x = a * w + x, w
             y, z = a * y + z, y
         level.append((w, x, y, z))
-    while len(level) > 1:
-        merged = [
-            (w * w2 + x * y2, w * x2 + x * z2, y * w2 + z * y2, y * x2 + z * z2)
-            for (w, x, y, z), (w2, x2, y2, z2) in zip(level[::2], level[1::2])
-        ]
-        level = merged + level[len(merged) * 2 :]
-    return level[0]
+    return level
+
+
+def _merged(level: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """One level of the tree: neighbours multiplied pairwise, an odd last
+    matrix carried up as it is."""
+    merged = [
+        (w * w2 + x * y2, w * x2 + x * z2, y * w2 + z * y2, y * x2 + z * z2)
+        for (w, x, y, z), (w2, x2, y2, z2) in zip(level[::2], level[1::2])
+    ]
+    return merged + level[len(merged) * 2 :]
 
 
 def cf_sqrt(m: int) -> tuple[int, list[int]]:
@@ -164,12 +205,17 @@ def cf_sqrt(m: int) -> tuple[int, list[int]]:
 def negative_pell(m: int) -> PellSolution | None:
     """Fundamental solution of n^2 - m*a^2 = -1, or None if unsolvable.
 
-    Solvable iff the period l of sqrt(m) is odd, l = 2s + 1; the solution
-    is then the convergent h_{l-1} / q_{l-1}, the first of norm -1.  Only
-    the half period a_1, ..., a_s is computed: a row walk and the product
-    tree give the denominators q_s and q_{s-1}, and the midpoint formula
-    n = P_{s+1} (q_s^2 - q_{s-1}^2) + 2 Q_s q_s q_{s-1},
-    a = q_s^2 + q_{s-1}^2 gives the solution.
+    For m = 5 (mod 8) past _OMEGA_MIN the walk is of (1 + sqrt(m)) / 2,
+    elsewhere of sqrt(m).  Solvable iff the walked period l is odd,
+    l = 2s + 1: only the half period a_1, ..., a_s is computed, a row walk
+    and the product tree give the denominators q_s and q_{s-1}, and the
+    midpoint formula of ``_least_unit`` gives the least unit of norm -1.
+    From sqrt(m) that is the solution.  From (1 + sqrt(m)) / 2 it is
+    eps_0 = (x + y sqrt(m)) / 2, the least unit of Z[(1 + sqrt(m)) / 2]:
+    2 is inert there, so the units of Z[sqrt(m)] have index 1 or 3 in its
+    units, and the solution is (x / 2, y / 2) when x and y are even, else
+    eps_0^3 = ((x^3 + 3 m x y^2) / 8, (3 x^2 y + m y^3) / 8).  At index 3
+    this period is about a third as long as that of sqrt(m).
     Perfect squares are handled outside the continued-fraction path:
     n^2 - s^2 a^2 = -1 factors as (n - sa)(n + sa) = -1, solvable only for
     s = 1 with (n, a) = (0, 1).
@@ -177,36 +223,55 @@ def negative_pell(m: int) -> PellSolution | None:
     return _negative_pell(m)[0]
 
 
-def _negative_pell(m: int) -> tuple[PellSolution | None, list[int]]:
-    """(negative_pell(m), the Q_1, ..., Q_s of the half period of sqrt(m)
-    it walked, or [] where it walked none)."""
+def _negative_pell(m: int) -> tuple[PellSolution | None, tuple | None]:
+    """(negative_pell(m), the walk it read), the walk (terms, qs, q0,
+    cubed): the half period of (q0 - 1 + sqrt(m)) / q0 from
+    ``_half_period`` and whether the solution is eps_0^3, or None where
+    m is a square and nothing was walked."""
     if m < 1:
         raise DomainError("negative_pell expects m >= 1")
     if is_square(m):
-        return (PellSolution(0, 1, 1, -1) if m == 1 else None), []
-    terms, qs, odd = _half_period(m)
+        return (PellSolution(0, 1, 1, -1) if m == 1 else None), None
+    start = (1, 2) if m % 8 == 5 and m > _OMEGA_MIN else (0, 1)
+    terms, qs, odd = _half_period(m, *start)
+    q0, cubed = start[1], False
     if not odd:
-        return None, qs
-    return PellSolution(*_least_unit(m, terms, qs, odd), m, -1), qs
+        return None, (terms, qs, q0, cubed)
+    n, a = _least_unit(m, terms, qs, odd, q0)
+    if q0 == 2:
+        # (n + a sqrt(m)) / 2 is eps_0; the solution is eps_0 or eps_0^3
+        cubed = a % 2 == 1
+        if cubed:
+            n2, a2 = n * n, a * a
+            n, a = n * (n2 + 3 * m * a2) >> 3, a * (3 * n2 + m * a2) >> 3
+        else:
+            n, a = n >> 1, a >> 1
+    return PellSolution(n, a, m, -1), (terms, qs, q0, cubed)
 
 
-def _least_unit(m: int, terms: list[int], qs: list[int], odd: bool) -> tuple[int, int]:
-    """(h_{l-1}, q_{l-1}), the least solution of h^2 - m q^2 = (-1)^l, from
-    the half period ``_half_period(m)`` = (terms, qs, odd) alone.
+def _least_unit(m: int, terms: list[int], qs: list[int], odd: bool, q0: int = 1) -> tuple[int, int]:
+    """(q0 A_{l-1} - P_0 B_{l-1}, B_{l-1}) over the convergents A/B of the
+    walked (P_0 + sqrt(m)) / q0, from its half period
+    ``_half_period(m, P_0, q0)`` = (terms, qs, odd) alone: for sqrt(m) the
+    least solution (h_{l-1}, q_{l-1}) of h^2 - m q^2 = (-1)^l, for
+    (1 + sqrt(m)) / 2 the (x, y) of its least unit (x + y sqrt(m)) / 2.
 
-    Both come from the denominators q_k and Q_s = qs[-1] alone (Q_0 = 1
-    when s = 0), with no numerator built.  Odd l = 2s + 1: the
-    midpoint formula of the module docstring,
+    Both come from the denominators q_k and Q_s = qs[-1] alone (Q_0 = q0
+    when s = 0), with no numerator built, by
+    q0 A_k - P_0 B_k = P_{k+1} B_k + Q_{k+1} B_{k-1}; written here for
+    sqrt(m), h = A, q = B, and the same formulas hold for either start.
+    Odd l = 2s + 1: the midpoint formula of the module docstring,
     h = P_{s+1} (q_s^2 - q_{s-1}^2) + 2 Q_s q_s q_{s-1},
     q = q_s^2 + q_{s-1}^2, with P_{s+1} = sqrt(m - Q_s^2).  Even l = 2s:
     alpha = h_{s-1} + q_{s-1} sqrt(m) has norm (-1)^s Q_s, and
     P_{s+1} = P_s makes the ideal (alpha) equal to its conjugate, so the
     unit alpha / alpha' = alpha^2 / ((-1)^s Q_s) is, up to sign, the one
-    at the end of the period: h = (h_{s-1}^2 + m q_{s-1}^2) / Q_s,
-    q = 2 h_{s-1} q_{s-1} / Q_s, where h_{s-1} = P_s q_{s-1} + Q_s q_{s-2}
-    and P_{s+1} = a_s Q_s - P_s gives P_s = a_s Q_s / 2.
+    at the end of the period:
+    h = (h_{s-1}^2 + m q_{s-1}^2) / Q_s, q = 2 h_{s-1} q_{s-1} / Q_s, where
+    h_{s-1} = P_s q_{s-1} + Q_s q_{s-2} and P_{s+1} = a_s Q_s - P_s gives
+    P_s = a_s Q_s / 2.
     """
-    big_q = qs[-1] if qs else 1
+    big_q = qs[-1] if qs else q0
     if odd:
         q, q_prev = _denominators(terms)
         p = isqrt(m - big_q * big_q)

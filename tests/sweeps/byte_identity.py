@@ -10,10 +10,12 @@ Run: python -O tests/sweeps/byte_identity.py
 
 import hashlib
 import json
+import sys
 from math import isqrt
 from random import Random
 
 from gmlattice import classify
+from gmlattice.arith import is_prime
 
 
 def two_p(lo, hi):
@@ -41,6 +43,19 @@ def two_p_sample():
     return sorted(Random(7).sample(two_p(10**6, 10**7), 400))
 
 
+def five_mod_8_sample():
+    """400 distinct d = 2p, in increasing order, drawn by Random(8) from
+    the primes p = 5 (mod 8) in [10^8, 10^9): negative_pell walks
+    (1 + sqrt(p)) / 2 for each, and about two thirds of the solutions are
+    the cube of its least unit."""
+    rng, ps = Random(8), set()
+    while len(ps) < 400:
+        p = rng.randrange(10**8 + 5, 10**9, 8)
+        if is_prime(p):
+            ps.add(p)
+    return sorted(2 * p for p in ps)
+
+
 # name: (the d in order, classify's keyword arguments, sha256)
 TABLE = {
     "classify d in [-3, 4*10^4)": (
@@ -63,14 +78,32 @@ TABLE = {
         {},
         "f9000d3296b72317809ce7c3d61c83476f190ddcc24d128cd4494b8559249881",
     ),
+    "classify 400 d = 2p, p = 5 (mod 8) prime in [10^8, 10^9), Random(8)": (
+        five_mod_8_sample,
+        {},
+        "aa9bbb608085a2d384dc890691f4db3eedb23cc8d50674b34e937f99482793d9",
+    ),
+    "classify d = 99999999914 = 2p near D_MAX, p = 5 (mod 8), its unit cubed": (
+        lambda: [99999999914],
+        {},
+        "205a7fcf4c60410b224705af374d955f8a3a7532cc2f83fbdc58892a71c5c58c",
+    ),
 }
 
 
 def digest(name):
     ds, kwargs, _ = TABLE[name]
     h = hashlib.sha256()
-    for d in ds():
-        h.update(json.dumps(classify(d, **kwargs).to_dict()).encode())
+    # the larger solutions pass the int-to-str digit limit of Python 3.11+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for d in ds():
+            h.update(json.dumps(classify(d, **kwargs).to_dict()).encode())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return h.hexdigest()
 
 

@@ -2,7 +2,7 @@
 m < m_max and 0 < |c| <= c_max, and pell_general equals an n-scan wherever
 the unit bound is at most scan_max.
 
-Run: python tests/sweeps/root_walks.py [m_max c_max scan_max]
+Run: python -O tests/sweeps/root_walks.py [m_max c_max scan_max]
 (default 400 60 10^5, which decide 45600 pairs and scan 41670)
 """
 
@@ -36,8 +36,10 @@ def main(m_max=400, c_max=60, scan_max=10**5, expect=(45600, 41670)):
                 scan = [(n, isqrt((n * n - c) // m)) for n in range(n_bound + 1) if n * n >= c and (n * n - c) % m == 0 and is_square((n * n - c) // m)]
                 if got != scan:
                     bad.append((m, c))
-    assert not bad, bad[:10]
-    assert (pairs, scanned) == expect, (pairs, scanned)
+    if bad:
+        raise AssertionError(bad[:10])
+    if (pairs, scanned) != expect:
+        raise AssertionError((pairs, scanned))
     print(pairs, 'pairs decided,', scanned, 'against the n-scan')
 
 

@@ -356,9 +356,9 @@ def test_witness_hilb2_solves_pell_once(capsys, monkeypatch):
     calls = []
     walk = pell._half_period
 
-    def counted(m):
+    def counted(m, *start):
         calls.append(m)
-        return walk(m)
+        return walk(m, *start)
 
     monkeypatch.setattr(pell, "_half_period", counted)
     code, out, _ = run(capsys, "witness", "hilb2", "10")

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from math import gcd
 from pathlib import Path
@@ -846,20 +847,41 @@ def test_dm_examples():
 
 def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     # past the local obstructions, and for d > 50, P_2d(5) is solvable iff
-    # 5 is a Q_k of the half period that star3 walked; pell_solvable walks
-    # sqrt(2d) on its own and is the independent reference
-    present = absent = 0
+    # the half period that star3 walked has Q_k = 5 (sqrt(m), m = d/2), or
+    # Q_k = 10 ((1 + sqrt(m)) / 2, m = 5 (mod 8)) with, at unit index 1,
+    # B_{k-1} even at such a k, walked from the nearer end of the half
+    # period; pell_solvable walks sqrt(2d) on its own and is the
+    # independent reference
+    present = absent = back = 0
+    routes = Counter()
     for d in range(52, 50_001, 2):
         factors, star2, _ = oracle._local_flags(d)
-        sol, qs = oracle._star3(d, star2)
+        sol, walk = oracle._star3(d, star2)
         if sol is None or oracle._p2d5_obstructed(d, factors):
             continue
-        five = 5 in qs
+        _, qs, q0, cubed = walk
+        five = not oracle._p2d5_unsolvable(d, factors, walk)
         assert five == pell_solvable(2 * d, 5), d
         assert flags(d).dm_isomorphic is not five, d
         present += five
         absent += not five
+        routes[q0, cubed, 5 * q0 in qs, five] += 1
+        if q0 == 2 and not cubed and 10 in qs:
+            back += 2 * qs.index(10) > len(qs)
     assert (present, absent) == (541, 257)
+    # every route is taken, the parity of B_{k-1} turns 72 reads of
+    # Q_k = 10 at index 1 into "unsolvable", and it is walked back from the
+    # end of the half period for 35 of the 91
+    assert back == 35
+    assert routes == {
+        (1, False, False, False): 92,
+        (1, False, True, True): 297,
+        (2, False, False, False): 29,
+        (2, False, True, False): 72,
+        (2, False, True, True): 19,
+        (2, True, False, False): 64,
+        (2, True, True, True): 225,
+    }
 
 
 @pytest.mark.parametrize(
@@ -869,7 +891,7 @@ def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
         (26, 1),  # 13 = 3 (mod 5): P_52(5) is obstructed
         (10, 1),  # d <= 50 passes the obstructions only at 2 and 10, where P_2d(5) is solvable
         (58, 1),  # no obstruction; 5 is a Q_k of sqrt(29), so P_116(5) is solvable
-        (202, 1),  # no obstruction; sqrt(101) has no Q_k = 5, so P_404(5) is not
+        (202, 1),  # no obstruction; (1 + sqrt(101)) / 2 has Q_1 = 10 at unit index 1, but B_0 = 1 is odd, so P_404(5) is not
     ],
 )
 def test_classify_walks_only_where_factors_leave_the_flags_open(monkeypatch, d, walks):

@@ -16,7 +16,17 @@ from gmlattice import (
     pell_solvable,
 )
 from gmlattice.arith import is_square
-from gmlattice.pell import _LEAF, C_MAX, _continuant, _denominators, _half_period, _least_unit
+from gmlattice.oracle import _p2d5_unsolvable
+from gmlattice.pell import (
+    _LEAF,
+    _OMEGA_MIN,
+    C_MAX,
+    _continuant,
+    _denominators,
+    _half_period,
+    _least_unit,
+    _negative_pell,
+)
 
 
 
@@ -326,6 +336,39 @@ def test_least_unit_equals_the_whole_period_convergent():
         # the first convergent of norm +-1 closes the first period
         whole = next((h, q) for h, q, norm in convergents(m) if norm * norm == 1)
         assert _least_unit(m, terms, qs, odd) == whole, m
+
+
+def test_both_walks_of_m_5_mod_8_give_one_solution_and_one_read_of_norm_5():
+    # for m = 5 (mod 8) past _OMEGA_MIN, negative_pell walks (1 + sqrt(m)) / 2:
+    # the solution, or None, equals the one from the walk of sqrt(m), and so
+    # does the read of P_m(5) (d = 2m; with no factors, no local obstruction
+    # answers first); below the bound the read of (1 + sqrt(m)) / 2 would
+    # be wrong at m = 29 and m = 61, so sqrt(m) is walked there
+    index, wrong = {1: 0, 3: 0}, []
+    for m in range(5, 20_000, 8):
+        if is_square(m):
+            continue
+        terms, qs, odd = _half_period(m)
+        root = (terms, qs, 1, False)
+        sol, walk = _negative_pell(m)
+        if m <= _OMEGA_MIN:
+            assert walk == root, m
+            omega = _half_period(m, 1, 2)
+            if omega[2]:
+                cubed = _least_unit(m, *omega, 2)[1] % 2 == 1
+                omega_read = _p2d5_unsolvable(2 * m, {}, (*omega[:2], 2, cubed))
+                if omega_read != _p2d5_unsolvable(2 * m, {}, root):
+                    wrong.append(m)
+            continue
+        assert walk[:3] == (*_half_period(m, 1, 2)[:2], 2), m
+        assert (sol.as_pair() if sol else None) == (_least_unit(m, terms, qs, odd) if odd else None), m
+        if sol:
+            index[3 if walk[3] else 1] += 1
+            assert _p2d5_unsolvable(2 * m, {}, walk) == _p2d5_unsolvable(2 * m, {}, root), m
+    assert wrong == [29, 61]
+    # the unit index of Z[sqrt(m)] in Z[(1 + sqrt(m)) / 2] over the 886
+    # solvable m: 3 (the solution is eps_0^3) for about two thirds
+    assert index == {1: 262, 3: 624}
 
 
 def test_pell_solvable_decides_c_squared_past_m_by_residues():

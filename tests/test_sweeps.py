@@ -40,7 +40,7 @@ CASES = [
     (two_squares_scan, (50, 10**9), "13 of 50 are sums of two squares"),
     (p2d5_gates, (50_000,), None),
     (rank3_partner, (20_000,), "1631 rank-3 partners equal the hyperbolic_partner route"),
-    (half_period, (5000,), "51948 half-period terms equal the full walk"),
+    (half_period, (5000,), "51948 half-period terms equal the full walk, and 3267 of (1 + sqrt(m)) / 2"),
     # c^2 < m and c^2 >= m alike; the scan where the unit bound is at most 300
     (root_walks, (600, 40, 300, (46000, 25034)), "46000 pairs decided, 25034 against the n-scan"),
     (pell_pm1, (5000,), "690 of 4929 non-square m solve P_m(-1), with no separate parity walk"),
@@ -51,7 +51,7 @@ CASES = [
     ),
     (cli_fuzz, (100, 10, 200), "511 runs"),
     # every entry, at the size CI runs
-    (byte_identity, (), "4 outputs byte-identical"),
+    (byte_identity, (), "6 outputs byte-identical"),
 ]
 
 

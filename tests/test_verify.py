@@ -68,8 +68,8 @@ def test_fault_injection_pell_parity(monkeypatch):
     # 70^2 - 29 * 13^2 = -1; the check counts the period on its own
     real = pell._half_period
 
-    def flipped(m):
-        terms, qs, odd = real(m)
+    def flipped(m, *start):
+        terms, qs, odd = real(m, *start)
         return terms, qs, odd != (m == 29)
 
     monkeypatch.setattr(pell, "_half_period", flipped)
