@@ -379,6 +379,11 @@ def cmd_lattice(args):
         raise DomainError(
             f"Gram rank {L.rank} exceeds the supported limit LATTICE_RANK_MAX = {LATTICE_RANK_MAX}"
         )
+    S = Sublattice(L, _parse_basis(args.basis, L.rank)) if args.basis else None
+    # the input was read under the digit limit argv was parsed under; the
+    # output has none
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     if sub == "det":
         det = determinant(L)
         return EXIT_OK, det, [str(det)]
@@ -396,9 +401,8 @@ def cmd_lattice(args):
         return EXIT_OK, data.to_dict(), [f"{data.group_name()}, q = ({qs})"]
     if sub == "hyperbolic":
         return _hyperbolic(L, 20 if args.bound is None else args.bound)
-    if not args.basis:
+    if S is None:
         raise DomainError(f"lattice {sub} needs --basis")
-    S = Sublattice(L, _parse_basis(args.basis, L.rank))
     if sub == "complement":
         C = orthogonal_complement(L, S)
         G = C.gram()
@@ -457,9 +461,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     # Pell solutions can run past Python's int-to-str digit limit; print
     # them exactly.  The limit is lifted only after parsing, so a huge
-    # argument is still refused as invalid input.
+    # argument is still refused as invalid input; lattice lifts it itself
+    # once it has read its Gram file and --basis under it.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if limit is not None:
+    if limit is not None and args.command != "lattice":
         sys.set_int_max_str_digits(0)
     try:
         if args.command in _STREAMS:

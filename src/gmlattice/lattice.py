@@ -206,8 +206,6 @@ class Sublattice:
 
     def is_primitive(self) -> bool:
         """True iff every invariant factor of the coordinate matrix is 1."""
-        if not self.basis:
-            return True
         return all(d == 1 for d in intmat.invariant_factors(self.basis))
 
 
@@ -235,8 +233,6 @@ def saturate(L: GramLattice, S: Sublattice) -> tuple[Sublattice, int]:
     """
     if S.ambient != L:
         raise LatticeError("sublattice does not live in the given lattice")
-    if not S.basis:
-        return S, 1
     D, U, _ = intmat.smith_normal_form_full(S.basis)
     factors = [D[i][i] for i in range(S.rank)]
     UB = intmat.mat_mul(U, S.basis)

@@ -80,14 +80,17 @@ def admissible(d: int) -> tuple[bool, str]:
 
 
 def _local_flags(d: int) -> tuple[dict[int, int] | None, bool, bool]:
-    """(factors, star2, twisted) for d > 0, from one pass over prime_powers(d).
+    """(factors, star2, twisted), from one pass over prime_powers(d).
 
-    star2: 8 does not divide d and no prime 3 (mod 4) divides d.  twisted:
-    every prime 3 (mod 4) divides d to an even power.  Both are local, so
-    the pass stops at the first prime 3 (mod 4) to an odd power, where both
-    fail, and factors is then None: nothing reads the factors of a d
-    without the twisted condition.  Otherwise factors = factorize(d).
+    star2: d > 0, 8 does not divide d and no prime 3 (mod 4) divides d.
+    twisted: d > 0 and every prime 3 (mod 4) divides d to an even power.
+    Both are local, so the pass stops at the first prime 3 (mod 4) to an
+    odd power, where both fail, and factors is then None: nothing reads
+    the factors of a d without the twisted condition, and d < 1 has
+    neither flag and no factors.  Otherwise factors = factorize(d).
     """
+    if d < 1:
+        return None, False, False
     factors = {}
     star2 = d % 8 != 0
     for p, e in prime_powers(d):
@@ -101,7 +104,7 @@ def _local_flags(d: int) -> tuple[dict[int, int] | None, bool, bool]:
 
 def _star3(d: int, star2: bool) -> tuple[PellSolution | None, tuple | None]:
     """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for d > 0 with star2 from _local_flags(d), or None, and the walk of
+    for star2 from _local_flags(d), or None, and the walk of
     pell._negative_pell it read (None where nothing was walked).
 
     A solution makes -1 a square mod every odd p | d and rules out
@@ -122,8 +125,6 @@ def twisted_witness(d: int):
     2 = 1^2 + 1^2, d is a sum of two squares iff d/2 is, and iff 2d is.  So
     i = 1 for even d, and i = 2 for odd d, where i = 1 would leave i^2 d odd.
     """
-    if d <= 0:
-        return None
     _check_size(d)
     factors, _, twisted = _local_flags(d)
     if not twisted:
@@ -653,7 +654,7 @@ def k3_witness(L: GramLattice) -> K3WitnessReport:
         return K3WitnessReport(kind="rank4", status="proven-absent", qform=qa)
     for x, y in _shell_pairs(K3_RANK4_BOX):
         raw = qa.Q(x, y)
-        if 0 < raw <= D_MAX and _local_flags(raw)[1]:
+        if raw <= D_MAX and _local_flags(raw)[1]:
             return K3WitnessReport(
                 kind="rank4", status="found", xy=(x, y), disc_raw=raw, qform=qa
             )
@@ -984,17 +985,6 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     """
     _check_size(d)
     ok, label = admissible(d)
-    if d <= 0:
-        return DivisorReport(
-            d=d,
-            admissible=False,
-            divisor_label="inadmissible",
-            star2=False,
-            star2_twisted=False,
-            star3=None,
-            dm_isomorphic=None,
-            witnesses={"twisted": None, "hilb2": None, "k3": None},
-        )
     # one pass over the prime powers of d, stopped where the twisted
     # condition fails, and sqrt(d/2) walked at most once; every flag and
     # witness reuses them

@@ -60,7 +60,9 @@ parity of B_{k-1} (``oracle._p2d5_unsolvable``).
 the same recurrence started at (z + sqrt(m)) / |c / g^2|, one walk per
 root z of z^2 = m (mod c / g^2) (Lagrange, Matthews and Mollin;
 K. R. Matthews, *Expo. Math.* 18, 2000): the first is the walks alone,
-the second builds by the tree one solution per class they find.
+the second builds one solution per class they find from the same
+denominator row and the (P_i, Q_i) where the walk stopped, by
+|c / g^2| A_k - z B_k = P_{k+1} B_k + Q_{k+1} B_{k-1}.
 """
 
 from dataclasses import dataclass
@@ -159,16 +161,6 @@ def _denominators(terms: list[int]) -> tuple[int, int]:
         c, c1 = c * w + c1 * y, c * x + c1 * z
         level = _merged(level[1:])
     return c, c1
-
-
-def _continuant(terms: list[int]) -> tuple[int, int, int, int]:
-    """(w, x, y, z) with [[w, x], [y, z]] the product of [[a, 1], [1, 0]]
-    over ``terms``: linear walks over leaves of _LEAF terms, merged
-    pairwise in a balanced tree."""
-    level = _leaves(terms)
-    while len(level) > 1:
-        level = _merged(level)
-    return level[0]
 
 
 def _leaves(terms: list[int]) -> list[tuple[int, int, int, int]]:
@@ -317,18 +309,18 @@ def _check(name: str, m: int, c: int) -> None:
 
 
 def _classes(m: int, c: int, odd: bool):
-    """(g, |n|, z, [a_0, ..., a_{i-1}], flip) for each solvable class of
-    primitive solutions of x^2 - m y^2 = n = c / g^2, m not a square and
-    odd the parity of the period of sqrt(m).
+    """(g, |n|, [a_0, ..., a_{i-1}], P_i, Q_i, flip) for each solvable
+    class of primitive solutions of x^2 - m y^2 = n = c / g^2, m not a
+    square and odd the parity of the period of sqrt(m).
 
     Such a solution has x = z y (mod |n|) for one root z of z^2 = m
     (mod |n|), -|n|/2 < z <= |n|/2.  The (P, Q) recurrence of
     (z + sqrt(m)) / |n|, a = floor((P + sqrt(m)) / Q) for either sign of Q,
     reaches Q_i = +-1 at some i >= 1 iff that class is solvable, and then
-    G = |n| A_{i-1} - z B_{i-1} over its convergents A/B has
-    G^2 - m B_{i-1}^2 = (-1)^i Q_i |n|; else it stops where its first
-    reduced (P, Q) recurs.  flip: the norm is -n, which only the solution
-    of P_m(-1) turns into n."""
+    G = |n| A_{i-1} - z B_{i-1} = P_i B_{i-1} + Q_i B_{i-2} over its
+    convergents A/B has G^2 - m B_{i-1}^2 = (-1)^i Q_i |n|; else it stops
+    where its first reduced (P, Q) recurs.  flip: the norm is -n, which
+    only the solution of P_m(-1) turns into n."""
     s = isqrt(m)
     for n, g in _primitive_targets(c).items():
         k = abs(n)
@@ -348,7 +340,7 @@ def _classes(m: int, c: int, odd: bool):
                 if q * q == 1:
                     flip = (-1) ** len(terms) * q * k != n
                     if odd or not flip:
-                        yield g, k, z, terms, flip
+                        yield g, k, terms, p, q, flip
                     break
 
 
@@ -369,7 +361,7 @@ def pell_solvable(m: int, c: int) -> bool:
     if is_square(m):
         return bool(_square_pell(isqrt(m), c))
     odd = None
-    for _, k, _, terms, flip in _classes(m, c, True):
+    for _, k, terms, _, _, flip in _classes(m, c, True):
         if not flip:
             return True
         if odd is None:
@@ -384,10 +376,13 @@ def pell_general(m: int, c: int) -> list[PellSolution]:
     n <= sqrt(|c| (x1 + 1) / 2) + 1, (x1, y1) the fundamental unit of
     P_m(1), so at least one of each class; [] means unsolvable.
 
-    Each class of ``_classes`` gives one solution by the product tree,
-    times the solution of P_m(-1) where its norm is -c / g^2.  Division by
-    x1 + y1 sqrt(m) steps it down to the least n of its orbit, and the unit
-    multiples of that and of its conjugate are kept up to the bound.
+    Each class of ``_classes`` gives one solution from the denominator
+    row (B_{i-1}, B_{i-2}) = ``_denominators`` of its terms past a_0 and
+    the (P_i, Q_i) where its walk stopped, x = P_i B_{i-1} + Q_i B_{i-2},
+    y = B_{i-1}, times the solution of P_m(-1) where its norm is
+    -c / g^2.  Division by x1 + y1 sqrt(m) steps it down to the least n of
+    its orbit, and the unit multiples of that and of its conjugate are
+    kept up to the bound.
     Perfect-square m reduces to factoring c, as in P_4(5) at d = 2.
     """
     _check("pell_general", m, c)
@@ -398,9 +393,9 @@ def pell_general(m: int, c: int) -> list[PellSolution]:
     x1, y1 = (h * h + m * q * q, 2 * h * q) if odd else (h, q)
     n_bound = isqrt((abs(c) * (x1 + 1)) // 2) + 1
     sols = set()
-    for g, k, z, terms, flip in _classes(m, c, odd):
-        big_a, _, big_b, _ = _continuant(terms)
-        x, y = k * big_a - z * big_b, big_b
+    for g, _, terms, big_p, big_q, flip in _classes(m, c, odd):
+        y, y_prev = _denominators(terms[1:])
+        x = big_p * y + big_q * y_prev
         if flip:
             x, y = x * h + m * y * q, x * q + y * h
         x, y = abs(x), abs(y)

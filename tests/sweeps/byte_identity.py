@@ -39,7 +39,8 @@ def two_p_draws():
 def two_p_sample():
     """400 distinct d = 2p, in increasing order, sampled by Random(7) from
     the primes p = 1 (mod 4) in [10^6, 10^7): most half periods of sqrt(p)
-    there are longer than one leaf of pell._continuant."""
+    there are longer than the _LEAF terms that pell._denominators walks
+    linearly before its product tree."""
     return sorted(Random(7).sample(two_p(10**6, 10**7), 400))
 
 

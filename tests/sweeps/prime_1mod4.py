@@ -1,8 +1,9 @@
 """find_prime_1mod4 equals a brute ellipse scan on seeded forms, and
 lemma_checks finds a prime for every definite rank-4 draw with an odd pairing
-among draws in [-10^4, 10^4]^4.
+among draws in [-10^4, 10^4]^4.  The checks raise explicitly, so the sweep
+also holds under python -O.
 
-Run: python tests/sweeps/prime_1mod4.py [forms draws]   (default 5000 1000)
+Run: python -O tests/sweeps/prime_1mod4.py [forms draws]   (default 5000 1000)
 """
 
 import sys
@@ -32,8 +33,10 @@ def main(forms=5000, draws=1000):
         if (got is None) == (1 in {f(x, y) % 4 for x in range(4) for y in range(4)}):
             bad.append(f)
         absent += got is None
-    assert not bad, bad[:10]
-    assert 0 < absent < done, absent
+    if bad:
+        raise AssertionError(bad[:10])
+    if not 0 < absent < done:
+        raise AssertionError(absent)
     rng = Random(6)
     definite = 0
     for _ in range(draws):
@@ -43,7 +46,8 @@ def main(forms=5000, draws=1000):
             rep = lemma_checks(qa)
             if rep.prime_status != 'found':
                 bad.append(qa)
-    assert not bad, bad[:10]
+    if bad:
+        raise AssertionError(bad[:10])
     print(done, 'forms,', absent, 'with no prime 1 (mod 4);', definite, 'definite rank-4 draws, each found')
 
 

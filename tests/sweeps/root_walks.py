@@ -10,7 +10,7 @@ import sys
 from math import isqrt
 
 from gmlattice.arith import is_square
-from gmlattice.pell import _continuant, cf_sqrt, pell_general, pell_solvable
+from gmlattice.pell import cf_sqrt, pell_general, pell_solvable
 
 
 def main(m_max=400, c_max=60, scan_max=10**5, expect=(45600, 41670)):
@@ -19,10 +19,13 @@ def main(m_max=400, c_max=60, scan_max=10**5, expect=(45600, 41670)):
     for m in range(2, m_max):
         if is_square(m):
             continue
-        # the unit of P_m(1) from the continuant over one period (two when
-        # odd), independent of the half-period formulas pell_general uses
+        # the unit of P_m(1), the numerator of the convergent at the end of
+        # one period (two when odd), by a linear walk independent of the
+        # half-period formulas pell_general uses
         period = cf_sqrt(m)[1]
-        x1 = _continuant([isqrt(m)] + (period * (1 + len(period) % 2))[:-1])[0]
+        x1, x0 = isqrt(m), 1
+        for a in (period * (1 + len(period) % 2))[:-1]:
+            x1, x0 = a * x1 + x0, x1
         for c in range(-c_max, c_max + 1):
             if c == 0:
                 continue

@@ -79,6 +79,22 @@ def test_classify_rejects_argument_past_digit_limit(capsys):
     assert err.startswith("error:")
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("digits, code", [(5000, 1), (4300, 0)])
+def test_lattice_reads_its_gram_file_under_the_digit_limit(capsys, tmp_path, digits, code):
+    # a Gram entry past the limit is refused at once, as an argument is,
+    # where reading it unlimited would take time quadratic in its length
+    gram = tmp_path / "big.gram"
+    gram.write_text("1\n" + "1" * digits + "\n")
+    got, out, err = run(capsys, "lattice", "det", str(gram))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: malformed Gram text: ") and err.count("\n") == 1
+    else:
+        assert out == "1" * digits + "\n"
+
+
 @pytest.mark.parametrize("digits", [4300, 4301])  # either side of Python's default int-string limit
 @pytest.mark.parametrize(
     "argv", [("classify",), ("witness", "k3"), ("witness", "twisted"), ("witness", "hilb2"), ("scan",)], ids="-".join

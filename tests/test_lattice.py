@@ -325,6 +325,14 @@ def test_saturate_examples():
     assert idx2 == 1 and sat2.is_primitive()
 
 
+@pytest.mark.parametrize("L", [standard_lattice("U"), GramLattice(((2, 1, 0), (1, -4, 3), (0, 3, 6)))], ids=["U", "rank3"])
+def test_the_empty_sublattice_is_saturated_and_primitive(L):
+    # the Smith form of an empty basis has no invariant factor
+    empty = Sublattice(L, ())
+    assert saturate(L, empty) == (Sublattice(L, ()), 1)
+    assert empty.is_primitive()
+
+
 def test_saturation_determinant_law_random():
     # det(S) = index^2 * det(saturation) on 100 random rank-3 span choices
     rng = Random(9)

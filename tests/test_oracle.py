@@ -1066,6 +1066,17 @@ def test_local_flags_equal_the_definitions_on_the_factorization():
         assert (got[0] is None) is not twisted, d
 
 
+@pytest.mark.parametrize("d", [-10**30, -1, 0])
+def test_d_below_1_has_no_factors_no_flag_and_no_witness(d):
+    # the one guard for d < 1 sits in _local_flags; classify and
+    # twisted_witness read it with no check of their own
+    assert oracle._local_flags(d) == (None, False, False)
+    assert twisted_witness(d) is None
+    none = {"twisted": None, "hilb2": None, "k3": None}
+    assert classify(d) == DivisorReport(d, False, "inadmissible", False, False, None, None, none)
+    assert classify(d, with_witnesses=False).witnesses == none
+
+
 def test_classify_witnesses_equal_the_public_witness_functions():
     # classify writes its witness dicts from the private helpers; each must
     # stay, field for field and in key order, what the public function gives

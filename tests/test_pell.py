@@ -1,5 +1,6 @@
 """Continued fractions and Pell-type equations."""
 
+import hashlib
 from dataclasses import FrozenInstanceError, replace
 from itertools import cycle, islice
 from math import isqrt
@@ -21,7 +22,6 @@ from gmlattice.pell import (
     _LEAF,
     _OMEGA_MIN,
     C_MAX,
-    _continuant,
     _denominators,
     _half_period,
     _least_unit,
@@ -279,13 +279,11 @@ def test_half_period_mirrors_to_the_full_period():
         assert half == period[: len(half)], m
         assert cf_sqrt(m) == (isqrt(m), [a for a, _ in period]), m
         # the least unit from the half period, squared at an odd period, is
-        # the unit of P_m(1) that the continuant over a whole period (two
-        # periods when odd) gives
+        # the unit of P_m(1): the first convergent of norm +1
         h, q = _least_unit(m, terms, qs, odd)
         x1, y1 = (h * h + m * q * q, 2 * h * q) if odd else (h, q)
         assert x1 * x1 - m * y1 * y1 == 1, m
-        x, _, y, _ = _continuant([isqrt(m)] + [a for a, _ in period * (1 + odd)][:-1])
-        assert (x1, y1) == (x, y), m
+        assert (x1, y1) == fundamental_unit(m), m
 
 
 def test_negative_pell_is_the_first_norm_minus_one_convergent():
@@ -308,8 +306,8 @@ def test_product_tree_matches_linear_walk():
         w, x, y, z = 1, 0, 0, 1
         for a in terms:
             w, x, y, z = a * w + x, w, a * y + z, y
-        assert _continuant(terms) == (w, x, y, z), size
         assert _denominators(terms) == (w, x), size
+        assert _denominators(terms[1:]) == (y, z), size
     # half periods longer than a leaf: a prime near 10^7 (2384 terms) and the
     # one prime p of the pell-large range past it (522 terms), both with odd
     # period
@@ -317,6 +315,18 @@ def test_product_tree_matches_linear_walk():
         terms, _, odd = _half_period(m)
         assert odd and len(terms) > _LEAF
         assert negative_pell(m).as_pair() == linear_negative_pell(m), m
+
+
+def test_pell_general_is_pinned():
+    # every m in [1, 300) with 0 < |c| <= 40, square m included, then pairs
+    # with class walks past _LEAF (up to 5394 terms); the hash is the
+    # output of the product-tree builder that the denominator row replaced
+    pairs = [(m, c) for m in range(1, 300) for c in range(-40, 41) if c]
+    pairs += [(10000141, 5), (10000141, -4), (10000141, -1), (10000141, 1), (4999999, 12345)]
+    got = repr([(m, c, [s.as_pair() for s in pell_general(m, c)]) for m, c in pairs])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "b1b80c683f6e41d4dae94579eca5216075616e795859b40df02a8bfa4c739a14"
+    )
 
 
 def test_least_unit_equals_the_whole_period_convergent():
