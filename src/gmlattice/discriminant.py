@@ -300,6 +300,9 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     diag = [D[i][i] for i in range(n)]
     if any(d == 0 for d in diag):
         raise LatticeError("S + K must have finite index in the ambient lattice")
+    # d(L) is defined for even L only
+    if not L.is_even():
+        raise LatticeError("discriminant form is defined for even lattices")
     glue_factors = tuple(d for d in diag if d > 1)
     glue_order = prod(glue_factors)
 
@@ -341,9 +344,7 @@ def glue_extension_check(S: Sublattice, K: Sublattice) -> GlueExtensionReport:
     hperp = total // _subgroup_order(c, (N,) * len(h_exp))
     hperp_mod_h = hperp // _subgroup_order(h_exp, orders)
 
-    # d(L) is defined for even L only, and |d(L)| = |L*/L| = |det L|
-    if not L.is_even():
-        raise LatticeError("discriminant form is defined for even lattices")
+    # |d(L)| = |L*/L| = |det L|
     det_l = determinant(L)
     disc_l = abs(det_l)
     det_law = det_l * glue_order**2 == determinant(SG) * determinant(KG)

@@ -382,10 +382,12 @@ def parse_gram_text(text: str) -> GramLattice:
         raise LatticeError("empty Gram text")
     try:
         r = int(tokens[0])
-        entries = [int(t) for t in tokens[1:]]
+        # the count is compared first, so a long file of the wrong size is
+        # refused before any entry is converted
+        entries = [int(t) for t in tokens[1:]] if r >= 0 and len(tokens) == r * r + 1 else None
     except ValueError as exc:
         raise LatticeError(f"malformed Gram text: {exc}") from None
-    if r < 0 or len(entries) != r * r:
+    if entries is None:
         raise LatticeError("Gram text must contain rank and rank*rank integers")
     rows = tuple(tuple(entries[i * r : (i + 1) * r]) for i in range(r))
     return GramLattice(rows)

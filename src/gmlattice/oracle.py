@@ -17,7 +17,7 @@ plane, isotropic class, Pell solution), and every witness is rechecked
 against the defining identities before it is returned.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -102,14 +102,18 @@ def _local_flags(d: int) -> tuple[dict[int, int] | None, bool, bool]:
     return factors, star2, True
 
 
-def _star3(d: int, star2: bool) -> tuple[PellSolution | None, tuple | None]:
-    """Fundamental solution of n^2 - (d/2) a^2 = -1 (then a^2 d = 2 n^2 + 2)
-    for star2 from _local_flags(d), or None, and the walk of
-    pell._negative_pell it read (None where nothing was walked).
+def _star3(d: int, star2: bool) -> tuple[PellSolution | None, bool | None]:
+    """(star3, whether n^2 - 2d a^2 = 5 is solvable) for star2 from
+    _local_flags(d): the fundamental solution of n^2 - (d/2) a^2 = -1
+    (then a^2 d = 2 n^2 + 2) and the read of ``pell._negative_pell``, or
+    (None, None).
 
     A solution makes -1 a square mod every odd p | d and rules out
     4 | d/2, so star3 implies star2, and the continued fraction of
-    sqrt(d/2) is walked only where star2 holds.
+    sqrt(d/2) is walked only where star2 holds.  There P_{2d}(5) is
+    P_m(5), m = d/2: 2d a^2 = m (2a)^2, and P_m(-1) leaves m = 1 (mod 4),
+    where y odd in x^2 - m y^2 = 5 gives x^2 = 2 (mod 4), or m = 2
+    (mod 8), where both equations fail mod 8.
     """
     if d % 2 or not star2:
         return None, None
@@ -816,89 +820,6 @@ def counterexample_general(k: int, l: int, m: int, n: int) -> CounterexampleGene
 
 
 # ---------------------------------------------------------------------------
-# Hilbert-square vs double EPW sextic (isomorphism rather than birationality)
-
-
-def _p2d5_obstructed(d: int, factors: dict[int, int]) -> bool:
-    """Whether n^2 - 2d a^2 = 5 has no solution modulo some prime power,
-    for even d > 0 with factors = factorize(d).
-
-    A solution needs, for every prime:
-    * 2: 4 | d would give n^2 = 5 (mod 8);
-    * odd p | d, p != 5: n^2 = 5 (mod p), so (5/p) = 1, i.e. p = +-1 (mod 5);
-    * 5: 25 | d would give 5 | n, so 25 | 5.
-    The remaining 5-adic condition, that 2d (if 5 does not divide d) or
-    2d/5 (if 5 || d) is a square mod 5, adds nothing: once the three above
-    pass, the Hilbert symbols (5, 2d)_v are 1 at every v but 5, so by
-    reciprocity also at 5, and that symbol is the Legendre symbol of 2d,
-    or of 2d/5.  True is a proof of unsolvability; False leaves the answer
-    to the continued fraction (``_p2d5_unsolvable``).
-    """
-    return (
-        d % 4 == 0
-        or any(p % 5 in (2, 3) for p in factors if p != 2)
-        or factors.get(5, 0) >= 2
-    )
-
-
-def _p2d5_unsolvable(d: int, factors: dict[int, int], walk: tuple) -> bool:
-    """Whether n^2 - 2d a^2 = 5 has no solution, for even d > 0 with star3,
-    factors = factorize(d) and walk = (terms, qs, q0, cubed) the walk of
-    ``pell._negative_pell(m)``, m = d/2.
-
-    Past the local obstructions m is odd, so m = 1 (mod 4) as P_m(-1) is
-    solvable.  2d a^2 = m (2a)^2, and every solution of x^2 - m y^2 = 5 has
-    y even (y odd gives x^2 = 2 mod 4) and gcd(x, y) = 1 (5 is squarefree).
-    The period walked is odd, so norms +5 and -5 come together.
-
-    * Walk of sqrt(m) (q0 = 1): for d > 50, 5 < sqrt(m), so each solution
-      is a convergent (Lagrange), and one exists iff 5 is a Q_k of the
-      half period.  Below 51 only d = 2 and d = 10 pass star3 and the
-      obstructions, and (3, 1) and (5, 1) solve P_4(5) and P_20(5); the
-      d > 50 guard keeps the empty half period of d = 2 from reading as
-      unsolvable.
-    * Walk of (1 + sqrt(m)) / 2 (q0 = 2, m = 5 (mod 8), m > 100): a
-      convergent A/B of it gives alpha = (2A - B + B sqrt(m)) / 2 in
-      Z[(1 + sqrt(m)) / 2] of norm (-1)^(k+1) Q_{k+1} / 2.  An element of
-      norm 5 with B > 0 is one of these: |A/B - (1 + sqrt(m)) / 2| =
-      10 / (B (2A - B + B sqrt(m))) < 5 / (B^2 sqrt(m)) < 1 / (2 B^2) for
-      m > 100 (Lagrange for this order), and gcd(A, B) = 1 as 5 is
-      squarefree.  So Z[(1 + sqrt(m)) / 2] has an element of norm 5 iff
-      10 is a Q_k of the half period.  Z[sqrt(m)] = Z + 2 Z[(1 + sqrt(m)) / 2]
-      holds those with B even.  At unit index 3 (cubed) the units of
-      Z[(1 + sqrt(m)) / 2] run through the three classes of
-      (Z[(1 + sqrt(m)) / 2] / 2)^* = F_4^*, so some unit multiple of
-      alpha lies in Z[sqrt(m)].  At index 1 every unit is 1 mod 2, and
-      the generators of the (conjugate) ideals of norm 5 are conjugate,
-      so P_m(5) is solvable iff B_{k-1} is even at any one Q_k = 10.
-      There B_{l-1} = B_s^2 + B_{s-1}^2 is even and gcd(B_s, B_{s-1}) = 1,
-      so both are odd, and the parity is walked from the nearer end of
-      the half period, forward from B_0 or back from B_s.
-    """
-    if _p2d5_obstructed(d, factors):
-        return True
-    if d <= 50:
-        return False
-    terms, qs, q0, cubed = walk
-    if 5 * q0 not in qs:
-        return True
-    if q0 == 1 or cubed:
-        return False
-    # B_{k-1} mod 2, by the row walk of pell._denominators on bits alone,
-    # from (B_0, B_{-1}) = (1, 0) or back from (B_s, B_{s-1}) = (1, 1)
-    k = qs.index(10)
-    if 2 * k <= len(qs):
-        b, b1 = 1, 0
-        for a in terms[:k]:
-            b, b1 = (a * b + b1) & 1, b
-    else:
-        b, b1 = 1, 1
-        for a in reversed(terms[k:]):
-            b, b1 = b1, (b - a * b1) & 1
-    return b == 1
-
-
-# ---------------------------------------------------------------------------
 # the full per-discriminant report
 
 
@@ -913,7 +834,7 @@ class DivisorReport:
     star2_twisted: bool
     star3: PellSolution | None
     dm_isomorphic: bool | None
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     def __init__(
         self,
@@ -979,9 +900,7 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     divided once, and only up to the first prime 3 (mod 4) to an odd
     power (``_local_flags``), and sqrt(d/2) is walked at most once:
     P_{d/2}(-1) only where star2 holds (``_star3``), and P_{2d}(5) is read
-    off the Q_k of that same half period where no local obstruction
-    (``_p2d5_obstructed``) already makes it unsolvable
-    (``_p2d5_unsolvable``).
+    off the Q_k of that same half period (``pell._reads_five``).
     """
     _check_size(d)
     ok, label = admissible(d)
@@ -989,8 +908,8 @@ def classify(d: int, with_witnesses: bool = True) -> DivisorReport:
     # condition fails, and sqrt(d/2) walked at most once; every flag and
     # witness reuses them
     factors, s2, s2t = _local_flags(d)
-    s3, walk = _star3(d, s2)
-    dm = None if s3 is None else _p2d5_unsolvable(d, factors, walk)
+    s3, five = _star3(d, s2)
+    dm = None if five is None else not five
 
     witnesses: dict = {"twisted": None, "hilb2": None, "k3": None}
     if with_witnesses:

@@ -19,8 +19,8 @@ So the negative Pell equation P_m(-1) is solvable exactly when the period
 is odd (plus the degenerate case m = 1), and for c^2 < m, where every
 primitive solution is a convergent (Lagrange), P_m(c) is solvable exactly
 when c / g^2 equals some (-1)^k Q_k for a square g^2 dividing c: the walk
-for P_m(-1) hands its Q_k on, so ``classify`` reads P_{2d}(5) off the Q_k
-of the walk for P_{d/2}(-1).  The solution of P_m(-1) is the convergent at k = l - 1;
+for P_m(-1) also reads P_m(5) off its Q_k (``_reads_five``), which
+``classify`` takes for P_{2d}(5) at m = d/2.  The solution of P_m(-1) is the convergent at k = l - 1;
 with A_i = [[a_i, 1], [1, 0]] its matrix A_0 A_1 ... A_{l-1} is
 (A_0 B) B^T for B = A_1 ... A_s, which gives it from the convergents at
 s and s - 1: n = h_s q_s + h_{s-1} q_{s-1}, a = q_s^2 + q_{s-1}^2.  The
@@ -54,7 +54,7 @@ and ``negative_pell`` takes 16 us where the walk of sqrt(p) took 31 us
 (Python 3.11.7, shared 2-vCPU host); at p = 49999999957 it takes 57 ms
 against 108 ms.  Its Q_k are twice the norms of the reduced principal
 ideals, so P_m(5) is read off as some Q_k = 10, with at index 1 the
-parity of B_{k-1} (``oracle._p2d5_unsolvable``).
+parity of B_{k-1} (``_reads_five``).
 
 ``pell_solvable`` and ``pell_general`` answer every c by
 the same recurrence started at (z + sqrt(m)) / |c / g^2|, one walk per
@@ -85,7 +85,7 @@ _LEAF = 512
 
 # negative_pell walks (1 + sqrt(m)) / 2 for m = 5 (mod 8) above this bound:
 # there 5 < sqrt(m) / 2, so every element of norm +-5 of Z[(1 + sqrt(m)) / 2]
-# shows as a Q_k = 10 of that walk (see oracle._p2d5_unsolvable)
+# shows as a Q_k = 10 of that walk (see _reads_five)
 _OMEGA_MIN = 100
 
 # largest |c| that pell_general accepts
@@ -215,21 +215,28 @@ def negative_pell(m: int) -> PellSolution | None:
     return _negative_pell(m)[0]
 
 
-def _negative_pell(m: int) -> tuple[PellSolution | None, tuple | None]:
-    """(negative_pell(m), the walk it read), the walk (terms, qs, q0,
-    cubed): the half period of (q0 - 1 + sqrt(m)) / q0 from
-    ``_half_period`` and whether the solution is eps_0^3, or None where
-    m is a square and nothing was walked."""
+def _negative_pell(m: int) -> tuple[PellSolution | None, bool | None]:
+    """(negative_pell(m), whether x^2 - m y^2 = 5 is solvable), the second
+    None where the first is and otherwise read off the half period just
+    walked (``_reads_five``).
+
+    The read is exact past m = 25, where 5 < sqrt(m).  Below, P_m(-1) is
+    solvable only at m = 1, 2, 5, 10, 13 and 17.  At m = 1 and m = 5,
+    (3, 2) and (5, 1) solve P_m(5) and the half period is empty, so both
+    are set apart.  A Q_k = 5 is itself a solution, so the read reports
+    none where none exists: at m = 2 and 10 (2 mod 8) x^2 - m y^2 = 5 has
+    no solution mod 8, and 5 is not a square mod 13 or mod 17.
+    """
     if m < 1:
         raise DomainError("negative_pell expects m >= 1")
     if is_square(m):
-        return (PellSolution(0, 1, 1, -1) if m == 1 else None), None
-    start = (1, 2) if m % 8 == 5 and m > _OMEGA_MIN else (0, 1)
-    terms, qs, odd = _half_period(m, *start)
-    q0, cubed = start[1], False
+        return (PellSolution(0, 1, 1, -1), True) if m == 1 else (None, None)
+    q0 = 2 if m % 8 == 5 and m > _OMEGA_MIN else 1
+    terms, qs, odd = _half_period(m, q0 - 1, q0)
     if not odd:
-        return None, (terms, qs, q0, cubed)
+        return None, None
     n, a = _least_unit(m, terms, qs, odd, q0)
+    cubed = False
     if q0 == 2:
         # (n + a sqrt(m)) / 2 is eps_0; the solution is eps_0 or eps_0^3
         cubed = a % 2 == 1
@@ -238,7 +245,53 @@ def _negative_pell(m: int) -> tuple[PellSolution | None, tuple | None]:
             n, a = n * (n2 + 3 * m * a2) >> 3, a * (3 * n2 + m * a2) >> 3
         else:
             n, a = n >> 1, a >> 1
-    return PellSolution(n, a, m, -1), (terms, qs, q0, cubed)
+    return PellSolution(n, a, m, -1), m == 5 or _reads_five(terms, qs, q0, cubed)
+
+
+def _reads_five(terms: list[int], qs: list[int], q0: int, cubed: bool) -> bool:
+    """Whether x^2 - m y^2 = 5 is solvable, read off the odd half period
+    (terms, qs) of (q0 - 1 + sqrt(m)) / q0 that ``_negative_pell`` walked,
+    cubed whether its solution is eps_0^3.  5 is squarefree, so every
+    solution is primitive, and the period is odd, so norms +5 and -5 come
+    together.
+
+    * Walk of sqrt(m) (q0 = 1): for m > 25, 5 < sqrt(m), so each solution
+      is a convergent (Lagrange), and one exists iff 5 is a Q_k of the
+      half period.
+    * Walk of (1 + sqrt(m)) / 2 (q0 = 2, m = 5 (mod 8), m > _OMEGA_MIN): a
+      convergent A/B of it gives alpha = (2A - B + B sqrt(m)) / 2 in
+      Z[(1 + sqrt(m)) / 2] of norm (-1)^(k+1) Q_{k+1} / 2.  An element of
+      norm 5 with B > 0 is one of these: |A/B - (1 + sqrt(m)) / 2| =
+      10 / (B (2A - B + B sqrt(m))) < 5 / (B^2 sqrt(m)) < 1 / (2 B^2) for
+      m > 100 (Lagrange for this order), and gcd(A, B) = 1 as 5 is
+      squarefree.  So Z[(1 + sqrt(m)) / 2] has an element of norm 5 iff
+      10 is a Q_k of the half period.  Z[sqrt(m)] = Z + 2 Z[(1 + sqrt(m)) / 2]
+      holds those with B even.  At unit index 3 (cubed) the units of
+      Z[(1 + sqrt(m)) / 2] run through the three classes of
+      (Z[(1 + sqrt(m)) / 2] / 2)^* = F_4^*, so some unit multiple of
+      alpha lies in Z[sqrt(m)].  At index 1 every unit is 1 mod 2, and
+      the generators of the (conjugate) ideals of norm 5 are conjugate,
+      so P_m(5) is solvable iff B_{k-1} is even at any one Q_k = 10.
+      There B_{l-1} = B_s^2 + B_{s-1}^2 is even and gcd(B_s, B_{s-1}) = 1,
+      so both are odd, and the parity is walked from the nearer end of
+      the half period, forward from B_0 or back from B_s.
+    """
+    if 5 * q0 not in qs:
+        return False
+    if q0 == 1 or cubed:
+        return True
+    # B_{k-1} mod 2, by the row walk of _denominators on bits alone, from
+    # (B_0, B_{-1}) = (1, 0) or back from (B_s, B_{s-1}) = (1, 1)
+    k = qs.index(10)
+    if 2 * k <= len(qs):
+        b, b1 = 1, 0
+        for a in terms[:k]:
+            b, b1 = (a * b + b1) & 1, b
+    else:
+        b, b1 = 1, 1
+        for a in reversed(terms[k:]):
+            b, b1 = b1, (b - a * b1) & 1
+    return b == 0
 
 
 def _least_unit(m: int, terms: list[int], qs: list[int], odd: bool, q0: int = 1) -> tuple[int, int]:

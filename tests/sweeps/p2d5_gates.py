@@ -1,8 +1,7 @@
-"""The local obstruction to P_2d(5), the star2 gate on P_(d/2)(-1) and the
-P_2d(5) read off sqrt(d/2) never contradict the walks for d <= d_max, and
-the one early-stopping pass of _local_flags equals the flags read off the
-whole factorization.  The checks raise explicitly, so the sweep also holds
-under python -O.
+"""The star2 gate on P_(d/2)(-1) and the P_2d(5) read off sqrt(d/2) never
+contradict the walks for d <= d_max, and the one early-stopping pass of
+_local_flags equals the flags read off the whole factorization.  The checks
+raise explicitly, so the sweep also holds under python -O.
 
 Run: python -O tests/sweeps/p2d5_gates.py [d_max]   (default 2*10^5)
 """
@@ -10,26 +9,11 @@ Run: python -O tests/sweeps/p2d5_gates.py [d_max]   (default 2*10^5)
 import sys
 
 from gmlattice.arith import factored_sum_of_two_squares, factorize
-from gmlattice.oracle import _local_flags, _p2d5_obstructed, classify
+from gmlattice.oracle import _local_flags, classify
 from gmlattice.pell import negative_pell, pell_solvable
 
 
 def main(d_max=200000):
-    bad = []
-    for d in range(2, d_max + 1, 2):
-        f = factorize(d)
-        if _p2d5_obstructed(d, f):
-            if pell_solvable(2 * d, 5):
-                bad.append(d)
-        # past the obstructions, the 5-adic condition left to reciprocity
-        # holds: 2d over its power of 5 is a square mod 5
-        elif (2 * d // 5 ** f.get(5, 0)) % 5 not in (1, 4):
-            bad.append(d)
-    if bad:
-        raise AssertionError(bad[:10])
-    # 4 | d, 3 | d and 25 | d are each the only obstruction of one d
-    if not all(_p2d5_obstructed(d, factorize(d)) for d in (8, 18, 50)):
-        raise AssertionError
     bad = []
     for d in range(1, d_max + 1):
         f = factorize(d)

@@ -568,3 +568,14 @@ def test_extension_check_rejects_non_orthogonal():
     U = standard_lattice("U")
     with pytest.raises(LatticeError, match="orthogonal"):
         glue_extension_check(Sublattice(U, ((1, 0),)), Sublattice(U, ((0, 1),)))
+
+
+def test_extension_check_rejects_an_odd_ambient_lattice(monkeypatch):
+    # S + K has index 2 in diag(1, 1); the refusal comes after the one Smith
+    # form of the finite-index check, before either discriminant group
+    L = GramLattice(((1, 0), (0, 1)))
+    calls = []
+    monkeypatch.setattr(intmat, "smith_normal_form_full", lambda M, real=intmat.smith_normal_form_full: calls.append(M) or real(M))
+    with pytest.raises(LatticeError, match="even lattices"):
+        glue_extension_check(Sublattice(L, ((1, 1),)), Sublattice(L, ((1, -1),)))
+    assert len(calls) == 1

@@ -593,7 +593,12 @@ def test_hyperbolic_box_past_the_limit_is_refused():
 def test_gram_text_round_trip():
     L = GramLattice(((-2, 0, 1), (0, -2, 0), (1, 0, 2)))
     assert parse_gram_text(format_gram_text(L)) == L
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match=r"rank\*rank"):
         parse_gram_text("2\n1 2 3\n")
-    with pytest.raises(LatticeError):
+    # the count is compared before any entry is converted
+    with pytest.raises(LatticeError, match=r"rank\*rank"):
+        parse_gram_text("2\n" + "x " * 5)
+    with pytest.raises(LatticeError, match="malformed"):
         parse_gram_text("x\n1\n")
+    with pytest.raises(LatticeError, match="empty Gram text"):
+        parse_gram_text(" \n")

@@ -44,7 +44,7 @@ from gmlattice import (
 )
 from gmlattice.arith import factored_sum_of_two_squares, factorize, prime_powers, two_square_decompositions
 from gmlattice.oracle import K3_RANK4_BOX, labelling_det
-from gmlattice.pell import negative_pell, pell_solvable
+from gmlattice.pell import _OMEGA_MIN, _half_period, _least_unit, negative_pell, pell_solvable
 from gmlattice import cli, intmat, oracle
 
 
@@ -846,40 +846,41 @@ def test_dm_examples():
 
 
 def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
-    # past the local obstructions, and for d > 50, P_2d(5) is solvable iff
-    # the half period that star3 walked has Q_k = 5 (sqrt(m), m = d/2), or
-    # Q_k = 10 ((1 + sqrt(m)) / 2, m = 5 (mod 8)) with, at unit index 1,
-    # B_{k-1} even at such a k, walked from the nearer end of the half
-    # period; pell_solvable walks sqrt(2d) on its own and is the
-    # independent reference
+    # for every d > 50 with star3, P_2d(5) is solvable iff the half period
+    # that star3 walked has Q_k = 5 (sqrt(m), m = d/2), or Q_k = 10
+    # ((1 + sqrt(m)) / 2, m = 5 (mod 8)) with, at unit index 1, B_{k-1}
+    # even at such a k, walked from the nearer end of the half period;
+    # pell_solvable walks sqrt(2d) on its own and is the independent
+    # reference, and the route of each read is re-derived from its walk
     present = absent = back = 0
     routes = Counter()
     for d in range(52, 50_001, 2):
-        factors, star2, _ = oracle._local_flags(d)
-        sol, walk = oracle._star3(d, star2)
-        if sol is None or oracle._p2d5_obstructed(d, factors):
+        sol, five = oracle._star3(d, oracle._local_flags(d)[1])
+        if sol is None:
             continue
-        _, qs, q0, cubed = walk
-        five = not oracle._p2d5_unsolvable(d, factors, walk)
         assert five == pell_solvable(2 * d, 5), d
         assert flags(d).dm_isomorphic is not five, d
         present += five
         absent += not five
+        m = d // 2
+        q0 = 2 if m % 8 == 5 and m > _OMEGA_MIN else 1
+        terms, qs, odd = _half_period(m, q0 - 1, q0)
+        cubed = q0 == 2 and _least_unit(m, terms, qs, odd, q0)[1] % 2 == 1
         routes[q0, cubed, 5 * q0 in qs, five] += 1
         if q0 == 2 and not cubed and 10 in qs:
             back += 2 * qs.index(10) > len(qs)
-    assert (present, absent) == (541, 257)
+    assert (present, absent) == (541, 2577)
     # every route is taken, the parity of B_{k-1} turns 72 reads of
     # Q_k = 10 at index 1 into "unsolvable", and it is walked back from the
     # end of the half period for 35 of the 91
     assert back == 35
     assert routes == {
-        (1, False, False, False): 92,
+        (1, False, False, False): 1722,
         (1, False, True, True): 297,
-        (2, False, False, False): 29,
+        (2, False, False, False): 237,
         (2, False, True, False): 72,
         (2, False, True, True): 19,
-        (2, True, False, False): 64,
+        (2, True, False, False): 546,
         (2, True, True, True): 225,
     }
 
@@ -888,10 +889,10 @@ def test_p2d5_is_read_off_the_half_period_of_sqrt_d_over_2():
     "d,walks",
     [
         (12, 0),  # 3 | 12: star2 fails, so star3 cannot hold
-        (26, 1),  # 13 = 3 (mod 5): P_52(5) is obstructed
-        (10, 1),  # d <= 50 passes the obstructions only at 2 and 10, where P_2d(5) is solvable
-        (58, 1),  # no obstruction; 5 is a Q_k of sqrt(29), so P_116(5) is solvable
-        (202, 1),  # no obstruction; (1 + sqrt(101)) / 2 has Q_1 = 10 at unit index 1, but B_0 = 1 is odd, so P_404(5) is not
+        (26, 1),  # 5 is no Q_k of sqrt(13), so P_52(5) is unsolvable
+        (10, 1),  # the half period of sqrt(5) is empty, and m = 5 is set apart: (5, 1) solves P_20(5)
+        (58, 1),  # 5 is a Q_k of sqrt(29), so P_116(5) is solvable
+        (202, 1),  # (1 + sqrt(101)) / 2 has Q_1 = 10 at unit index 1, but B_0 = 1 is odd, so P_404(5) is not
     ],
 )
 def test_classify_walks_only_where_factors_leave_the_flags_open(monkeypatch, d, walks):

@@ -1,6 +1,7 @@
 """Continued fractions and Pell-type equations."""
 
 import hashlib
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import cycle, islice
 from math import isqrt
@@ -17,7 +18,6 @@ from gmlattice import (
     pell_solvable,
 )
 from gmlattice.arith import is_square
-from gmlattice.oracle import _p2d5_unsolvable
 from gmlattice.pell import (
     _LEAF,
     _OMEGA_MIN,
@@ -26,6 +26,7 @@ from gmlattice.pell import (
     _half_period,
     _least_unit,
     _negative_pell,
+    _reads_five,
 )
 
 
@@ -348,37 +349,61 @@ def test_least_unit_equals_the_whole_period_convergent():
         assert _least_unit(m, terms, qs, odd) == whole, m
 
 
-def test_both_walks_of_m_5_mod_8_give_one_solution_and_one_read_of_norm_5():
+def test_both_walks_of_m_5_mod_8_give_one_solution_and_one_read_of_norm_5(monkeypatch):
     # for m = 5 (mod 8) past _OMEGA_MIN, negative_pell walks (1 + sqrt(m)) / 2:
     # the solution, or None, equals the one from the walk of sqrt(m), and so
-    # does the read of P_m(5) (d = 2m; with no factors, no local obstruction
-    # answers first); below the bound the read of (1 + sqrt(m)) / 2 would
-    # be wrong at m = 29 and m = 61, so sqrt(m) is walked there
+    # does the read of P_m(5); below the bound the read of (1 + sqrt(m)) / 2
+    # would be wrong at m = 29 and m = 61, so sqrt(m) is walked there
+    from gmlattice import pell
+
+    starts = []
+    monkeypatch.setattr(pell, "_half_period", lambda m, *start: starts.append(start) or _half_period(m, *start))
     index, wrong = {1: 0, 3: 0}, []
     for m in range(5, 20_000, 8):
         if is_square(m):
             continue
+        starts.clear()
+        sol, five = _negative_pell(m)
+        assert starts == [(0, 1) if m <= _OMEGA_MIN else (1, 2)], m
         terms, qs, odd = _half_period(m)
-        root = (terms, qs, 1, False)
-        sol, walk = _negative_pell(m)
-        if m <= _OMEGA_MIN:
-            assert walk == root, m
-            omega = _half_period(m, 1, 2)
-            if omega[2]:
-                cubed = _least_unit(m, *omega, 2)[1] % 2 == 1
-                omega_read = _p2d5_unsolvable(2 * m, {}, (*omega[:2], 2, cubed))
-                if omega_read != _p2d5_unsolvable(2 * m, {}, root):
-                    wrong.append(m)
-            continue
-        assert walk[:3] == (*_half_period(m, 1, 2)[:2], 2), m
         assert (sol.as_pair() if sol else None) == (_least_unit(m, terms, qs, odd) if odd else None), m
-        if sol:
-            index[3 if walk[3] else 1] += 1
-            assert _p2d5_unsolvable(2 * m, {}, walk) == _p2d5_unsolvable(2 * m, {}, root), m
+        if not odd:
+            assert five is None, m
+            continue
+        omega = _half_period(m, 1, 2)
+        cubed = _least_unit(m, *omega, 2)[1] % 2 == 1
+        root_read = m == 5 or _reads_five(terms, qs, 1, False)
+        omega_read = m == 5 or _reads_five(*omega[:2], 2, cubed)
+        if m <= _OMEGA_MIN:
+            assert five == root_read, m
+            wrong += [m] * (omega_read != root_read)
+            continue
+        index[3 if cubed else 1] += 1
+        assert five == omega_read == root_read, m
     assert wrong == [29, 61]
     # the unit index of Z[sqrt(m)] in Z[(1 + sqrt(m)) / 2] over the 886
     # solvable m: 3 (the solution is eps_0^3) for about two thirds
     assert index == {1: 262, 3: 624}
+
+
+def test_negative_pell_reads_norm_5_off_its_walk():
+    # the second value of _negative_pell is whether P_m(5) is solvable, read
+    # off the half period that P_m(-1) walked, and None where P_m(-1) is
+    # unsolvable; pell_solvable walks the roots of z^2 = m (mod 5) on its
+    # own and is the reference.  m = 1 and m = 5 are set apart, and
+    # m = 29 and m = 61 are read off sqrt(m) below _OMEGA_MIN
+    reads = Counter()
+    for m in range(1, 50_000):
+        sol, five = _negative_pell(m)
+        if sol is None:
+            assert five is None, m
+            continue
+        assert five == pell_solvable(m, 5), m
+        reads[m % 8 == 5 and m > _OMEGA_MIN, five] += 1
+    assert [_negative_pell(m)[1] for m in (1, 5, 29, 61)] == [True] * 4
+    # (walk of (1 + sqrt(m)) / 2, P_m(5) solvable) over the 5973 m with
+    # P_m(-1) solvable: both walks give both answers
+    assert reads == {(False, False): 3303, (False, True): 564, (True, False): 1650, (True, True): 456}
 
 
 def test_pell_solvable_decides_c_squared_past_m_by_residues():

@@ -43,7 +43,11 @@ CASES = [
     (half_period, (5000,), "51948 half-period terms equal the full walk, and 3267 of (1 + sqrt(m)) / 2"),
     # c^2 < m and c^2 >= m alike; the scan where the unit bound is at most 300
     (root_walks, (600, 40, 300, (46000, 25034)), "46000 pairs decided, 25034 against the n-scan"),
-    (pell_pm1, (5000,), "690 of 4929 non-square m solve P_m(-1), with no separate parity walk"),
+    (
+        pell_pm1,
+        (5000,),
+        "690 of 4929 non-square m solve P_m(-1), with no separate parity walk, and 124 of them P_m(5), read off that walk",
+    ),
     (
         prime_1mod4,
         (300, 100),
